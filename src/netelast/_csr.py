@@ -2,16 +2,22 @@
 
 Everything here works on a plain (indptr, indices) pair so the same code
 serves the undirected structural graph and the directed residual graphs of
-the routing engines.  The kernels are level-synchronous: each BFS level is
-expanded with a handful of numpy calls, which keeps per-node Python overhead
-out of the n = 1000 attack simulations.
+the routing engines.  The level-edge kernels are level-synchronous: each BFS
+level is expanded with a handful of numpy calls, which keeps per-node Python
+overhead out of the n = 1000 attack simulations.  Jobs that need only
+distances or components go to scipy's compiled traversals.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+# source rows per shortest_path call: bounds the dense distance block at
+# _DIST_BLOCK x n floats instead of a full n x n matrix
+_DIST_BLOCK = 128
 
 
 def build_csr(
@@ -32,11 +38,31 @@ def build_csr(
     return indptr, heads.astype(np.int64, copy=False)
 
 
+def arc_tails(indptr: np.ndarray) -> np.ndarray:
+    """Tail of every arc; positions match `indices`."""
+    return np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
+
+
 def arc_keys(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
     """Sorted key tail * n + head for every arc; positions match `indices`."""
-    degrees = np.diff(indptr)
-    tails = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    return tails * n + indices
+    return arc_tails(indptr) * n + indices
+
+
+def adjacency(indptr: np.ndarray, indices: np.ndarray, n: int) -> csr_matrix:
+    """The arcs as a unit-weight scipy matrix, row = tail, column = head."""
+    return csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+
+
+def hop_distances(indptr: np.ndarray, indices: np.ndarray, n: int, sources: np.ndarray):
+    """Yield (block, dist) over consecutive blocks of `sources`.
+
+    dist[i, t] is the hop count from block[i] to t along the arcs, inf when
+    t is unreachable.
+    """
+    adj = adjacency(indptr, indices, n)
+    for start in range(0, sources.size, _DIST_BLOCK):
+        block = sources[start : start + _DIST_BLOCK]
+        yield block, csgraph.shortest_path(adj, unweighted=True, indices=block)
 
 
 def arc_position(keys: np.ndarray, tails: np.ndarray, heads: np.ndarray, n: int) -> np.ndarray:
@@ -70,22 +96,16 @@ def gather_rows(
     return tails, indices[pos]
 
 
-def bfs(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    source: int,
-    n: int,
-    capture: bool = True,
-):
+def bfs(indptr: np.ndarray, indices: np.ndarray, source: int, n: int):
     """Level-synchronous BFS from `source`.
 
     Returns (dist, frontiers, level_edges):
       dist        int array, -1 for unreached nodes;
       frontiers   list of node arrays, one per BFS level (level 0 = source);
       level_edges list of (tails, heads) arrays holding every arc that
-                  crosses from level d to level d+1 (empty when capture is
-                  False).  Multi-parent arcs are all retained, which is what
-                  the shortest-path counting needs.
+                  crosses from level d to level d+1.  Multi-parent arcs are
+                  all retained, which is what the shortest-path counting
+                  needs.
     """
     dist = np.full(n, -1, dtype=np.int64)
     dist[source] = 0
@@ -102,18 +122,12 @@ def bfs(
         if newly.size == 0:
             break
         dist[newly] = d + 1
-        if capture:
-            cross = dist[heads] == d + 1
-            level_edges.append((tails[cross], heads[cross]))
+        cross = dist[heads] == d + 1
+        level_edges.append((tails[cross], heads[cross]))
         frontier = np.unique(newly)
         frontiers.append(frontier)
         d += 1
     return dist, frontiers, level_edges
-
-
-def distances_only(indptr: np.ndarray, indices: np.ndarray, source: int, n: int) -> np.ndarray:
-    dist, _, _ = bfs(indptr, indices, source, n, capture=False)
-    return dist
 
 
 def brandes_source(
@@ -141,39 +155,16 @@ def brandes_source(
     accum += delta
 
 
-def min_predecessors(level_edges) -> tuple[np.ndarray, np.ndarray]:
-    """Pick the smallest-id parent for every reached node.
-
-    Returns (nodes, parents) over all levels; each node appears once.
+def pick_predecessors(level_edges, n: int, rng: np.random.Generator | None) -> np.ndarray:
+    """Predecessor of every reached node, -1 elsewhere: the smallest-id
+    parent, or with `rng` a uniformly random one (a random priority per
+    candidate arc, drawn level by level, and an argmin per head).
     """
-    all_nodes = []
-    all_parents = []
+    pred = np.full(n, -1, dtype=np.int64)
     for tails, heads in level_edges:
-        order = np.lexsort((tails, heads))
+        key = tails if rng is None else rng.random(heads.size)
+        order = np.lexsort((key, heads))
         heads_s = heads[order]
         first = np.unique(heads_s, return_index=True)[1]
-        all_nodes.append(heads_s[first])
-        all_parents.append(tails[order][first])
-    if not all_nodes:
-        return _EMPTY, _EMPTY
-    return np.concatenate(all_nodes), np.concatenate(all_parents)
-
-
-def random_predecessors(level_edges, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Pick a uniformly random parent for every reached node.
-
-    A random priority per candidate arc and an argmin per head give a
-    uniform choice among equal-distance parents.
-    """
-    all_nodes = []
-    all_parents = []
-    for tails, heads in level_edges:
-        pri = rng.random(heads.size)
-        order = np.lexsort((pri, heads))
-        heads_s = heads[order]
-        first = np.unique(heads_s, return_index=True)[1]
-        all_nodes.append(heads_s[first])
-        all_parents.append(tails[order][first])
-    if not all_nodes:
-        return _EMPTY, _EMPTY
-    return np.concatenate(all_nodes), np.concatenate(all_parents)
+        pred[heads_s[first]] = tails[order][first]
+    return pred

@@ -13,7 +13,6 @@ import configparser
 import hashlib
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -73,7 +72,6 @@ class ExperimentConfig:
     global_seed: int = 0
     batch: int = 1
     recompute: bool = True
-    workers: int = 1
 
     def __post_init__(self):
         names = [t.name for t in self.topologies]
@@ -83,8 +81,6 @@ class ExperimentConfig:
             raise ParameterError(f"stop_fraction must be in (0, 1], got {self.stop_fraction}")
         if self.batch < 1:
             raise ParameterError(f"batch must be >= 1, got {self.batch}")
-        if self.workers < 1:
-            raise ParameterError(f"workers must be >= 1, got {self.workers}")
         for a in self.attacks:
             if a not in ATTACK_KINDS:
                 raise ParameterError(f"unknown attack {a!r}")
@@ -187,7 +183,6 @@ def load_config(path) -> ExperimentConfig:
         global_seed=global_seed,
         batch=get_int("batch", 1),
         recompute=get_bool("recompute", True),
-        workers=get_int("workers", 1),
     )
 
 
@@ -214,7 +209,7 @@ class ExperimentReport:
     output_dir: Path
 
 
-def _build_topology(decl: TopologyDecl, global_seed: int) -> Graph:
+def _build_topology(decl: TopologyDecl) -> Graph:
     if decl.path is not None:
         return load_edge_list(decl.path)
     return decl.spec.build()
@@ -254,7 +249,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     errors: dict[str, str] = {}
     for decl in config.topologies:
         try:
-            g = _build_topology(decl, config.global_seed)
+            g = _build_topology(decl)
             graphs[decl.name] = g
             reports[decl.name] = metrics(g, with_betweenness=False)
             log_lines.append(
@@ -264,46 +259,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             errors[decl.name] = str(exc)
             log_lines.append(f"topology {decl.name}: ERROR {exc}")
 
-    cells = [
-        (decl.name, kind)
-        for decl in config.topologies
-        if decl.name in graphs
-        for kind in config.attacks
-    ]
-
-    def run_cell(cell: tuple[str, str]):
-        name, kind = cell
-        strategy = _attack_strategy(config, name, kind)
-        return elasticity(graphs[name], strategy, config.model, config.stop_fraction)
-
     curves: dict[tuple[str, str], ElasticityCurve] = {}
-    cell_errors: dict[tuple[str, str], str] = {}
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = {cell: pool.submit(run_cell, cell) for cell in cells}
-        results = {}
-        for cell, fut in futures.items():
+    for decl in config.topologies:
+        name = decl.name
+        if name not in graphs:
+            continue
+        for kind in config.attacks:
+            strategy = _attack_strategy(config, name, kind)
             try:
-                results[cell] = fut.result()
+                curve = elasticity(graphs[name], strategy, config.model, config.stop_fraction)
             except (NetelastError, OSError) as exc:
-                cell_errors[cell] = str(exc)
-    else:
-        results = {}
-        for cell in cells:
-            try:
-                results[cell] = run_cell(cell)
-            except (NetelastError, OSError) as exc:
-                cell_errors[cell] = str(exc)
-
-    for cell in cells:  # declaration order, never completion order
-        name, kind = cell
-        if cell in results:
-            curve = results[cell]
-            curves[cell] = curve
+                errors[f"{name}/{kind}"] = str(exc)
+                log_lines.append(f"cell {name}/{kind}: ERROR {exc}")
+                continue
+            curves[(name, kind)] = curve
             curve.write_csv(curves_dir / f"{name}_{kind}.csv")
             log_lines.append(f"cell {name}/{kind}: elasticity={fmt(curve.elasticity)}")
-        else:
-            log_lines.append(f"cell {name}/{kind}: ERROR {cell_errors[cell]}")
 
     rows: list[RankingRow] = []
     for decl in config.topologies:
@@ -328,6 +299,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     config.tradeoff,
                 )
             except ParameterError as exc:
+                errors[f"tradeoff/{name}"] = str(exc)
                 log_lines.append(f"tradeoff {name}: NaN ({exc})")
         rows.append(
             RankingRow(
@@ -349,8 +321,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     log_lines.append(f"elapsed {time.monotonic() - started:.1f}s")
     (out / "run.log").write_text("\n".join(log_lines) + "\n")
 
-    for cell, msg in cell_errors.items():
-        errors[f"{cell[0]}/{cell[1]}"] = msg
     return ExperimentReport(
         rows=rows,
         metrics=reports,

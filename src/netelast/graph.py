@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from . import _csr
 from .errors import ComputeError, ParameterError, ParseError
@@ -264,19 +265,17 @@ def dumps_edge_list(g: Graph) -> str:
 
 
 def connected_components(g: Graph) -> list[list[int]]:
-    """BFS partition of the present nodes, ordered by smallest member id."""
+    """Partition of the present nodes, ordered by smallest member id, each
+    component's members ascending."""
     indptr, indices = g.csr()
-    n = g.id_space
-    seen = ~g._present.copy()
-    comps: list[list[int]] = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        dist = _csr.distances_only(indptr, indices, s, n)
-        members = np.flatnonzero(dist >= 0)
-        seen[members] = True
-        comps.append([int(v) for v in members])
-    return comps
+    _, labels = csgraph.connected_components(
+        _csr.adjacency(indptr, indices, g.id_space), directed=False
+    )
+    present = np.flatnonzero(g._present)
+    order = np.argsort(labels[present], kind="stable")
+    members = present[order]
+    cuts = np.flatnonzero(np.diff(labels[members])) + 1
+    return sorted((c.tolist() for c in np.split(members, cuts) if c.size), key=lambda c: c[0])
 
 
 def betweenness(g: Graph) -> np.ndarray:
@@ -355,12 +354,11 @@ def metrics(g: Graph, with_betweenness: bool = True) -> MetricsReport:
         asp = math.nan
     else:
         indptr, indices = g.csr()
-        size = g.id_space
+        members = np.array(comp)
         total = 0
         eccmax = 0
-        for s in comp:
-            dist = _csr.distances_only(indptr, indices, s, size)
-            dc = dist[comp]
+        for _, dist in _csr.hop_distances(indptr, indices, g.id_space, members):
+            dc = dist[:, members]
             total += int(dc.sum())
             eccmax = max(eccmax, int(dc.max()))
         diameter = float(eccmax)

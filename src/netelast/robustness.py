@@ -70,25 +70,39 @@ def _rank(g: Graph, kind: str) -> list[int]:
     return [v for _, v in sorted(zip(scores, nodes), key=lambda sv: (-sv[0], sv[1]))]
 
 
+def _removal_batches(g: Graph, strategy: AttackStrategy, limit: int):
+    """Remove the first `limit` nodes of the attack from a working copy of `g`,
+    one batch of `strategy.batch` at a time, yielding (copy, batch) after
+    each batch.
+
+    Random and static orders are fixed on the intact graph; adaptive
+    rankings are recomputed on the copy before every batch.
+    """
+    if strategy.kind == "random":
+        rng = np.random.default_rng(strategy.seed)
+        order = [int(v) for v in rng.permutation(g.nodes)]
+    elif not strategy.recompute:
+        order = _rank(g, strategy.kind)
+    else:
+        order = None
+    work = g.copy()
+    removed = 0
+    while removed < limit:
+        step = min(strategy.batch, limit - removed)
+        batch = _rank(work, strategy.kind)[:step] if order is None else order[removed : removed + step]
+        for v in batch:
+            work.remove_node(v)
+        removed += step
+        yield work, batch
+
+
 def attack_sequence(g: Graph, strategy: AttackStrategy) -> list[int]:
     """The full removal order for `g` under `strategy`.
 
     The input graph is not modified.  For adaptive strategies the ranking is
     refreshed once per batch of `strategy.batch` removals.
     """
-    if strategy.kind == "random":
-        rng = np.random.default_rng(strategy.seed)
-        return [int(v) for v in rng.permutation(g.nodes)]
-    if not strategy.recompute:
-        return _rank(g, strategy.kind)
-    work = g.copy()
-    order: list[int] = []
-    while work.number_of_nodes > 0:
-        ranked = _rank(work, strategy.kind)
-        for v in ranked[: strategy.batch]:
-            work.remove_node(v)
-            order.append(v)
-    return order
+    return [v for _, batch in _removal_batches(g, strategy, g.number_of_nodes) for v in batch]
 
 
 @dataclass
@@ -156,17 +170,11 @@ def elasticity(
     if alpha <= 0.0:
         raise ComputeError("elasticity undefined: initial throughput is 0")
 
-    order = attack_sequence(g, strategy)
-    zeta = math.ceil(stop_fraction * n)
-    work = g.copy()
     fractions = [0.0]
     normalized = [1.0]
     removed = 0
-    while removed < zeta:
-        step = min(strategy.batch, zeta - removed)
-        for v in order[removed : removed + step]:
-            work.remove_node(v)
-        removed += step
+    for work, batch in _removal_batches(g, strategy, math.ceil(stop_fraction * n)):
+        removed += len(batch)
         fractions.append(removed / n)
         normalized.append(raw_throughput(work, model) / alpha)
     fr = np.array(fractions)

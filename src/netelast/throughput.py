@@ -94,19 +94,10 @@ class CapacityState:
 
     @classmethod
     def from_graph(cls, g: Graph) -> "CapacityState":
-        edges = g.edges()
-        if edges:
-            u = np.array([e[0] for e in edges], dtype=np.int64)
-            v = np.array([e[1] for e in edges], dtype=np.int64)
-            tails = np.concatenate([u, v])
-            heads = np.concatenate([v, u])
-            order = np.lexsort((heads, tails))
-            tails, heads = tails[order], heads[order]
-        else:
-            tails = np.empty(0, dtype=np.int64)
-            heads = np.empty(0, dtype=np.int64)
-        m = tails.size
-        return cls(tails, heads, np.ones(m), np.zeros(m))
+        # CSR rows are sorted by (tail, head), the arc order every engine uses
+        indptr, heads = g.csr()
+        m = heads.size
+        return cls(_csr.arc_tails(indptr), heads.copy(), np.ones(m), np.zeros(m))
 
     def add_demand(self, s: int, dests: np.ndarray, rate: float) -> None:
         for t in dests:
@@ -137,40 +128,35 @@ def shortest_path_tree(
     indptr, indices = g.csr()
     n = g.id_space
     dist_i, _, level_edges = _csr.bfs(indptr, indices, source, n)
-    pred = _tree_preds(level_edges, n, rng)
+    pred = _csr.pick_predecessors(level_edges, n, rng)
     dist = np.where(dist_i < 0, np.inf, dist_i.astype(float))
     return dist, pred
 
 
-def _tree_preds(level_edges, n: int, rng) -> np.ndarray:
-    if rng is None:
-        nodes, parents = _csr.min_predecessors(level_edges)
-    else:
-        nodes, parents = _csr.random_predecessors(level_edges, rng)
-    pred = np.full(n, -1, dtype=np.int64)
-    pred[nodes] = parents
-    return pred
+def _route_all(indptr, indices, sources, n, rng):
+    """Single-path routing from every source over the CSR arcs.
 
-
-def _route_source(indptr, indices, keys, source, n, rng):
-    """Single-path routing bookkeeping for one source.
-
-    Returns (dests, arc_pos, arc_weight): the reached nodes, and for every
-    tree arc its CSR position together with the number of source->dest paths
-    crossing it (the size of the destination subtree below the arc).
+    Returns (loads, routed): per arc (aligned with `indices`) the number of
+    source->dest paths crossing it, i.e. the size of the destination subtree
+    below the arc; and (source, reached dests) for every source that reaches
+    some node.
     """
-    _, frontiers, level_edges = _csr.bfs(indptr, indices, source, n)
-    if not level_edges:
-        return None
-    pred = _tree_preds(level_edges, n, rng)
-    reached = pred >= 0
-    dests = np.flatnonzero(reached)
-    cnt = np.zeros(n)
-    cnt[dests] = 1.0
-    for fr in reversed(frontiers[1:]):
-        np.add.at(cnt, pred[fr], cnt[fr])
-    pos = _csr.arc_position(keys, pred[dests], dests, n)
-    return dests, pos, cnt[dests]
+    keys = _csr.arc_keys(indptr, indices, n)
+    loads = np.zeros(indices.size)
+    routed: list[tuple[int, np.ndarray]] = []
+    for s in sources:
+        _, frontiers, level_edges = _csr.bfs(indptr, indices, int(s), n)
+        if not level_edges:
+            continue
+        pred = _csr.pick_predecessors(level_edges, n, rng)
+        dests = np.flatnonzero(pred >= 0)
+        cnt = np.zeros(n)
+        cnt[dests] = 1.0
+        for fr in reversed(frontiers[1:]):
+            np.add.at(cnt, pred[fr], cnt[fr])
+        np.add.at(loads, _csr.arc_position(keys, pred[dests], dests, n), cnt[dests])
+        routed.append((int(s), dests))
+    return loads, routed
 
 
 # -- homogeneous model ---------------------------------------------------------
@@ -180,47 +166,20 @@ def throughput_dijkstra_homogeneous(g: Graph, model: ThroughputModel | None = No
     """One flow per ordered connected pair along its single shortest path;
     all pairs share the uniform rate 1 / (max arc utilization).
     """
-    model = model or ThroughputModel()
-    rng = np.random.default_rng(model.seed) if model.tie_break == "random" else None
-    indptr, indices = g.csr()
-    n = g.id_space
-    keys = _csr.arc_keys(indptr, indices, n)
-    util = np.zeros(indices.size)
-    routed: list[tuple[int, np.ndarray]] = []
-    total_pairs = 0
-    for s in np.flatnonzero(g._present):
-        out = _route_source(indptr, indices, keys, int(s), n, rng)
-        if out is None:
-            continue
-        dests, pos, weight = out
-        np.add.at(util, pos, weight)
-        routed.append((int(s), dests))
-        total_pairs += dests.size
-    max_util = util.max() if util.size else 0.0
-    delta = 1.0 / max_util if max_util > 0 else 1.0
+    raw, delta, routed = _raw_homogeneous(g, model or ThroughputModel())
     per_pair = {(s, int(t)): delta for s, dests in routed for t in dests}
-    return ThroughputResult(raw_throughput=delta * total_pairs, per_pair_delivered=per_pair)
+    return ThroughputResult(raw_throughput=raw, per_pair_delivered=per_pair)
 
 
-def _raw_homogeneous(g: Graph, model: ThroughputModel) -> float:
-    """raw_throughput of the homogeneous model without materializing the
-    per-pair map (the elasticity loop calls this once per removal batch)."""
+def _raw_homogeneous(g: Graph, model: ThroughputModel) -> tuple[float, float, list[tuple[int, np.ndarray]]]:
+    """(raw_throughput, uniform per-pair rate, routed (source, dests)) of the
+    homogeneous model; the per-pair map is left to the caller that needs it."""
     rng = np.random.default_rng(model.seed) if model.tie_break == "random" else None
     indptr, indices = g.csr()
-    n = g.id_space
-    keys = _csr.arc_keys(indptr, indices, n)
-    util = np.zeros(indices.size)
-    total_pairs = 0
-    for s in np.flatnonzero(g._present):
-        out = _route_source(indptr, indices, keys, int(s), n, rng)
-        if out is None:
-            continue
-        dests, pos, weight = out
-        np.add.at(util, pos, weight)
-        total_pairs += dests.size
+    util, routed = _route_all(indptr, indices, np.flatnonzero(g._present), g.id_space, rng)
     max_util = util.max() if util.size else 0.0
     delta = 1.0 / max_util if max_util > 0 else 1.0
-    return delta * total_pairs
+    return delta * sum(dests.size for _, dests in routed), delta, routed
 
 
 # -- heterogeneous model -------------------------------------------------------
@@ -251,16 +210,7 @@ def _run_heterogeneous(g: Graph, model: ThroughputModel) -> tuple[ThroughputResu
             break
         alive_idx = np.flatnonzero(alive)
         indptr, indices = _csr.build_csr(state.tails[alive], state.heads[alive], n)
-        keys = _csr.arc_keys(indptr, indices, n)
-        loads = np.zeros(alive_idx.size)
-        routable: list[tuple[int, np.ndarray]] = []
-        for s in present:
-            out = _route_source(indptr, indices, keys, int(s), n, rng)
-            if out is None:
-                continue
-            dests, pos, weight = out
-            np.add.at(loads, pos, weight)
-            routable.append((int(s), dests))
+        loads, routable = _route_all(indptr, indices, present, n, rng)
         if not routable:
             break
         used = loads > 0
@@ -285,11 +235,11 @@ def _residual_reachability(state: CapacityState, present: np.ndarray, n: int):
     alive = state.capacity > _RESIDUAL_EPS
     indptr, indices = _csr.build_csr(state.tails[alive], state.heads[alive], n)
     reach: dict[int, np.ndarray] = {}
-    for s in present:
-        dist = _csr.distances_only(indptr, indices, int(s), n)
-        dests = np.flatnonzero(dist > 0)
-        if dests.size:
-            reach[int(s)] = dests
+    for block, dist in _csr.hop_distances(indptr, indices, n, present):
+        for s, row in zip(block, dist):
+            dests = np.flatnonzero(np.isfinite(row) & (row > 0))
+            if dests.size:
+                reach[int(s)] = dests
     return np.flatnonzero(alive), reach
 
 
@@ -452,7 +402,7 @@ def evaluate_throughput(g: Graph, model: ThroughputModel) -> ThroughputResult:
 def raw_throughput(g: Graph, model: ThroughputModel) -> float:
     """raw_throughput only; skips the per-pair map for the homogeneous model."""
     if model.kind == "dijkstra_homogeneous":
-        return _raw_homogeneous(g, model)
+        return _raw_homogeneous(g, model)[0]
     return evaluate_throughput(g, model).raw_throughput
 
 

@@ -87,6 +87,20 @@ def bfs_distances(adj, source):
     return dist
 
 
+def structure_oracle(g):
+    """(components, diameter, asp) by dict BFS from every present node;
+    diameter and asp on the largest component, NaN when it is one node."""
+    adj = {v: g.neighbors(v) for v in g.nodes}
+    dists = {s: bfs_distances(adj, s) for s in adj}
+    comps = [list(c) for c in sorted({tuple(sorted(d)) for d in dists.values()})]
+    comp = max(comps, key=len)
+    k = len(comp)
+    if k < 2:
+        return comps, float("nan"), float("nan")
+    hops = [dists[s][t] for s in comp for t in comp]
+    return comps, float(max(hops)), sum(hops) / (k * (k - 1))
+
+
 def all_shortest_paths(adj, s, t):
     """Every shortest s-t path, by backward walk over BFS distances."""
     dist = bfs_distances(adj, s)

@@ -181,16 +181,31 @@ class TestRunExperiment:
         assert ("ok", "random") in report.curves
         assert "ERROR" in (report.output_dir / "run.log").read_text()
 
-    def test_workers_do_not_change_results(self, tmp_path):
+    def test_workers_key_is_ignored(self, tmp_path):
         base = (
-            "[experiment]\noutput_dir = {out}\nglobal_seed = 9\nworkers = {w}\n"
+            "[experiment]\noutput_dir = {out}\nglobal_seed = 9\n{extra}"
             "attacks = random, highest_degree, highest_betweenness\n"
             "[topology:a]\nfamily = gilbert\nn = 16\np = 0.35\n"
             "[topology:b]\nfamily = mesh\nn = 8\n"
         )
-        (tmp_path / "one.ini").write_text(base.format(out="o1", w=1))
-        (tmp_path / "two.ini").write_text(base.format(out="o2", w=3))
-        r1 = run_experiment(load_config(tmp_path / "one.ini"))
-        r2 = run_experiment(load_config(tmp_path / "two.ini"))
+        (tmp_path / "plain.ini").write_text(base.format(out="o1", extra=""))
+        (tmp_path / "workers.ini").write_text(base.format(out="o2", extra="workers = 3\n"))
+        r1 = run_experiment(load_config(tmp_path / "plain.ini"))
+        r2 = run_experiment(load_config(tmp_path / "workers.ini"))
         for name in ("metrics.csv", "ranking.csv", "tradeoff.csv", "correlations.csv"):
             assert (r1.output_dir / name).read_text() == (r2.output_dir / name).read_text()
+
+    def test_rejected_tradeoff_is_reported(self, tmp_path):
+        # two K5 (0-4 and 5-9) joined through node 10: every elasticity is
+        # above 1, so the tradeoff score is NaN
+        bridge = [(4, 10), (10, 5)]
+        edges = [(u, v) for k in (0, 5) for u in range(k, k + 5) for v in range(u + 1, k + 5)]
+        save_edge_list(ne.Graph.from_edges(11, edges + bridge), tmp_path / "barbell.edges")
+        (tmp_path / "grid.ini").write_text(
+            "[experiment]\noutput_dir = out\n[topology:barbell]\npath = barbell.edges\n"
+        )
+        report = run_experiment(load_config(tmp_path / "grid.ini"))
+        assert math.isnan(report.rows[0].re_score)
+        assert list(report.errors) == ["tradeoff/barbell"]
+        assert "outside [0, 1]" in report.errors["tradeoff/barbell"]
+        assert "tradeoff barbell: NaN" in (report.output_dir / "run.log").read_text()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import netelast as ne
+from netelast import _csr
 from netelast.graph import dumps_edge_list
 
 from conftest import (
@@ -16,6 +17,7 @@ from conftest import (
     graph_from_edges,
     path_graph,
     star_graph,
+    structure_oracle,
 )
 
 
@@ -183,6 +185,28 @@ class TestMetrics:
                 assert rep.asp <= rep.diameter + 1e-12
                 assert rep.asp >= 1.0
                 assert rep.diameter >= 1.0
+            # the same draw with a third of its ids removed, next to the
+            # isolated nodes the sparse draw leaves
+            for v in rng.choice(n, size=n // 3, replace=False):
+                g.remove_node(int(v))
+            if g.number_of_nodes < 2:
+                continue
+            comps, diameter, asp = structure_oracle(g)
+            rep = ne.metrics(g, with_betweenness=False)
+            assert ne.connected_components(g) == comps
+            assert rep.diameter == diameter or math.isnan(rep.diameter) and math.isnan(diameter)
+            assert rep.asp == asp or math.isnan(rep.asp) and math.isnan(asp)
+
+    def test_matches_plain_bfs_past_one_block_of_sources(self):
+        g = ne.gen_watts_strogatz(300, 4, 0.1, seed=2)
+        for v in range(0, 300, 7):
+            g.remove_node(v)
+        comps, diameter, asp = structure_oracle(g)
+        # distances come from scipy in blocks of source rows; span two
+        assert len(max(comps, key=len)) > _csr._DIST_BLOCK
+        rep = ne.metrics(g, with_betweenness=False)
+        assert ne.connected_components(g) == comps
+        assert (rep.diameter, rep.asp) == (diameter, asp)
 
     def test_largest_component_only(self):
         g = graph_from_edges(5, [(0, 1), (1, 2), (3, 4)])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import netelast as ne
-from netelast import AttackStrategy, ThroughputModel, TradeoffParams
+from netelast import AttackStrategy, ThroughputModel, TradeoffParams, robustness
 
 from conftest import canonical_relabel, path_graph, random_connected_graph, star_graph
 
@@ -93,6 +93,35 @@ class TestElasticity:
         )
         assert c.fractions[-1] == pytest.approx(zeta / n)
         assert c.elasticity == pytest.approx(ne.mesh_elasticity_discrete(n, zeta), abs=1e-9)
+
+    def test_adaptive_attack_ranks_and_removes_only_up_to_the_stop(self, monkeypatch):
+        g = ne.gen_watts_strogatz(40, 4, 0.2, seed=5)
+        strategy = AttackStrategy("highest_betweenness", batch=2)
+        calls = {"betweenness": 0, "remove_node": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(ne.robustness, "betweenness", counted("betweenness", robustness.betweenness))
+        monkeypatch.setattr(ne.Graph, "remove_node", counted("remove_node", ne.Graph.remove_node))
+        curve = ne.elasticity(g, strategy, stop_fraction=0.1)
+        monkeypatch.undo()
+        # ceil(0.1 * 40) = 4 removals: two batches, one ranking each
+        assert calls == {"betweenness": 2, "remove_node": 4}
+        # the samples replay the first four nodes of the full removal order
+        order = ne.attack_sequence(g, strategy)
+        h = g.copy()
+        expected = [1.0]
+        for batch in (order[0:2], order[2:4]):
+            for v in batch:
+                h.remove_node(v)
+            expected.append(ne.throughput_dijkstra_homogeneous(h).raw_throughput / curve.alpha)
+        assert curve.fractions.tolist() == [0.0, 0.05, 0.1]
+        assert curve.normalized.tolist() == expected
 
     def test_batch_interpolates_linearly(self):
         # mesh degradation is convex: wider trapezoids overestimate by at
