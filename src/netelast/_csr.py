@@ -13,11 +13,14 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
-_EMPTY = np.empty(0, dtype=np.int64)
-
 # source rows per shortest_path call: bounds the dense distance block at
 # _DIST_BLOCK x n floats instead of a full n x n matrix
 _DIST_BLOCK = 128
+
+# one batched bfs holds at most _BLOCK_NODES flat ids (sources x id space)
+# and gathers at most _BLOCK_ARCS arcs per level
+_BLOCK_NODES = 1 << 16
+_BLOCK_ARCS = 1 << 17
 
 
 def build_csr(
@@ -27,7 +30,7 @@ def build_csr(
     entries within a row sorted by head id.
 
     Row-sorted entries make the concatenated arcs ascending under the key
-    tail * n + head, which arc_position() relies on.
+    tail * n + head (arc_keys), so a repeated arc sits next to its twin.
     """
     order = np.lexsort((heads, tails))
     tails = tails[order]
@@ -65,106 +68,147 @@ def hop_distances(indptr: np.ndarray, indices: np.ndarray, n: int, sources: np.n
         yield block, csgraph.shortest_path(adj, unweighted=True, indices=block)
 
 
-def arc_position(keys: np.ndarray, tails: np.ndarray, heads: np.ndarray, n: int) -> np.ndarray:
-    """Index of each (tail, head) arc inside the CSR arrays."""
-    return np.searchsorted(keys, tails.astype(np.int64) * n + heads)
+def component_reach(indptr: np.ndarray, indices: np.ndarray, n: int, sources: np.ndarray) -> np.ndarray:
+    """Size of each source's connected component on a symmetric CSR: the
+    number of nodes a BFS from it reaches, itself included."""
+    _, labels = csgraph.connected_components(adjacency(indptr, indices, n), directed=False)
+    return np.bincount(labels)[labels[sources]]
+
+
+def source_blocks(count: int, n: int, arcs: int) -> list[slice]:
+    """Consecutive slices of `count` sources, each small enough for one
+    batched bfs: at most _BLOCK_NODES flat ids, and at most _BLOCK_ARCS arcs
+    gathered in one level (a source gathers each of the `arcs` arcs at most
+    once)."""
+    size = max(1, min(_BLOCK_NODES // max(n, 1), _BLOCK_ARCS // max(arcs, 1)))
+    return [slice(start, start + size) for start in range(0, count, size)]
 
 
 def gather_rows(
-    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate the CSR entries of `rows`.
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenate the CSR entries of the flat ids `rows` (i * n + v).
 
-    Returns (tails, heads): the row id repeated per entry and the entries
-    themselves.  Fully vectorized ragged gather.
+    Returns (tails, heads, arcs): the row repeated per entry and the entries
+    themselves, as flat ids of the row's copy, and each entry's position in
+    `indices`.  Fully vectorized ragged gather.
     """
-    if rows.size == 1:
-        r = int(rows[0])
-        heads = indices[indptr[r] : indptr[r + 1]]
-        if heads.size == 0:
-            return _EMPTY, _EMPTY
-        return np.full(heads.size, r, dtype=np.int64), heads
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return _EMPTY, _EMPTY
+    local = rows % n
+    starts = indptr[local]
+    counts = indptr[local + 1] - starts
     tails = np.repeat(rows, counts)
     # within-row offsets: arange minus each row's cumulative start
     offsets = np.cumsum(counts) - counts
-    pos = np.arange(total, dtype=np.int64) + np.repeat(starts - offsets, counts)
-    return tails, indices[pos]
+    arcs = np.arange(tails.size, dtype=np.int64) + np.repeat(starts - offsets, counts)
+    return tails, indices[arcs] + np.repeat(rows - local, counts), arcs
 
 
-def bfs(indptr: np.ndarray, indices: np.ndarray, source: int, n: int):
-    """Level-synchronous BFS from `source`.
+def bfs(indptr: np.ndarray, indices: np.ndarray, sources, n: int, reach=None):
+    """Level-synchronous BFS from every node of `sources` at once.
+
+    Node v as seen from sources[i] has the flat id i * n + v: the traversals
+    are one BFS over disjoint copies of the graph, and every array below is
+    indexed by flat id (for a single source, flat ids are node ids).
+    `reach`, when given, is the number of nodes each source reaches, itself
+    included; a traversal that has found them all stops expanding, which
+    skips the last level's gather (every arc of a dense graph).
 
     Returns (dist, frontiers, level_edges):
       dist        int array, -1 for unreached nodes;
-      frontiers   list of node arrays, one per BFS level (level 0 = source);
-      level_edges list of (tails, heads) arrays holding every arc that
-                  crosses from level d to level d+1.  Multi-parent arcs are
-                  all retained, which is what the shortest-path counting
-                  needs.
+      frontiers   list of ascending node arrays, one per BFS level (level 0
+                  = sources);
+      level_edges list of (tails, heads, arcs) arrays holding every arc that
+                  crosses from level d to level d+1, ordered by tail then
+                  head, with its position in `indices`.  Multi-parent arcs
+                  are all retained, which is what the shortest-path
+                  counting needs.
     """
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
+    frontier = np.arange(np.size(sources), dtype=np.int64) * n + sources
+    dist = np.full(frontier.size * n, -1, dtype=np.int64)
+    dist[frontier] = 0
+    left = None if reach is None else np.asarray(reach, dtype=np.int64) - 1
     frontiers = [frontier]
-    level_edges: list[tuple[np.ndarray, np.ndarray]] = []
+    level_edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     d = 0
     while frontier.size:
-        tails, heads = gather_rows(indptr, indices, frontier)
-        if tails.size == 0:
+        if left is not None:
+            frontier = frontier[left[frontier // n] > 0]
+        tails, heads, arcs = gather_rows(indptr, indices, frontier, n)
+        # an arc to a node unseen before this level crosses into level d + 1
+        cross = dist[heads] == -1
+        if not cross.any():
             break
-        unseen = dist[heads] == -1
-        newly = heads[unseen]
-        if newly.size == 0:
-            break
-        dist[newly] = d + 1
-        cross = dist[heads] == d + 1
-        level_edges.append((tails[cross], heads[cross]))
-        frontier = np.unique(newly)
+        level_edges.append((tails[cross], heads[cross], arcs[cross]))
+        dist[level_edges[-1][1]] = d + 1
+        frontier = np.flatnonzero(dist == d + 1)
+        if left is not None:
+            left -= np.bincount(frontier // n, minlength=left.size)
         frontiers.append(frontier)
         d += 1
     return dist, frontiers, level_edges
 
 
-def brandes_source(
+def brandes(
     indptr: np.ndarray,
     indices: np.ndarray,
-    source: int,
+    sources: np.ndarray,
     n: int,
+    reach: np.ndarray,
     accum: np.ndarray,
 ) -> None:
-    """Add the dependency contribution of one source into `accum`.
+    """Add the dependency contribution of each of `sources`, in order, into
+    `accum`.
 
     Standard shortest-path counting with even splitting over equal-length
-    paths, done level-by-level with bincount scatter-adds.
+    paths, done level-by-level with bincount scatter-adds over flat ids.
     """
-    dist, _, level_edges = bfs(indptr, indices, source, n)
-    sigma = np.zeros(n)
-    sigma[source] = 1.0
-    for tails, heads in level_edges:
-        sigma += np.bincount(heads, weights=sigma[tails], minlength=n)
-    delta = np.zeros(n)
-    for tails, heads in reversed(level_edges):
+    dist, frontiers, level_edges = bfs(indptr, indices, sources, n, reach)
+    sigma = np.zeros(dist.size)
+    sigma[frontiers[0]] = 1.0
+    for tails, heads, _ in level_edges:
+        sigma += np.bincount(heads, weights=sigma[tails], minlength=dist.size)
+    delta = np.zeros(dist.size)
+    for tails, heads, _ in reversed(level_edges):
         ratio = (1.0 + delta[heads]) / sigma[heads]
-        delta += sigma * np.bincount(tails, weights=ratio, minlength=n)
-    delta[source] = 0.0
-    accum += delta
+        delta += sigma * np.bincount(tails, weights=ratio, minlength=dist.size)
+    delta[frontiers[0]] = 0.0
+    for row in delta.reshape(-1, n):
+        accum += row
 
 
-def pick_predecessors(level_edges, n: int, rng: np.random.Generator | None) -> np.ndarray:
-    """Predecessor of every reached node, -1 elsewhere: the smallest-id
-    parent, or with `rng` a uniformly random one (a random priority per
-    candidate arc, drawn level by level, and an argmin per head).
+def pick_predecessors(
+    level_edges, size: int, n: int, rng: np.random.Generator | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Predecessor of every reached flat id and the position of the arc
+    from it, both -1 elsewhere: the smallest-id parent, or with `rng` a
+    uniformly random one (a random priority per candidate arc, the first
+    arc of least priority per head).
+
+    The priorities are drawn source by source and, within a source, level
+    by level in arc order, so a batch draws what one bfs per source would.
     """
-    pred = np.full(n, -1, dtype=np.int64)
-    for tails, heads in level_edges:
-        key = tails if rng is None else rng.random(heads.size)
-        order = np.lexsort((key, heads))
-        heads_s = heads[order]
-        first = np.unique(heads_s, return_index=True)[1]
-        pred[heads_s[first]] = tails[order][first]
-    return pred
+    pred = np.full(size, -1, dtype=np.int64)
+    via = np.full(size, -1, dtype=np.int64)
+    keys = [None] * len(level_edges)
+    if rng is not None and level_edges:
+        rows = [heads // n for _, heads, _ in level_edges]
+        counts = np.array([np.bincount(r, minlength=size // n) for r in rows])
+        # start of each (level, source) run in the source-major draw order
+        starts = np.cumsum(counts.T).reshape(counts.T.shape).T - counts
+        draws = rng.random(int(counts.sum()))
+        for d, r in enumerate(rows):
+            first = np.cumsum(counts[d]) - counts[d]
+            keys[d] = draws[starts[d][r] + np.arange(r.size) - first[r]]
+    for key, (tails, heads, arcs) in zip(keys, level_edges):
+        # arcs are in tail order, so without priorities the first one wins
+        win = np.arange(heads.size)
+        if key is not None:
+            least = np.full(size, np.inf)
+            np.minimum.at(least, heads, key)
+            win = win[key == least[heads]]
+        pick = np.full(size, heads.size)
+        np.minimum.at(pick, heads[win], win)
+        pick = pick[heads]
+        pred[heads] = tails[pick]
+        via[heads] = arcs[pick]
+    return pred, via

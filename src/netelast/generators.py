@@ -33,12 +33,9 @@ def gen_gilbert(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    iu, iv = np.triu_indices(n, k=1)
-    mask = rng.random(iu.size) < p
-    g = Graph(n)
-    for u, v in zip(iu[mask], iv[mask]):
-        g.add_edge(int(u), int(v))
-    return g
+    pairs = np.column_stack(np.triu_indices(n, k=1))
+    mask = rng.random(pairs.shape[0]) < p
+    return Graph.from_edges(n, pairs[mask])
 
 
 def gen_watts_strogatz(n: int, k: int, p: float, seed: int) -> Graph:
@@ -56,26 +53,24 @@ def gen_watts_strogatz(n: int, k: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"rewiring probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    g = Graph(n)
-    for d in range(1, k // 2 + 1):
-        for i in range(n):
-            g.add_edge(i, (i + d) % n)
+    pair = lambda a, b: (a, b) if a < b else (b, a)
+    edges = {pair(i, (i + d) % n) for d in range(1, k // 2 + 1) for i in range(n)}
     for d in range(1, k // 2 + 1):
         for i in range(n):
             j = (i + d) % n
             if rng.random() >= p:
                 continue
-            if not g.has_edge(i, j):
+            if pair(i, j) not in edges:
                 continue  # already rewired away by an earlier pass
-            g._remove_edge(i, j)
+            edges.remove(pair(i, j))
             target = None
             for _ in range(n):
                 cand = int(rng.integers(0, n))
-                if cand != i and not g.has_edge(i, cand):
+                if cand != i and pair(i, cand) not in edges:
                     target = cand
                     break
-            g.add_edge(i, target if target is not None else j)
-    return g
+            edges.add(pair(i, target if target is not None else j))
+    return Graph.from_edges(n, edges)
 
 
 def gen_preferential_attachment(n: int, m: int, seed: int) -> Graph:
@@ -88,11 +83,11 @@ def gen_preferential_attachment(n: int, m: int, seed: int) -> Graph:
     if n <= m:
         raise ParameterError(f"need n > m, got n={n}, m={m}")
     rng = np.random.default_rng(seed)
-    g = Graph(n)
+    pairs: list[tuple[int, int]] = []
     repeated: list[int] = []  # one entry per degree unit
     for u in range(m + 1):
         for v in range(u + 1, m + 1):
-            g.add_edge(u, v)
+            pairs.append((u, v))
             repeated.append(u)
             repeated.append(v)
     for i in range(m + 1, n):
@@ -100,10 +95,10 @@ def gen_preferential_attachment(n: int, m: int, seed: int) -> Graph:
         while len(targets) < m:
             targets.add(repeated[int(rng.integers(0, len(repeated)))])
         for t in sorted(targets):
-            g.add_edge(i, t)
+            pairs.append((i, t))
             repeated.append(i)
             repeated.append(t)
-    return g
+    return Graph.from_edges(n, pairs)
 
 
 def gen_near_regular(rows: int, cols: int, diagonals: bool, seed: int = 0) -> Graph:
@@ -112,31 +107,20 @@ def gen_near_regular(rows: int, cols: int, diagonals: bool, seed: int = 0) -> Gr
     """
     if rows < 2 or cols < 2:
         raise ParameterError(f"grid needs rows, cols >= 2, got {rows}x{cols}")
-    g = Graph(rows * cols)
-    node = lambda r, c: r * cols + c
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                g.add_edge(node(r, c), node(r, c + 1))
-            if r + 1 < rows:
-                g.add_edge(node(r, c), node(r + 1, c))
-            if diagonals and r + 1 < rows:
-                if c + 1 < cols:
-                    g.add_edge(node(r, c), node(r + 1, c + 1))
-                if c - 1 >= 0:
-                    g.add_edge(node(r, c), node(r + 1, c - 1))
-    return g
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    # right, down, and with diagonals down-right and down-left neighbours
+    links = [(ids[:, :-1], ids[:, 1:]), (ids[:-1, :], ids[1:, :])]
+    if diagonals:
+        links += [(ids[:-1, :-1], ids[1:, 1:]), (ids[:-1, 1:], ids[1:, :-1])]
+    pairs = [np.column_stack((a.ravel(), b.ravel())) for a, b in links]
+    return Graph.from_edges(rows * cols, np.concatenate(pairs))
 
 
 def gen_mesh(n: int) -> Graph:
     """Complete graph on n nodes."""
     if n < 2:
         raise ParameterError(f"mesh needs n >= 2, got {n}")
-    g = Graph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            g.add_edge(u, v)
-    return g
+    return Graph.from_edges(n, np.column_stack(np.triu_indices(n, k=1)))
 
 
 @dataclass

@@ -38,72 +38,98 @@ _NODES_HEADER = re.compile(r"^#\s*nodes\s+(\d+)\s*$")
 class Graph:
     """Undirected simple graph: no self-loops, no parallel edges.
 
-    Mutation is limited to add_edge (construction time) and remove_node
-    (attack simulation); every query is pure.
+    The state is a symmetric CSR over the id space (two arcs per edge, each
+    row sorted by head) and a mask of the present ids.  The arrays are
+    read-only and shared by copies; mutation rebinds new ones.
     """
 
-    __slots__ = ("_adj", "_present", "_m", "_csr_cache")
+    __slots__ = ("_indptr", "_indices", "_present")
 
     def __init__(self, n: int):
         if n < 0:
             raise ParameterError(f"node count must be nonnegative, got {n}")
-        self._adj: list[set[int]] = [set() for _ in range(n)]
         self._present = np.ones(n, dtype=bool)
-        self._m = 0
-        self._csr_cache = None
+        self._set_arcs(np.zeros(n, dtype=np.int64), np.empty(0, dtype=np.int64))
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
+        """Graph on ids 0..n-1 from a (k, 2) array or an iterable of pairs,
+        built in one CSR pass.  Rejects what add_edge rejects: ids out of
+        range, self-loops, and an edge given twice in either orientation.
+        """
         g = cls(n)
-        for u, v in edges:
-            g.add_edge(u, v)
+        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        e = e.reshape(0, 2) if e.size == 0 else e
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise ParameterError(f"edges must be node id pairs, got shape {e.shape}")
+        bad = e[(e < 0) | (e >= n)]
+        if bad.size:
+            raise ParameterError(f"node id {bad[0]} out of range [0, {n})")
+        loops = e[e[:, 0] == e[:, 1]]
+        if loops.size:
+            raise ParameterError(f"self-loop {loops[0, 0]}-{loops[0, 1]} not allowed")
+        indptr, indices = _csr.build_csr(*np.concatenate((e, e[:, ::-1])).T, n)
+        keys = _csr.arc_keys(indptr, indices, n)
+        dup = np.flatnonzero(keys[1:] == keys[:-1])
+        if dup.size:
+            u, v = divmod(int(keys[dup[0]]), n)
+            raise ParameterError(f"edge {u}-{v} already present")
+        g._set_arcs(np.diff(indptr), indices)
         return g
 
     def add_edge(self, u: int, v: int) -> None:
+        """Add edge u-v.  Rebuilds the arrays, so each call costs O(M): meant
+        for small hand-built graphs; bulk construction goes through
+        from_edges.
+        """
         self._check_node(u)
         self._check_node(v)
         if u == v:
             raise ParameterError(f"self-loop {u}-{v} not allowed")
-        if v in self._adj[u]:
+        if self.has_edge(u, v):
             raise ParameterError(f"edge {u}-{v} already present")
-        self._adj[u].add(v)
-        self._adj[v].add(u)
-        self._m += 1
-        self._csr_cache = None
-
-    def _remove_edge(self, u: int, v: int) -> None:
-        """Drop one edge (generator internals only; keeps M and cache sane)."""
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
-        self._m -= 1
-        self._csr_cache = None
+        a, b = min(u, v), max(u, v)
+        # row a precedes row b, so equal slots still insert b before a
+        at = [self._slot(a, b), self._slot(b, a)]
+        counts = np.diff(self._indptr)
+        counts[[a, b]] += 1
+        self._set_arcs(counts, np.insert(self._indices, at, [b, a]))
 
     def remove_node(self, v: int) -> None:
-        """Delete v and its incident edges; the id stays allocated but inert."""
+        """Delete v and its incident edges; the id stays allocated but inert.
+        One filter over the arcs, which keeps their order.
+        """
         self._check_node(v)
-        for u in self._adj[v]:
-            self._adj[u].discard(v)
-        self._m -= len(self._adj[v])
-        self._adj[v] = set()
+        lo, hi = self._indptr[v], self._indptr[v + 1]
+        keep = self._indices != v
+        keep[lo:hi] = False
+        counts = np.diff(self._indptr)
+        counts[self._indices[lo:hi]] -= 1
+        counts[v] = 0
         self._present[v] = False
-        self._csr_cache = None
+        self._set_arcs(counts, self._indices[keep])
 
     def copy(self) -> "Graph":
         g = Graph.__new__(Graph)
-        g._adj = [set(s) for s in self._adj]
+        g._indptr = self._indptr
+        g._indices = self._indices
         g._present = self._present.copy()
-        g._m = self._m
-        g._csr_cache = self._csr_cache
         return g
+
+    def _set_arcs(self, counts: np.ndarray, indices: np.ndarray) -> None:
+        """Rebind the read-only CSR from per-row arc counts and row-sorted heads."""
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        indptr.flags.writeable = indices.flags.writeable = False
+        self._indptr, self._indices = indptr, indices
 
     # -- queries -----------------------------------------------------------
 
     @property
     def id_space(self) -> int:
         """Size of the id range, including removed slots."""
-        return len(self._adj)
+        return self._present.size
 
     @property
     def number_of_nodes(self) -> int:
@@ -111,65 +137,57 @@ class Graph:
 
     @property
     def number_of_edges(self) -> int:
-        return self._m
+        return self._indices.size // 2
 
     @property
     def nodes(self) -> list[int]:
         return [int(v) for v in np.flatnonzero(self._present)]
 
     def has_node(self, v: int) -> bool:
-        return 0 <= v < len(self._adj) and bool(self._present[v])
+        return 0 <= v < self._present.size and bool(self._present[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return self.has_node(u) and v in self._adj[u]
+        if not self.has_node(u):
+            return False
+        i = self._slot(u, v)
+        return bool(i < self._indptr[u + 1] and self._indices[i] == v)
+
+    def _slot(self, u: int, v: int) -> int:
+        """Position of v in row u, or where it would be inserted."""
+        lo, hi = self._indptr[u], self._indptr[u + 1]
+        return int(lo + np.searchsorted(self._indices[lo:hi], v))
 
     def neighbors(self, v: int) -> list[int]:
         self._check_node(v)
-        return sorted(self._adj[v])
+        return self._indices[self._indptr[v] : self._indptr[v + 1]].tolist()
 
     def degree(self, v: int) -> int:
         self._check_node(v)
-        return len(self._adj[v])
+        return int(self._indptr[v + 1] - self._indptr[v])
 
     def degrees(self) -> np.ndarray:
         """Degree of every present node, in ascending id order."""
-        return np.array([len(self._adj[v]) for v in self.nodes], dtype=np.int64)
+        return np.diff(self._indptr)[self._present]
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list with u < v, sorted."""
-        out = []
-        for u in self.nodes:
-            for v in self._adj[u]:
-                if u < v:
-                    out.append((u, v))
-        out.sort()
-        return out
+        tails = _csr.arc_tails(self._indptr)
+        up = tails < self._indices
+        return list(zip(tails[up].tolist(), self._indices[up].tolist()))
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Symmetric CSR over the id space (two directed arcs per edge)."""
-        if self._csr_cache is None:
-            m = self._m
-            tails = np.empty(2 * m, dtype=np.int64)
-            heads = np.empty(2 * m, dtype=np.int64)
-            k = 0
-            for u in np.flatnonzero(self._present):
-                nbrs = self._adj[u]
-                d = len(nbrs)
-                if d:
-                    tails[k : k + d] = u
-                    heads[k : k + d] = np.fromiter(nbrs, dtype=np.int64, count=d)
-                    k += d
-            self._csr_cache = _csr.build_csr(tails[:k], heads[:k], self.id_space)
-        return self._csr_cache
+        """Symmetric CSR over the id space (two directed arcs per edge),
+        read-only."""
+        return self._indptr, self._indices
 
     def _check_node(self, v: int) -> None:
-        if not (0 <= v < len(self._adj)):
-            raise ParameterError(f"node id {v} out of range [0, {len(self._adj)})")
+        if not (0 <= v < self._present.size):
+            raise ParameterError(f"node id {v} out of range [0, {self._present.size})")
         if not self._present[v]:
             raise ParameterError(f"node {v} has been removed")
 
     def __repr__(self) -> str:
-        return f"Graph(nodes={self.number_of_nodes}, edges={self._m})"
+        return f"Graph(nodes={self.number_of_nodes}, edges={self.number_of_edges})"
 
 
 # -- edge-list format --------------------------------------------------------
@@ -229,15 +247,13 @@ def load_edge_list(source) -> Graph:
     else:
         n = max_id + 1
 
-    g = Graph(n)
     seen: set[tuple[int, int]] = set()
     for u, v, line_no in pairs:
         key = (u, v) if u < v else (v, u)
         if key in seen:
             raise ParseError(f"duplicate edge {u} {v}", line_no)
         seen.add(key)
-        g.add_edge(u, v)
-    return g
+    return Graph.from_edges(n, [(u, v) for u, v, _ in pairs])
 
 
 def save_edge_list(g: Graph, target) -> None:
@@ -288,8 +304,10 @@ def betweenness(g: Graph) -> np.ndarray:
     indptr, indices = g.csr()
     n = g.id_space
     accum = np.zeros(n)
-    for s in np.flatnonzero(g._present):
-        _csr.brandes_source(indptr, indices, int(s), n, accum)
+    sources = np.flatnonzero(g._present)
+    reach = _csr.component_reach(indptr, indices, n, sources)
+    for part in _csr.source_blocks(sources.size, n, indices.size):
+        _csr.brandes(indptr, indices, sources[part], n, reach[part], accum)
     return accum / 2.0
 
 

@@ -61,13 +61,9 @@ class AttackStrategy:
 
 def _rank(g: Graph, kind: str) -> list[int]:
     """Present nodes ordered by descending score, ties to the smaller id."""
-    nodes = g.nodes
-    if kind == "highest_degree":
-        scores = [g.degree(v) for v in nodes]
-    else:
-        b = betweenness(g)
-        scores = [b[v] for v in nodes]
-    return [v for _, v in sorted(zip(scores, nodes), key=lambda sv: (-sv[0], sv[1]))]
+    nodes = np.flatnonzero(g._present)
+    scores = g.degrees() if kind == "highest_degree" else betweenness(g)[nodes]
+    return nodes[np.lexsort((nodes, -scores))].tolist()
 
 
 def _removal_batches(g: Graph, strategy: AttackStrategy, limit: int):

@@ -128,35 +128,37 @@ def shortest_path_tree(
     indptr, indices = g.csr()
     n = g.id_space
     dist_i, _, level_edges = _csr.bfs(indptr, indices, source, n)
-    pred = _csr.pick_predecessors(level_edges, n, rng)
+    pred, _ = _csr.pick_predecessors(level_edges, n, n, rng)
     dist = np.where(dist_i < 0, np.inf, dist_i.astype(float))
     return dist, pred
 
 
-def _route_all(indptr, indices, sources, n, rng):
-    """Single-path routing from every source over the CSR arcs.
+def _route_all(indptr, indices, sources, n, rng, reach=None):
+    """Single-path routing from every source over the CSR arcs, one batched
+    bfs per block of sources.
 
-    Returns (loads, routed): per arc (aligned with `indices`) the number of
+    Returns (loads, reached): per arc (aligned with `indices`) the number of
     source->dest paths crossing it, i.e. the size of the destination subtree
-    below the arc; and (source, reached dests) for every source that reaches
-    some node.
+    below the arc; and a bool matrix whose row i marks the nodes that
+    sources[i] routes to.  `reach` is passed on to bfs.
     """
-    keys = _csr.arc_keys(indptr, indices, n)
     loads = np.zeros(indices.size)
-    routed: list[tuple[int, np.ndarray]] = []
-    for s in sources:
-        _, frontiers, level_edges = _csr.bfs(indptr, indices, int(s), n)
-        if not level_edges:
-            continue
-        pred = _csr.pick_predecessors(level_edges, n, rng)
+    reached = np.zeros((len(sources), n), dtype=bool)
+    for part in _csr.source_blocks(len(sources), n, indices.size):
+        block = sources[part]
+        _, frontiers, level_edges = _csr.bfs(
+            indptr, indices, block, n, None if reach is None else reach[part]
+        )
+        size = block.size * n
+        pred, via = _csr.pick_predecessors(level_edges, size, n, rng)
         dests = np.flatnonzero(pred >= 0)
-        cnt = np.zeros(n)
+        cnt = np.zeros(size)
         cnt[dests] = 1.0
         for fr in reversed(frontiers[1:]):
-            np.add.at(cnt, pred[fr], cnt[fr])
-        np.add.at(loads, _csr.arc_position(keys, pred[dests], dests, n), cnt[dests])
-        routed.append((int(s), dests))
-    return loads, routed
+            cnt += np.bincount(pred[fr], weights=cnt[fr], minlength=size)
+        np.add.at(loads, via[dests], cnt[dests])
+        reached[part] = (pred >= 0).reshape(block.size, n)
+    return loads, reached
 
 
 # -- homogeneous model ---------------------------------------------------------
@@ -166,20 +168,25 @@ def throughput_dijkstra_homogeneous(g: Graph, model: ThroughputModel | None = No
     """One flow per ordered connected pair along its single shortest path;
     all pairs share the uniform rate 1 / (max arc utilization).
     """
-    raw, delta, routed = _raw_homogeneous(g, model or ThroughputModel())
-    per_pair = {(s, int(t)): delta for s, dests in routed for t in dests}
+    raw, delta, reached = _raw_homogeneous(g, model or ThroughputModel())
+    sources = np.flatnonzero(g._present)
+    rows, dests = np.nonzero(reached)
+    per_pair = {(int(sources[i]), int(t)): delta for i, t in zip(rows, dests)}
     return ThroughputResult(raw_throughput=raw, per_pair_delivered=per_pair)
 
 
-def _raw_homogeneous(g: Graph, model: ThroughputModel) -> tuple[float, float, list[tuple[int, np.ndarray]]]:
-    """(raw_throughput, uniform per-pair rate, routed (source, dests)) of the
-    homogeneous model; the per-pair map is left to the caller that needs it."""
+def _raw_homogeneous(g: Graph, model: ThroughputModel) -> tuple[float, float, np.ndarray]:
+    """(raw_throughput, uniform per-pair rate, reached matrix over the present
+    sources) of the homogeneous model; the per-pair map is left to the caller
+    that needs it."""
     rng = np.random.default_rng(model.seed) if model.tie_break == "random" else None
     indptr, indices = g.csr()
-    util, routed = _route_all(indptr, indices, np.flatnonzero(g._present), g.id_space, rng)
+    sources = np.flatnonzero(g._present)
+    reach = _csr.component_reach(indptr, indices, g.id_space, sources)
+    util, reached = _route_all(indptr, indices, sources, g.id_space, rng, reach)
     max_util = util.max() if util.size else 0.0
     delta = 1.0 / max_util if max_util > 0 else 1.0
-    return delta * sum(dests.size for _, dests in routed), delta, routed
+    return delta * np.count_nonzero(reached), delta, reached
 
 
 # -- heterogeneous model -------------------------------------------------------
@@ -210,13 +217,13 @@ def _run_heterogeneous(g: Graph, model: ThroughputModel) -> tuple[ThroughputResu
             break
         alive_idx = np.flatnonzero(alive)
         indptr, indices = _csr.build_csr(state.tails[alive], state.heads[alive], n)
-        loads, routable = _route_all(indptr, indices, present, n, rng)
-        if not routable:
+        loads, reached = _route_all(indptr, indices, present, n, rng)
+        if not reached.any():
             break
         used = loads > 0
         eps = float((state.capacity[alive_idx][used] / loads[used]).min())
-        for s, dests in routable:
-            state.add_demand(s, dests, eps)
+        for s, row in zip(present, reached):
+            state.add_demand(int(s), np.flatnonzero(row), eps)
         state.utilization = np.zeros(state.capacity.size)
         state.utilization[alive_idx] = eps * loads
         state.capacity[alive_idx] -= eps * loads

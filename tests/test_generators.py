@@ -1,5 +1,6 @@
 """Topology generators: counts, determinism, structural invariants."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -135,6 +136,51 @@ class TestDeterminism:
     )
     def test_same_seed_same_edges(self, spec):
         assert spec.build().edges() == spec.build().edges()
+
+    # sha256 of repr(edges()) for seeds 1 and 2; WS(12, 10, 0.9) exhausts
+    # its n retries on some edges and keeps them in place
+    @pytest.mark.parametrize(
+        "params,digests",
+        [
+            (
+                dict(family="gilbert", n=60, p=0.2),
+                ("eee4ba4ec0f1aaca83e0f23b420df75bea4283d006dc5fbcadc9f84bbff965d6",
+                 "a94babdd2d4a2acaeb58277c08c31986d69eb870a00de8d5f34b65bfa5bb1bc0"),
+            ),
+            (
+                dict(family="watts_strogatz", n=40, k=4, p=0.3),
+                ("5734ae6b18b63803726f27b6e395a3aeee4ab82f12f1855a8d38bdb00352de29",
+                 "5b0cec0cc20cf47c3e831e12e5d83e6c49a0bd38ae2e19c7035d3c37ab9d11e9"),
+            ),
+            (
+                dict(family="watts_strogatz", n=12, k=10, p=0.9),
+                ("4ced047e284bf4fab55a07d125c6b38a0735c1dc9ef46007342d8065485374bb",
+                 "50a5889d76b59e78b6f3662979f39ae43ec46ac32b5c5730078c64d548ea5bd9"),
+            ),
+            (
+                dict(family="preferential_attachment", n=50, m=2),
+                ("08bd7843189bda7730e5a34aa9d01a7003d99889dc4f96143a811d34e434d741",
+                 "2d672c5e40ef507d86df2c882ca810c908882807c47f4c1b281ff25e89fbf1ab"),
+            ),
+            (
+                dict(family="near_regular", rows=5, cols=6, diagonals=False),
+                ("eb4f2c08fa23694bc3dc57a12795538fa1a2ec8700486853f49b64e2c28b8a46",) * 2,
+            ),
+            (
+                dict(family="near_regular", rows=5, cols=6, diagonals=True),
+                ("694ed5730088920d330c954d6d6f5b5532c046825f9c901f6124d586ee229bd2",) * 2,
+            ),
+            (
+                dict(family="mesh", n=9),
+                ("0f1330faca56862fb012ebbae6890b45206b45d288facd46cd4e1add6a80e5ae",) * 2,
+            ),
+        ],
+        ids=["gilbert", "ws", "ws_retry", "pa", "grid", "grid_diag", "mesh"],
+    )
+    def test_pinned_edge_sets(self, params, digests):
+        for seed, want in zip((1, 2), digests):
+            edges = ne.GeneratorSpec(seed=seed, **params).build().edges()
+            assert hashlib.sha256(repr(edges).encode()).hexdigest() == want
 
     def test_different_seed_different_edges(self):
         a = ne.gen_gilbert(60, 0.2, seed=1).edges()

@@ -123,6 +123,9 @@ class TestGraph:
         g.add_edge(0, 1)
         with pytest.raises(ne.ParameterError):
             g.add_edge(1, 0)
+        for edges in ([(0, 1), (1, 0)], [(2, 2)], [(0, 5)], [(0, 1, 2)]):
+            with pytest.raises(ne.ParameterError):
+                ne.Graph.from_edges(3, edges)
 
     def test_copy_is_independent(self):
         g = path_graph(3)
@@ -130,6 +133,12 @@ class TestGraph:
         h.remove_node(1)
         assert g.number_of_edges == 2
         assert h.number_of_edges == 0
+        h = g.copy()
+        g.add_edge(0, 2)
+        g.remove_node(1)
+        assert h.edges() == [(0, 1), (1, 2)]
+        with pytest.raises(ValueError):
+            g.csr()[1][0] = 1
 
 
 class TestComponents:
@@ -248,6 +257,16 @@ class TestBetweenness:
         # the two antipodal pairs split their two paths evenly
         b = ne.betweenness(cycle_graph(4))
         assert np.allclose(b, 0.5)
+
+    def test_batched_sources_match_one_source_at_a_time(self, monkeypatch):
+        # components of many sizes, sources spanning several bfs blocks
+        g = ne.gen_gilbert(300, 0.008, seed=4)
+        for v in range(0, 300, 7):
+            g.remove_node(v)
+        assert g.number_of_nodes > _csr._BLOCK_NODES // g.id_space
+        batched = ne.betweenness(g)
+        monkeypatch.setattr(_csr, "_BLOCK_NODES", 1)
+        assert ne.betweenness(g).tobytes() == batched.tobytes()
 
     def test_matches_oracle_small_random(self, rng):
         for _ in range(60):

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import netelast as ne
+from netelast import _csr
 from netelast.throughput import (
     CapacityState,
     ThroughputModel,
     _residual_reachability,
+    _route_all,
     _solve_concurrent_lp,
 )
 
@@ -96,6 +98,36 @@ class TestHomogeneous:
                         g.add_edge(u, v)
             got = ne.throughput_dijkstra_homogeneous(g).raw_throughput
             assert got == pytest.approx(homogeneous_oracle(g), abs=1e-9)
+
+    def test_batched_sources_match_one_source_at_a_time(self, monkeypatch):
+        # sparse enough for components of many sizes, large enough that the
+        # present sources span several bfs blocks
+        g = ne.gen_gilbert(300, 0.008, seed=4)
+        for v in range(0, 300, 7):
+            g.remove_node(v)
+        indptr, indices = g.csr()
+        sources = np.flatnonzero(g._present)
+        assert sources.size > _csr._BLOCK_NODES // g.id_space
+        reach = _csr.component_reach(indptr, indices, g.id_space, sources)
+
+        def runs():
+            # sequential and seeded random tie-break, with and without the
+            # early stop at each source's component size
+            out = []
+            for seed in (None, 5):
+                for r in (reach, None):
+                    rng = None if seed is None else np.random.default_rng(seed)
+                    loads, reached = _route_all(indptr, indices, sources, g.id_space, rng, r)
+                    out.append((loads.tobytes(), reached.tobytes()))
+            return out
+
+        batched = runs()
+        assert batched[0] == batched[1] and batched[2] == batched[3]
+        monkeypatch.setattr(_csr, "_BLOCK_NODES", 1)
+        assert runs() == batched
+        assert ne.throughput_dijkstra_homogeneous(g).raw_throughput == pytest.approx(
+            homogeneous_oracle(g), abs=1e-9
+        )
 
     def test_monotone_under_removal_on_mesh(self):
         g = ne.gen_mesh(9)
