@@ -24,7 +24,7 @@ from .robustness import (
     tradeoff_re,
     TradeoffParams,
 )
-from .throughput import ThroughputModel
+from .throughput import MODEL_KINDS, TIE_BREAKS, ThroughputModel
 
 EXIT_PARSE = 2
 EXIT_PARAMETER = 3
@@ -63,12 +63,8 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--model",
-        default="dijkstra_homogeneous",
-        choices=("dijkstra_homogeneous", "dijkstra_heterogeneous", "lp_optimization"),
-    )
-    p.add_argument("--tie-break", default="sequential", choices=("sequential", "random"))
+    p.add_argument("--model", default="dijkstra_homogeneous", choices=MODEL_KINDS)
+    p.add_argument("--tie-break", default="sequential", choices=TIE_BREAKS)
     p.add_argument("--tie-seed", type=int, default=None)
 
 

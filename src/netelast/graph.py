@@ -98,17 +98,28 @@ class Graph:
         self._set_arcs(counts, np.insert(self._indices, at, [b, a]))
 
     def remove_node(self, v: int) -> None:
-        """Delete v and its incident edges; the id stays allocated but inert.
-        One filter over the arcs, which keeps their order.
+        """Delete v and its incident edges; the id stays allocated but inert."""
+        self.remove_nodes([v])
+
+    def remove_nodes(self, vs) -> None:
+        """Delete the nodes `vs` and their incident edges in one filter over
+        the arcs, which keeps their order; the ids stay allocated but inert.
+        Every id must be present and appear once.
         """
-        self._check_node(v)
-        lo, hi = self._indptr[v], self._indptr[v + 1]
-        keep = self._indices != v
-        keep[lo:hi] = False
+        gone = np.zeros(self._present.size, dtype=bool)
+        for v in vs:
+            self._check_node(v)
+            if gone[v]:
+                raise ParameterError(f"node {v} given twice")
+            gone[v] = True
+        keep = ~gone[self._indices]
         counts = np.diff(self._indptr)
-        counts[self._indices[lo:hi]] -= 1
-        counts[v] = 0
-        self._present[v] = False
+        for v in vs:
+            lo, hi = self._indptr[v], self._indptr[v + 1]
+            keep[lo:hi] = False
+            counts[self._indices[lo:hi]] -= 1
+        counts[gone] = 0
+        self._present[gone] = False
         self._set_arcs(counts, self._indices[keep])
 
     def copy(self) -> "Graph":

@@ -86,8 +86,7 @@ def _removal_batches(g: Graph, strategy: AttackStrategy, limit: int):
     while removed < limit:
         step = min(strategy.batch, limit - removed)
         batch = _rank(work, strategy.kind)[:step] if order is None else order[removed : removed + step]
-        for v in batch:
-            work.remove_node(v)
+        work.remove_nodes(batch)
         removed += step
         yield work, batch
 

@@ -15,7 +15,7 @@ delivered across all ordered node pairs?
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -82,15 +82,14 @@ class ModelComparison:
 
 @dataclass
 class CapacityState:
-    """Directed arc table with residual capacity, the utilization applied in
-    the latest routing round, and the cumulative per-pair demand.
+    """Directed arc table with residual capacity and the utilization applied
+    in the latest routing round.
     """
 
     tails: np.ndarray
     heads: np.ndarray
     capacity: np.ndarray
     utilization: np.ndarray
-    demand: dict[tuple[int, int], float] = field(default_factory=dict)
 
     @classmethod
     def from_graph(cls, g: Graph) -> "CapacityState":
@@ -99,10 +98,10 @@ class CapacityState:
         m = heads.size
         return cls(_csr.arc_tails(indptr), heads.copy(), np.ones(m), np.zeros(m))
 
-    def add_demand(self, s: int, dests: np.ndarray, rate: float) -> None:
-        for t in dests:
-            key = (s, int(t))
-            self.demand[key] = self.demand.get(key, 0.0) + rate
+
+def _tie_rng(model: ThroughputModel) -> np.random.Generator | None:
+    """The seeded generator for random tie-breaking, None for sequential."""
+    return np.random.default_rng(model.seed) if model.tie_break == "random" else None
 
 
 # -- shortest-path trees -------------------------------------------------------
@@ -118,13 +117,7 @@ def shortest_path_tree(
     seeded generator.  Unreached nodes get distance inf and predecessor -1.
     """
     g._check_node(source)
-    if tie_break not in TIE_BREAKS:
-        raise ParameterError(f"unknown tie_break {tie_break!r}")
-    rng = None
-    if tie_break == "random":
-        if seed is None:
-            raise ParameterError("random tie-break requires a seed")
-        rng = np.random.default_rng(seed)
+    rng = _tie_rng(ThroughputModel(tie_break=tie_break, seed=seed))
     indptr, indices = g.csr()
     n = g.id_space
     dist_i, _, level_edges = _csr.bfs(indptr, indices, source, n)
@@ -179,14 +172,56 @@ def _raw_homogeneous(g: Graph, model: ThroughputModel) -> tuple[float, float, np
     """(raw_throughput, uniform per-pair rate, reached matrix over the present
     sources) of the homogeneous model; the per-pair map is left to the caller
     that needs it."""
-    rng = np.random.default_rng(model.seed) if model.tie_break == "random" else None
     indptr, indices = g.csr()
     sources = np.flatnonzero(g._present)
     reach = _csr.component_reach(indptr, indices, g.id_space, sources)
-    util, reached = _route_all(indptr, indices, sources, g.id_space, rng, reach)
+    util, reached = _route_all(indptr, indices, sources, g.id_space, _tie_rng(model), reach)
     max_util = util.max() if util.size else 0.0
     delta = 1.0 / max_util if max_util > 0 else 1.0
     return delta * np.count_nonzero(reached), delta, reached
+
+
+# -- residual filling ------------------------------------------------------------
+
+
+def _fill_residual(g: Graph, fill, rounds_per_arc: int, failure: str) -> tuple[ThroughputResult, CapacityState]:
+    """The residual loop shared by the heterogeneous and LP engines.
+
+    Each round, `fill(state, alive_idx, present, n)` routes on the arcs that
+    still have residual capacity (positions `alive_idx`) and returns (rate,
+    utilization over those arcs, reached): every pair (present[i], t) with
+    reached[i, t] receives `rate`.  The loop subtracts the utilization and
+    stops when no arc is left, the rate is not positive or nothing is
+    reached; it raises ComputeError(failure) after rounds_per_arc rounds per
+    arc (plus 16).
+
+    Reach only shrinks as arcs die, so the pairs of the first round are all
+    the pairs, and the per-pair map keeps their order: source-major,
+    destinations ascending.
+    """
+    state = CapacityState.from_graph(g)
+    n = g.id_space
+    present = np.flatnonzero(g._present)
+    demand = np.zeros((present.size, n))
+    for _ in range(rounds_per_arc * state.tails.size + 16):
+        alive_idx = np.flatnonzero(state.capacity > _RESIDUAL_EPS)
+        if not alive_idx.size:
+            break
+        rate, util, reached = fill(state, alive_idx, present, n)
+        if rate <= 0 or not reached.any():
+            break
+        demand[reached] += rate
+        state.utilization = np.zeros(state.capacity.size)
+        state.utilization[alive_idx] = util
+        state.capacity[alive_idx] -= util
+        np.clip(state.capacity, 0.0, None, out=state.capacity)
+        state.capacity[state.capacity <= _RESIDUAL_EPS] = 0.0
+    else:
+        raise ComputeError(failure)
+    rows, dests = np.nonzero(demand)
+    per_pair = dict(zip(zip(present[rows].tolist(), dests.tolist()), demand[rows, dests].tolist()))
+    # the builtin sum, in pair order, is the engines' definition of raw
+    return ThroughputResult(float(sum(per_pair.values())), per_pair), state
 
 
 # -- heterogeneous model -------------------------------------------------------
@@ -199,40 +234,24 @@ def throughput_dijkstra_heterogeneous(g: Graph, model: ThroughputModel | None = 
 
 
 def _run_heterogeneous(g: Graph, model: ThroughputModel) -> tuple[ThroughputResult, CapacityState]:
-    """Residual filling loop.
+    """Residual filling.
 
     Each round recomputes single shortest paths on the arcs that still have
     residual capacity, pushes the largest uniform rate that violates no
     residual, and saturates at least one arc, so the loop ends after at most
     one round per arc.
     """
-    rng = np.random.default_rng(model.seed) if model.tie_break == "random" else None
-    state = CapacityState.from_graph(g)
-    n = g.id_space
-    present = np.flatnonzero(g._present)
-    max_rounds = 2 * state.tails.size + 16
-    for _ in range(max_rounds):
-        alive = state.capacity > _RESIDUAL_EPS
-        if not alive.any():
-            break
-        alive_idx = np.flatnonzero(alive)
-        indptr, indices = _csr.build_csr(state.tails[alive], state.heads[alive], n)
+    rng = _tie_rng(model)
+
+    def fill(state, alive_idx, present, n):
+        indptr, indices = _csr.build_csr(state.tails[alive_idx], state.heads[alive_idx], n)
+        # an alive arc's tail reaches its head, so some load is positive
         loads, reached = _route_all(indptr, indices, present, n, rng)
-        if not reached.any():
-            break
         used = loads > 0
         eps = float((state.capacity[alive_idx][used] / loads[used]).min())
-        for s, row in zip(present, reached):
-            state.add_demand(int(s), np.flatnonzero(row), eps)
-        state.utilization = np.zeros(state.capacity.size)
-        state.utilization[alive_idx] = eps * loads
-        state.capacity[alive_idx] -= eps * loads
-        np.clip(state.capacity, 0.0, None, out=state.capacity)
-        state.capacity[state.capacity <= _RESIDUAL_EPS] = 0.0
-    else:
-        raise ComputeError("residual filling failed to converge")
-    raw = float(sum(state.demand.values()))
-    return ThroughputResult(raw, dict(state.demand)), state
+        return eps, eps * loads, reached
+
+    return _fill_residual(g, fill, 2, "residual filling failed to converge")
 
 
 # -- concurrent-flow optimization ----------------------------------------------
@@ -264,56 +283,42 @@ def _solve_concurrent_lp(state: CapacityState, alive_idx: np.ndarray, reach: dic
     na = alive_idx.size
     n_ids = int(max(tails.max(), heads.max())) + 1 if na else 0
 
-    # variable layout: x[0] = rate, then one block of arc flows per commodity
-    offsets: dict[int, tuple[int, np.ndarray]] = {}
-    nvars = 1
-    for s, dests in reach.items():
-        member = np.zeros(n_ids, dtype=bool)
-        member[s] = True
-        member[dests] = True
-        sub = np.flatnonzero(member[tails])
-        offsets[s] = (nvars, sub)
-        nvars += sub.size
+    # one commodity per source; its constraint rows are the source, then its
+    # destinations ascending, and noderow[c, v] is node v's row or -1
+    k = len(reach)
+    ndest = np.array([d.size for d in reach.values()])
+    dcomm = np.repeat(np.arange(k), ndest)
+    src_rows = np.cumsum(ndest + 1) - (ndest + 1)
+    nrows = int(ndest.sum()) + k
+    noderow = np.full((k, n_ids), -1, dtype=np.int64)
+    noderow[np.arange(k), np.fromiter(reach, dtype=np.int64, count=k)] = src_rows
+    noderow[dcomm, np.concatenate(list(reach.values()))] = np.arange(dcomm.size) + dcomm + 1
 
-    eq_rows: list[np.ndarray] = []
-    eq_cols: list[np.ndarray] = []
-    eq_vals: list[np.ndarray] = []
-    row = 0
-    for s, dests in reach.items():
-        off, sub = offsets[s]
-        st, sh = tails[sub], heads[sub]
-        # source sends rate to every reachable destination
-        srcmask = np.flatnonzero(st == s)
-        eq_rows.append(np.full(srcmask.size + 1, row))
-        eq_cols.append(np.concatenate([[0], off + srcmask]))
-        eq_vals.append(np.concatenate([[-float(dests.size)], np.ones(srcmask.size)]))
-        row += 1
-        # every destination absorbs exactly rate units net
-        for j in dests:
-            inflow = np.flatnonzero(sh == j)
-            outflow = np.flatnonzero(st == j)
-            k = inflow.size + outflow.size + 1
-            eq_rows.append(np.full(k, row))
-            eq_cols.append(np.concatenate([[0], off + inflow, off + outflow]))
-            eq_vals.append(np.concatenate([[-1.0], np.ones(inflow.size), -np.ones(outflow.size)]))
-            row += 1
+    # variable layout: x[0] = rate, then the flow on every arc whose tail is
+    # in the commodity, commodity-major and arcs ascending
+    comm, arc = np.nonzero(noderow[:, tails] >= 0)
+    nvars = comm.size + 1
+    cols = np.arange(1, nvars)
+    tail_row = noderow[comm, tails[arc]]
+    head_row = noderow[comm, heads[arc]]
+    # the source row counts outflow at +1; a destination row counts outflow
+    # at -1 and inflow at +1 (a commodity's rows past its source row are its
+    # destinations); every row takes -rate once per destination it covers
+    into = head_row > src_rows[comm]
+    rate_vals = np.full(nrows, -1.0)
+    rate_vals[src_rows] = -ndest
     a_eq = sparse.coo_matrix(
-        (np.concatenate(eq_vals), (np.concatenate(eq_rows), np.concatenate(eq_cols))),
-        shape=(row, nvars),
+        (
+            np.concatenate([rate_vals, np.where(tail_row == src_rows[comm], 1.0, -1.0), np.ones(into.sum())]),
+            (
+                np.concatenate([np.arange(nrows), tail_row, head_row[into]]),
+                np.concatenate([np.zeros(nrows, dtype=np.int64), cols, cols[into]]),
+            ),
+        ),
+        shape=(nrows, nvars),
     ).tocsr()
-    b_eq = np.zeros(row)
-
-    ub_rows = []
-    ub_cols = []
-    for s in reach:
-        off, sub = offsets[s]
-        ub_rows.append(sub)  # arc position within the alive set is the row
-        ub_cols.append(off + np.arange(sub.size))
-    ub_rows = np.concatenate(ub_rows)
-    ub_cols = np.concatenate(ub_cols)
-    a_ub = sparse.coo_matrix(
-        (np.ones(ub_rows.size), (ub_rows, ub_cols)), shape=(na, nvars)
-    ).tocsr()
+    # arc position within the alive set is the capacity row
+    a_ub = sparse.coo_matrix((np.ones(arc.size), (arc, cols)), shape=(na, nvars)).tocsr()
 
     options = {
         "primal_feasibility_tolerance": _FEAS_TOL,
@@ -321,39 +326,31 @@ def _solve_concurrent_lp(state: CapacityState, alive_idx: np.ndarray, reach: dic
     }
     bounds = [(0.0, None)] * nvars
 
-    c1 = np.zeros(nvars)
-    c1[0] = -1.0
-    res = linprog(
-        c1, A_ub=a_ub, b_ub=residual, A_eq=a_eq, b_eq=b_eq,
-        bounds=bounds, method="highs", options=options,
-    )
-    if res.status != 0:
-        raise ComputeError(f"concurrent-flow optimization failed: {res.message}")
-    rate = float(res.x[0])
-    x = res.x
-
-    if rate > 0:
-        # second phase: same rate, least total flow (phase 1's solution stays
-        # feasible, so pinning the rate exactly cannot fail)
-        c2 = np.ones(nvars)
-        c2[0] = 0.0
-        bounds2 = list(bounds)
-        bounds2[0] = (rate, rate)
-        res2 = linprog(
-            c2, A_ub=a_ub, b_ub=residual, A_eq=a_eq, b_eq=b_eq,
-            bounds=bounds2, method="highs", options=options,
+    def solve(c, bounds):
+        res = linprog(
+            c, A_ub=a_ub, b_ub=residual, A_eq=a_eq, b_eq=np.zeros(nrows),
+            bounds=bounds, method="highs", options=options,
         )
-        if res2.status == 0:
-            rate = float(res2.x[0])
-            x = res2.x
+        if res.status != 0:
+            raise ComputeError(f"concurrent-flow optimization failed: {res.message}")
+        return res.x
+
+    c = np.zeros(nvars)
+    c[0] = -1.0
+    x = solve(c, bounds)
+    if x[0] > 0:
+        # second phase: same rate, least total flow (phase 1's solution stays
+        # feasible, so pinning the rate exactly should not fail)
+        rate = float(x[0])
+        c = np.ones(nvars)
+        c[0] = 0.0
+        x = solve(c, [(rate, rate)] + bounds[1:])
+    rate = float(x[0])
 
     util = np.zeros(na)
-    flows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for s in reach:
-        off, sub = offsets[s]
-        f = x[off : off + sub.size]
-        np.add.at(util, sub, f)
-        flows[s] = (sub, f)
+    np.add.at(util, arc, x[1:])
+    cuts = np.cumsum(np.bincount(comm, minlength=k))[:-1]
+    flows = dict(zip(reach, zip(np.split(arc, cuts), np.split(x[1:], cuts))))
     return rate, util, flows
 
 
@@ -369,31 +366,20 @@ def _run_lp(g: Graph, model: ThroughputModel) -> tuple[ThroughputResult, Capacit
         raise GraphSizeError(
             f"optimization model limited to {LP_MAX_NODES} nodes, got {n_present}"
         )
-    state = CapacityState.from_graph(g)
-    n = g.id_space
-    present = np.flatnonzero(g._present)
-    max_rounds = 4 * state.tails.size + 16
-    for _ in range(max_rounds):
-        if state.capacity.sum() < _RATE_EPS:
-            break
-        alive_idx, reach = _residual_reachability(state, present, n)
-        if not reach:
-            break
-        rate, util, _ = _solve_concurrent_lp(state, alive_idx, reach)
-        if rate <= _RATE_EPS:
-            break
-        for s, dests in reach.items():
-            state.add_demand(s, dests, rate)
-        state.utilization = np.zeros(state.capacity.size)
-        state.utilization[alive_idx] = util
-        state.capacity[alive_idx] -= util
-        np.clip(state.capacity, 0.0, None, out=state.capacity)
-        state.capacity[state.capacity <= _RESIDUAL_EPS] = 0.0
-    else:
-        raise ComputeError("optimization loop failed to converge")
-    raw = float(sum(state.demand.values()))
-    return ThroughputResult(raw, dict(state.demand)), state
 
+    def fill(state, alive_idx, present, n):
+        reached = np.zeros((present.size, n), dtype=bool)
+        if state.capacity.sum() < _RATE_EPS:
+            return 0.0, None, reached
+        _, reach = _residual_reachability(state, present, n)
+        if not reach:
+            return 0.0, None, reached
+        rate, util, _ = _solve_concurrent_lp(state, alive_idx, reach)
+        for s, dests in reach.items():
+            reached[np.searchsorted(present, s), dests] = True
+        return (rate if rate > _RATE_EPS else 0.0), util, reached
+
+    return _fill_residual(g, fill, 4, "optimization loop failed to converge")
 
 # -- dispatch -------------------------------------------------------------------
 

@@ -97,6 +97,27 @@ class TestGraph:
         with pytest.raises(ne.ParameterError):
             g.remove_node(1)
 
+    def test_remove_nodes_matches_sequential_removal(self, rng):
+        for g in (ne.gen_mesh(30), ne.gen_preferential_attachment(60, 2, seed=3)):
+            batch = [int(v) for v in rng.choice(g.id_space, size=g.id_space // 3, replace=False)]
+            h = g.copy()
+            h.remove_nodes(batch)
+            for v in batch:
+                g.remove_node(v)
+            assert h.nodes == g.nodes
+            rebuilt = ne.Graph.from_edges(g.id_space, g.edges())
+            for arrays in (g.csr(), rebuilt.csr()):
+                for a, b in zip(h.csr(), arrays):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_remove_nodes_rejects_bad_ids_before_removing(self):
+        g = path_graph(4)
+        g.remove_node(3)
+        for vs in ([1, 1], [0, 3], [1, 9]):
+            with pytest.raises(ne.ParameterError):
+                g.remove_nodes(vs)
+            assert g.nodes == [0, 1, 2] and g.number_of_edges == 2
+
     def test_ids_stable_after_removal(self):
         g = path_graph(4)
         g.remove_node(1)

@@ -97,21 +97,24 @@ class TestElasticity:
     def test_adaptive_attack_ranks_and_removes_only_up_to_the_stop(self, monkeypatch):
         g = ne.gen_watts_strogatz(40, 4, 0.2, seed=5)
         strategy = AttackStrategy("highest_betweenness", batch=2)
-        calls = {"betweenness": 0, "remove_node": 0}
+        calls = {"betweenness": 0, "removed": []}
+        real_betweenness, real_remove_nodes = robustness.betweenness, ne.Graph.remove_nodes
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
+        def betweenness(*args):
+            calls["betweenness"] += 1
+            return real_betweenness(*args)
 
-            return wrapper
+        def remove_nodes(self, vs):
+            # remove_node goes through remove_nodes too
+            calls["removed"].append(len(vs))
+            return real_remove_nodes(self, vs)
 
-        monkeypatch.setattr(ne.robustness, "betweenness", counted("betweenness", robustness.betweenness))
-        monkeypatch.setattr(ne.Graph, "remove_node", counted("remove_node", ne.Graph.remove_node))
+        monkeypatch.setattr(ne.robustness, "betweenness", betweenness)
+        monkeypatch.setattr(ne.Graph, "remove_nodes", remove_nodes)
         curve = ne.elasticity(g, strategy, stop_fraction=0.1)
         monkeypatch.undo()
         # ceil(0.1 * 40) = 4 removals: two batches, one ranking each
-        assert calls == {"betweenness": 2, "remove_node": 4}
+        assert calls == {"betweenness": 2, "removed": [2, 2]}
         # the samples replay the first four nodes of the full removal order
         order = ne.attack_sequence(g, strategy)
         h = g.copy()

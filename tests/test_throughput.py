@@ -1,11 +1,13 @@
 """Routing engines: shortest-path trees, the three throughput models, and
 their relationships."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import netelast as ne
-from netelast import _csr
+from netelast import _csr, throughput
 from netelast.throughput import (
     CapacityState,
     ThroughputModel,
@@ -237,6 +239,85 @@ class TestConcurrentFlowLP:
     def test_per_pair_sums_to_raw(self):
         r = ne.throughput_lp(cycle_graph(5))
         assert sum(r.per_pair_delivered.values()) == pytest.approx(r.raw_throughput)
+
+
+def pa25_without_0_5_11():
+    g = ne.gen_preferential_attachment(25, 2, seed=2)
+    for v in (0, 5, 11):
+        g.remove_node(v)
+    return g
+
+
+class TestResidualEnginePins:
+    """Residual-engine outputs frozen from a reference run: the heterogeneous
+    engine bit for bit, including the order of the per-pair map, and the LP
+    (whose values come from HiGHS) to 1e-9."""
+
+    @pytest.mark.parametrize(
+        "graph, model, digest",
+        [
+            (
+                lambda: ne.gen_watts_strogatz(24, 4, 0.3, seed=1),
+                HET,
+                "3386ad4ea239f494466b513ee0a9b843a69c6ff9757d21505a541018703c52a9",
+            ),
+            (
+                lambda: ne.gen_watts_strogatz(24, 4, 0.3, seed=1),
+                ThroughputModel(kind="dijkstra_heterogeneous", tie_break="random", seed=3),
+                "c5339730f5bda3b3d419ffa3c8448153a8e47e2c7025e60dfe24d1e080ebca50",
+            ),
+            (
+                pa25_without_0_5_11,
+                HET,
+                "643eb1fdae804306f0be72eed8e0591b342d41d3a4572ff411fb993c3d679edb",
+            ),
+        ],
+        ids=["ws_sequential", "ws_random", "pa_removed"],
+    )
+    def test_heterogeneous_digest(self, graph, model, digest):
+        r = ne.throughput_dijkstra_heterogeneous(graph(), model)
+        got = repr((r.raw_throughput, list(r.per_pair_delivered.items())))
+        assert hashlib.sha256(got.encode()).hexdigest() == digest
+
+    def test_lp_pairs_and_values(self):
+        g = pa25_without_0_5_11()
+        r = ne.throughput_lp(g)
+        # the graph stays connected: every ordered pair, source-major
+        assert list(r.per_pair_delivered) == [(s, t) for s in g.nodes for t in g.nodes if s != t]
+        # every value sits within 1e-9 of one of these (at least 5e-4 apart),
+        # and the sequence of which one is frozen
+        levels = np.array([
+            0.047619047619047616, 0.05952380952380951, 0.08333333333333331,
+            0.08401360544217686, 0.09041950113378688, 0.09098639455782308,
+            0.09761904761904774, 0.09920634920634859, 0.1279761904761905,
+            0.13095238095238143, 0.1499999999999998, 0.16751700680272097,
+            0.17261904761904767, 0.21428571428571425, 0.29166666666666663,
+            0.5807823129251695, 0.6071428571428568, 0.6547619047619049,
+        ])
+        vals = np.array(list(r.per_pair_delivered.values()))
+        codes = np.abs(vals[:, None] - levels).argmin(axis=1)
+        assert np.abs(vals - levels[codes]).max() <= 1e-9
+        assert (
+            hashlib.sha256(codes.astype(np.uint8).tobytes()).hexdigest()
+            == "449ebdaba618b2633b58a9ae5e11d000ec2305e698193090841d2e047602ce90"
+        )
+        assert r.raw_throughput == pytest.approx(33.858730158730204, abs=1e-9)
+
+    def test_lp_least_flow_phase_failure_raises(self, monkeypatch):
+        real = throughput.linprog
+        calls = []
+
+        def fail_second(*args, **kwargs):
+            res = real(*args, **kwargs)
+            calls.append(res.status)
+            if len(calls) == 2:
+                res.status, res.message = 4, "numerical difficulties"
+            return res
+
+        monkeypatch.setattr(throughput, "linprog", fail_second)
+        with pytest.raises(ne.ComputeError, match="numerical difficulties"):
+            ne.throughput_lp(path_graph(3))
+        assert calls == [0, 0]
 
 
 class TestCompareModels:
