@@ -41,7 +41,6 @@ from .robustness import (
     tradeoff_re,
 )
 from .throughput import (
-    CapacityState,
     ModelComparison,
     ThroughputModel,
     ThroughputResult,
@@ -72,7 +71,6 @@ __all__ = [
     "gen_mesh",
     "ThroughputModel",
     "ThroughputResult",
-    "CapacityState",
     "ModelComparison",
     "shortest_path_tree",
     "throughput_dijkstra_homogeneous",

@@ -2,10 +2,12 @@
 
 Everything here works on a plain (indptr, indices) pair so the same code
 serves the undirected structural graph and the directed residual graphs of
-the routing engines.  The level-edge kernels are level-synchronous: each BFS
-level is expanded with a handful of numpy calls, which keeps per-node Python
-overhead out of the n = 1000 attack simulations.  Jobs that need only
-distances or components go to scipy's compiled traversals.
+the routing engines (keep_arcs masks the arcs that still have capacity).
+The level-edge kernels are level-synchronous: each BFS level is expanded
+with a handful of numpy calls, which keeps per-node Python overhead out of
+the n = 1000 attack simulations.  Routing, and with it the residual
+engines' reachability, goes through bfs; scipy's compiled traversals serve
+connected components and the distance sums of `metrics`.
 """
 
 from __future__ import annotations
@@ -39,6 +41,15 @@ def build_csr(
     np.add.at(indptr, tails + 1, 1)
     np.cumsum(indptr, out=indptr)
     return indptr, heads.astype(np.int64, copy=False)
+
+
+def keep_arcs(
+    indptr: np.ndarray, indices: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the arcs where the bool mask `keep` is set, in their order:
+    the rows stay sorted, so no re-sort is needed."""
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    return kept[indptr], indices[keep]
 
 
 def arc_tails(indptr: np.ndarray) -> np.ndarray:

@@ -173,7 +173,7 @@ def _cmd_elasticity(args) -> int:
 def _cmd_bound(args) -> int:
     try:
         n = int(float(args.n))
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ParameterError(f"--n must be a number, got {args.n!r}") from None
     if args.mode == "discrete":
         zeta = n if args.zeta is None else args.zeta

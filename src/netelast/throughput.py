@@ -27,7 +27,6 @@ from .graph import Graph
 
 __all__ = [
     "ThroughputModel",
-    "CapacityState",
     "ThroughputResult",
     "ModelComparison",
     "shortest_path_tree",
@@ -78,25 +77,6 @@ class ModelComparison:
     lp: float
     heterogeneous: float
     homogeneous: float
-
-
-@dataclass
-class CapacityState:
-    """Directed arc table with residual capacity and the utilization applied
-    in the latest routing round.
-    """
-
-    tails: np.ndarray
-    heads: np.ndarray
-    capacity: np.ndarray
-    utilization: np.ndarray
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "CapacityState":
-        # CSR rows are sorted by (tail, head), the arc order every engine uses
-        indptr, heads = g.csr()
-        m = heads.size
-        return cls(_csr.arc_tails(indptr), heads.copy(), np.ones(m), np.zeros(m))
 
 
 def _tie_rng(model: ThroughputModel) -> np.random.Generator | None:
@@ -184,56 +164,49 @@ def _raw_homogeneous(g: Graph, model: ThroughputModel) -> tuple[float, float, np
 # -- residual filling ------------------------------------------------------------
 
 
-def _fill_residual(g: Graph, fill, rounds_per_arc: int, failure: str) -> tuple[ThroughputResult, CapacityState]:
+def _fill_residual(g: Graph, fill, rounds_per_arc: int, failure: str) -> ThroughputResult:
     """The residual loop shared by the heterogeneous and LP engines.
 
-    Each round, `fill(state, alive_idx, present, n)` routes on the arcs that
-    still have residual capacity (positions `alive_idx`) and returns (rate,
-    utilization over those arcs, reached): every pair (present[i], t) with
-    reached[i, t] receives `rate`.  The loop subtracts the utilization and
-    stops when no arc is left, the rate is not positive or nothing is
-    reached; it raises ComputeError(failure) after rounds_per_arc rounds per
-    arc (plus 16).
+    Each arc of g.csr() starts with unit capacity.  Each round,
+    `fill(indptr, indices, residual, present)` routes on the CSR of the arcs
+    that still have capacity, whose residual capacities are `residual`, and
+    returns (rate, utilization over those arcs, reached): every pair
+    (present[i], t) with reached[i, t] receives `rate`.  The loop subtracts
+    the utilization and stops when no arc is left, the rate is not positive
+    or nothing is reached; it raises ComputeError(failure) after
+    rounds_per_arc rounds per arc (plus 16).
 
     Reach only shrinks as arcs die, so the pairs of the first round are all
     the pairs, and the per-pair map keeps their order: source-major,
     destinations ascending.
     """
-    state = CapacityState.from_graph(g)
-    n = g.id_space
+    indptr, indices = g.csr()
+    capacity = np.ones(indices.size)
     present = np.flatnonzero(g._present)
-    demand = np.zeros((present.size, n))
-    for _ in range(rounds_per_arc * state.tails.size + 16):
-        alive_idx = np.flatnonzero(state.capacity > _RESIDUAL_EPS)
-        if not alive_idx.size:
+    demand = np.zeros((present.size, g.id_space))
+    for _ in range(rounds_per_arc * capacity.size + 16):
+        alive = capacity > _RESIDUAL_EPS
+        if not alive.any():
             break
-        rate, util, reached = fill(state, alive_idx, present, n)
+        rate, util, reached = fill(*_csr.keep_arcs(indptr, indices, alive), capacity[alive], present)
         if rate <= 0 or not reached.any():
             break
         demand[reached] += rate
-        state.utilization = np.zeros(state.capacity.size)
-        state.utilization[alive_idx] = util
-        state.capacity[alive_idx] -= util
-        np.clip(state.capacity, 0.0, None, out=state.capacity)
-        state.capacity[state.capacity <= _RESIDUAL_EPS] = 0.0
+        capacity[alive] -= util
+        np.clip(capacity, 0.0, None, out=capacity)
+        capacity[capacity <= _RESIDUAL_EPS] = 0.0
     else:
         raise ComputeError(failure)
     rows, dests = np.nonzero(demand)
     per_pair = dict(zip(zip(present[rows].tolist(), dests.tolist()), demand[rows, dests].tolist()))
     # the builtin sum, in pair order, is the engines' definition of raw
-    return ThroughputResult(float(sum(per_pair.values())), per_pair), state
+    return ThroughputResult(float(sum(per_pair.values())), per_pair)
 
 
 # -- heterogeneous model -------------------------------------------------------
 
 
 def throughput_dijkstra_heterogeneous(g: Graph, model: ThroughputModel | None = None) -> ThroughputResult:
-    model = model or ThroughputModel(kind="dijkstra_heterogeneous")
-    result, _ = _run_heterogeneous(g, model)
-    return result
-
-
-def _run_heterogeneous(g: Graph, model: ThroughputModel) -> tuple[ThroughputResult, CapacityState]:
     """Residual filling.
 
     Each round recomputes single shortest paths on the arcs that still have
@@ -241,14 +214,13 @@ def _run_heterogeneous(g: Graph, model: ThroughputModel) -> tuple[ThroughputResu
     residual, and saturates at least one arc, so the loop ends after at most
     one round per arc.
     """
-    rng = _tie_rng(model)
+    rng = _tie_rng(model or ThroughputModel(kind="dijkstra_heterogeneous"))
 
-    def fill(state, alive_idx, present, n):
-        indptr, indices = _csr.build_csr(state.tails[alive_idx], state.heads[alive_idx], n)
+    def fill(indptr, indices, residual, present):
         # an alive arc's tail reaches its head, so some load is positive
-        loads, reached = _route_all(indptr, indices, present, n, rng)
+        loads, reached = _route_all(indptr, indices, present, indptr.size - 1, rng)
         used = loads > 0
-        eps = float((state.capacity[alive_idx][used] / loads[used]).min())
+        eps = float((residual[used] / loads[used]).min())
         return eps, eps * loads, reached
 
     return _fill_residual(g, fill, 2, "residual filling failed to converge")
@@ -257,42 +229,31 @@ def _run_heterogeneous(g: Graph, model: ThroughputModel) -> tuple[ThroughputResu
 # -- concurrent-flow optimization ----------------------------------------------
 
 
-def _residual_reachability(state: CapacityState, present: np.ndarray, n: int):
-    alive = state.capacity > _RESIDUAL_EPS
-    indptr, indices = _csr.build_csr(state.tails[alive], state.heads[alive], n)
-    reach: dict[int, np.ndarray] = {}
-    for block, dist in _csr.hop_distances(indptr, indices, n, present):
-        for s, row in zip(block, dist):
-            dests = np.flatnonzero(np.isfinite(row) & (row > 0))
-            if dests.size:
-                reach[int(s)] = dests
-    return np.flatnonzero(alive), reach
+def _solve_concurrent_lp(indptr, indices, residual, sources, reached):
+    """One round of the optimization on the residual CSR (arc capacities
+    `residual`): maximize the uniform rate to every pair (sources[i], t) with
+    reached[i, t], then (at that optimum) minimize total flow so the round
+    does not waste capacity on degenerate routings.
 
-
-def _solve_concurrent_lp(state: CapacityState, alive_idx: np.ndarray, reach: dict[int, np.ndarray]):
-    """One round of the optimization: maximize the uniform per-pair rate on
-    the residual arcs, then (at that optimum) minimize total flow so the
-    round does not waste capacity on degenerate routings.
-
-    Returns (rate, utilization over alive arcs, per-commodity flows) where
-    flows maps source -> (arc subset positions, flow values).
+    Returns (rate, utilization per arc, per-commodity flows) where flows
+    maps source -> (arc positions, flow values).
     """
-    tails = state.tails[alive_idx]
-    heads = state.heads[alive_idx]
-    residual = state.capacity[alive_idx]
-    na = alive_idx.size
-    n_ids = int(max(tails.max(), heads.max())) + 1 if na else 0
+    tails = _csr.arc_tails(indptr)
+    heads = indices
+    na = indices.size
 
-    # one commodity per source; its constraint rows are the source, then its
-    # destinations ascending, and noderow[c, v] is node v's row or -1
-    k = len(reach)
-    ndest = np.array([d.size for d in reach.values()])
-    dcomm = np.repeat(np.arange(k), ndest)
+    # one commodity per source that reaches a node; its constraint rows are
+    # the source, then its destinations ascending, and noderow[c, v] is node
+    # v's row or -1
+    has = reached.any(axis=1)
+    dcomm, dests = np.nonzero(reached[has])
+    k = int(has.sum())
+    ndest = np.bincount(dcomm, minlength=k)
     src_rows = np.cumsum(ndest + 1) - (ndest + 1)
     nrows = int(ndest.sum()) + k
-    noderow = np.full((k, n_ids), -1, dtype=np.int64)
-    noderow[np.arange(k), np.fromiter(reach, dtype=np.int64, count=k)] = src_rows
-    noderow[dcomm, np.concatenate(list(reach.values()))] = np.arange(dcomm.size) + dcomm + 1
+    noderow = np.full((k, reached.shape[1]), -1, dtype=np.int64)
+    noderow[np.arange(k), sources[has]] = src_rows
+    noderow[dcomm, dests] = np.arange(dcomm.size) + dcomm + 1
 
     # variable layout: x[0] = rate, then the flow on every arc whose tail is
     # in the commodity, commodity-major and arcs ascending
@@ -317,7 +278,7 @@ def _solve_concurrent_lp(state: CapacityState, alive_idx: np.ndarray, reach: dic
         ),
         shape=(nrows, nvars),
     ).tocsr()
-    # arc position within the alive set is the capacity row
+    # an arc's position in the residual CSR is its capacity row
     a_ub = sparse.coo_matrix((np.ones(arc.size), (arc, cols)), shape=(na, nvars)).tocsr()
 
     options = {
@@ -350,36 +311,27 @@ def _solve_concurrent_lp(state: CapacityState, alive_idx: np.ndarray, reach: dic
     util = np.zeros(na)
     np.add.at(util, arc, x[1:])
     cuts = np.cumsum(np.bincount(comm, minlength=k))[:-1]
-    flows = dict(zip(reach, zip(np.split(arc, cuts), np.split(x[1:], cuts))))
+    flows = dict(zip(sources[has].tolist(), zip(np.split(arc, cuts), np.split(x[1:], cuts))))
     return rate, util, flows
 
 
 def throughput_lp(g: Graph, model: ThroughputModel | None = None) -> ThroughputResult:
-    model = model or ThroughputModel(kind="lp_optimization")
-    result, _ = _run_lp(g, model)
-    return result
-
-
-def _run_lp(g: Graph, model: ThroughputModel) -> tuple[ThroughputResult, CapacityState]:
     n_present = g.number_of_nodes
     if n_present > LP_MAX_NODES:
         raise GraphSizeError(
             f"optimization model limited to {LP_MAX_NODES} nodes, got {n_present}"
         )
 
-    def fill(state, alive_idx, present, n):
-        reached = np.zeros((present.size, n), dtype=bool)
-        if state.capacity.sum() < _RATE_EPS:
-            return 0.0, None, reached
-        _, reach = _residual_reachability(state, present, n)
-        if not reach:
-            return 0.0, None, reached
-        rate, util, _ = _solve_concurrent_lp(state, alive_idx, reach)
-        for s, dests in reach.items():
-            reached[np.searchsorted(present, s), dests] = True
+    def fill(indptr, indices, residual, present):
+        if residual.sum() < _RATE_EPS:
+            return 0.0, None, None
+        # one routing pass finds the reachable pairs; its loads go unused
+        _, reached = _route_all(indptr, indices, present, indptr.size - 1, None)
+        rate, util, _ = _solve_concurrent_lp(indptr, indices, residual, present, reached)
         return (rate if rate > _RATE_EPS else 0.0), util, reached
 
     return _fill_residual(g, fill, 4, "optimization loop failed to converge")
+
 
 # -- dispatch -------------------------------------------------------------------
 

@@ -124,6 +124,10 @@ class TestExitCodes:
     def test_parameter_error_is_3(self, capsys):
         assert main(["bound", "--n", "1", "--mode", "discrete"]) == 3
 
+    @pytest.mark.parametrize("n", ["inf", "1e400"])
+    def test_bound_infinite_n_is_3(self, n, capsys):
+        assert main(["bound", "--n", n, "--mode", "continuous"]) == 3
+
     def test_compute_error_is_4(self, tmp_path, capsys):
         big = tmp_path / "big.edges"
         save_edge_list(ne.gen_gilbert(40, 0.3, seed=1), big)

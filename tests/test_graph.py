@@ -118,6 +118,19 @@ class TestGraph:
                 g.remove_nodes(vs)
             assert g.nodes == [0, 1, 2] and g.number_of_edges == 2
 
+    def test_keep_arcs_matches_rebuilt_csr(self, rng):
+        removed = ne.gen_preferential_attachment(60, 2, seed=3)
+        removed.remove_nodes([0, 7, 59])
+        for g in (ne.gen_gilbert(80, 0.08, seed=2), ne.gen_preferential_attachment(60, 2, seed=3), removed):
+            indptr, indices = g.csr()
+            tails = _csr.arc_tails(indptr)
+            masks = [rng.random(indices.size) < p for p in (0.2, 0.5, 0.9)]
+            masks += [np.zeros(indices.size, dtype=bool), np.ones(indices.size, dtype=bool)]
+            for keep in masks:
+                want = _csr.build_csr(tails[keep], indices[keep], g.id_space)
+                for a, b in zip(_csr.keep_arcs(indptr, indices, keep), want):
+                    assert a.dtype == b.dtype == np.int64 and a.tobytes() == b.tobytes()
+
     def test_ids_stable_after_removal(self):
         g = path_graph(4)
         g.remove_node(1)

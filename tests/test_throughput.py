@@ -8,13 +8,7 @@ import pytest
 
 import netelast as ne
 from netelast import _csr, throughput
-from netelast.throughput import (
-    CapacityState,
-    ThroughputModel,
-    _residual_reachability,
-    _route_all,
-    _solve_concurrent_lp,
-)
+from netelast.throughput import ThroughputModel, _route_all, _solve_concurrent_lp
 
 from conftest import (
     cycle_graph,
@@ -28,6 +22,22 @@ from conftest import (
 HOM = ThroughputModel()
 HET = ThroughputModel(kind="dijkstra_heterogeneous")
 LP = ThroughputModel(kind="lp_optimization")
+
+
+def lp_round(g):
+    """The LP's first round on g: unit capacity on every arc of g.csr().
+
+    Returns (rate, util, flows, tails, heads, dests), with dests mapping
+    each source to the nodes it reaches.
+    """
+    indptr, indices = g.csr()
+    sources = np.array(g.nodes)
+    _, reached = _route_all(indptr, indices, sources, g.id_space, None)
+    rate, util, flows = _solve_concurrent_lp(
+        indptr, indices, np.ones(indices.size), sources, reached
+    )
+    dests = {int(s): np.flatnonzero(row) for s, row in zip(sources, reached) if row.any()}
+    return rate, util, flows, _csr.arc_tails(indptr), indices, dests
 
 
 class TestShortestPathTree:
@@ -179,13 +189,29 @@ class TestHeterogeneous:
             hom = ne.throughput_dijkstra_homogeneous(g).raw_throughput
             assert het >= hom - 1e-9
 
-    def test_capacity_never_exceeded(self):
-        from netelast.throughput import _run_heterogeneous
+    def test_no_round_exceeds_residual_capacity(self, monkeypatch, rng):
+        # every round of both residual engines fits in the capacity left
+        real = throughput._fill_residual
+        rounds = []
 
-        for g in (path_graph(4), star_graph(5), cycle_graph(6)):
-            _, state = _run_heterogeneous(g, HET)
-            assert np.all(state.capacity >= -1e-9)
-            assert np.all(state.utilization <= 1.0 + 1e-9)
+        def spy(g, fill, *args):
+            def checked(indptr, indices, residual, present):
+                rate, util, reached = fill(indptr, indices, residual, present)
+                if rate > 0:
+                    rounds.append(rate)
+                    assert np.all(util <= residual + 1e-9)
+                return rate, util, reached
+
+            return real(g, checked, *args)
+
+        monkeypatch.setattr(throughput, "_fill_residual", spy)
+        graphs = [path_graph(4), star_graph(5), cycle_graph(6)]
+        graphs += [random_connected_graph(rng, int(rng.integers(3, 10))) for _ in range(10)]
+        for g in graphs:
+            for engine in (ne.throughput_dijkstra_heterogeneous, ne.throughput_lp):
+                count = len(rounds)
+                engine(g)
+                assert len(rounds) > count
 
 
 class TestConcurrentFlowLP:
@@ -194,17 +220,11 @@ class TestConcurrentFlowLP:
         assert r.raw_throughput == pytest.approx(2.0, abs=1e-7)
 
     def test_path_first_round_rate_is_half(self):
-        g = path_graph(3)
-        state = CapacityState.from_graph(g)
-        alive_idx, reach = _residual_reachability(state, np.array(g.nodes), g.id_space)
-        rate, _, _ = _solve_concurrent_lp(state, alive_idx, reach)
+        rate = lp_round(path_graph(3))[0]
         assert rate == pytest.approx(0.5, abs=1e-9)
 
     def test_k3_rate_one(self):
-        g = ne.gen_mesh(3)
-        state = CapacityState.from_graph(g)
-        alive_idx, reach = _residual_reachability(state, np.array(g.nodes), g.id_space)
-        rate, _, _ = _solve_concurrent_lp(state, alive_idx, reach)
+        rate = lp_round(ne.gen_mesh(3))[0]
         assert rate == pytest.approx(1.0, abs=1e-9)
 
     def test_k3_total(self):
@@ -214,17 +234,14 @@ class TestConcurrentFlowLP:
         # net inflow at every reachable destination equals the rate
         for _ in range(10):
             g = random_connected_graph(rng, int(rng.integers(3, 9)))
-            state = CapacityState.from_graph(g)
-            alive_idx, reach = _residual_reachability(state, np.array(g.nodes), g.id_space)
-            rate, util, flows = _solve_concurrent_lp(state, alive_idx, reach)
-            tails = state.tails[alive_idx]
-            heads = state.heads[alive_idx]
-            for s, (sub, f) in flows.items():
+            rate, util, flows, tails, heads, dests = lp_round(g)
+            for s, reached in dests.items():
+                sub, f = flows[s]
                 st, sh = tails[sub], heads[sub]
-                for j in reach[s]:
+                for j in reached:
                     net = f[sh == j].sum() - f[st == j].sum()
                     assert net == pytest.approx(rate, abs=1e-7)
-            assert np.all(util <= state.capacity[alive_idx] + 1e-9)
+            assert np.all(util <= 1.0 + 1e-9)
 
     def test_oversized_graph_refused(self):
         with pytest.raises(ne.GraphSizeError):
