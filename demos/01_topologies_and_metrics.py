@@ -21,13 +21,13 @@ TOPOLOGIES = {
 print(f"{'name':15s} {'nodes':>6s} {'links':>7s} {'density':>9s} "
       f"{'diam':>5s} {'asp':>7s} {'het':>6s}")
 for name, g in TOPOLOGIES.items():
-    rep = ne.metrics(g, with_betweenness=False)
+    rep = ne.metrics(g)
     print(f"{name:15s} {rep.nodes:6d} {rep.links:7d} {rep.density:9.5f} "
           f"{rep.diameter:5.0f} {rep.asp:7.3f} {rep.heterogeneity:6.3f}")
 
 print()
 print("Degree histogram of the preferential-attachment instance (degree: count):")
-hist = ne.metrics(TOPOLOGIES["pref-attach"], with_betweenness=False).degree_histogram
+hist = ne.metrics(TOPOLOGIES["pref-attach"]).degree_histogram
 for deg in sorted(hist)[:10]:
     print(f"  {deg:3d}: {hist[deg]}")
 print(f"  ... up to degree {max(hist)}")

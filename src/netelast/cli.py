@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ComputeError, ParameterError, ParseError
-from .experiment import fmt, load_config, run_experiment
+from .experiment import load_config, run_experiment
 from .generators import FAMILIES, GeneratorSpec
-from .graph import METRICS_CSV_HEADER, load_edge_list, metrics, save_edge_list
+from .graph import METRICS_CSV_HEADER, fmt, load_edge_list, metrics, save_edge_list
 from .robustness import (
     ATTACK_KINDS,
     AttackStrategy,
@@ -125,10 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, required=True, help="elasticity under betweenness attack")
     p.add_argument("--n", type=int, required=True, help="node count")
     p.add_argument("--m", type=int, required=True, help="link count")
-    p.add_argument("--alpha-tol", type=float, default=1.0)
-    p.add_argument("--beta-tol", type=float, default=1.0)
-    p.add_argument("--delta-tol", type=float, default=1.0)
-    p.add_argument("--gamma-tol", type=float, default=1.0)
+    for f in fields(TradeoffParams):
+        p.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default)
 
     p = sub.add_parser("run", help="execute an experiment config file")
     p.add_argument("--config", type=Path, required=True)
@@ -137,11 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    g = _spec_from_args(args).build()
-    if args.out is None:
-        save_edge_list(g, sys.stdout)
-    else:
-        save_edge_list(g, args.out)
+    save_edge_list(_spec_from_args(args).build(), args.out or sys.stdout)
     return 0
 
 
@@ -163,10 +158,7 @@ def _cmd_attack(args) -> int:
 def _cmd_elasticity(args) -> int:
     g = load_edge_list(args.input)
     curve = elasticity(g, _strategy_from_args(args), _model_from_args(args), args.stop_fraction)
-    if args.out is None:
-        curve.write_csv(sys.stdout)
-    else:
-        curve.write_csv(args.out)
+    curve.write_csv(args.out or sys.stdout)
     return 0
 
 
@@ -185,12 +177,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_tradeoff(args) -> int:
-    params = TradeoffParams(
-        alpha_tol=args.alpha_tol,
-        beta_tol=args.beta_tol,
-        delta_tol=args.delta_tol,
-        gamma_tol=args.gamma_tol,
-    )
+    params = TradeoffParams(**{f.name: getattr(args, f.name) for f in fields(TradeoffParams)})
     print(fmt(tradeoff_re(args.a, args.b, args.c, args.n, args.m, params)))
     return 0
 

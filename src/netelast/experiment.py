@@ -13,14 +13,14 @@ import configparser
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ComputeError, NetelastError, ParameterError, ParseError
+from .errors import NetelastError, ParameterError, ParseError
 from .generators import GeneratorSpec
-from .graph import METRICS_CSV_HEADER, Graph, MetricsReport, load_edge_list, metrics
+from .graph import METRICS_CSV_HEADER, Graph, MetricsReport, fmt, load_edge_list, metrics, write_lines
 from .robustness import ATTACK_KINDS, AttackStrategy, ElasticityCurve, TradeoffParams, elasticity, tradeoff_re
 from .throughput import ThroughputModel
 
@@ -35,12 +35,8 @@ __all__ = [
     "fmt",
 ]
 
-
-def fmt(x: float) -> str:
-    """CSV number format: 7 significant digits, `.` separator, literal NaN."""
-    if isinstance(x, float) and math.isnan(x):
-        return "NaN"
-    return f"{x:.7g}"
+# the RankingRow column that holds each attack's elasticity
+_ELAS = dict(zip(ATTACK_KINDS, ("elas_r", "elas_d", "elas_b")))
 
 
 def derive_seed(global_seed: int, *parts: str) -> int:
@@ -89,6 +85,14 @@ class ExperimentConfig:
 _GEN_INT_KEYS = ("n", "k", "m", "rows", "cols", "seed")
 
 
+def _read(get, key, default, noun):
+    """One [experiment] key through a SectionProxy getter, e.g. `getint`."""
+    try:
+        return get(key, default)
+    except ValueError:
+        raise ParseError(f"key {key!r} is not {noun}") from None
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse an experiment config file; relative paths resolve against it."""
     path = Path(path)
@@ -96,8 +100,6 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except OSError:
-        raise
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ParseError(f"bad config file {path}: {exc}") from None
 
@@ -106,27 +108,9 @@ def load_config(path) -> ExperimentConfig:
     exp = parser["experiment"]
     base = path.parent
 
-    def get_float(key, default):
-        try:
-            return exp.getfloat(key, default)
-        except ValueError:
-            raise ParseError(f"key {key!r} is not a number") from None
-
-    def get_int(key, default):
-        try:
-            return exp.getint(key, default)
-        except ValueError:
-            raise ParseError(f"key {key!r} is not an integer") from None
-
-    def get_bool(key, default):
-        try:
-            return exp.getboolean(key, default)
-        except ValueError:
-            raise ParseError(f"key {key!r} is not a boolean") from None
-
-    global_seed = get_int("global_seed", 0)
+    global_seed = _read(exp.getint, "global_seed", 0, "an integer")
     tie_break = exp.get("tie_break", "sequential")
-    tie_seed = get_int("tie_seed", 0) if tie_break == "random" else None
+    tie_seed = _read(exp.getint, "tie_seed", 0, "an integer") if tie_break == "random" else None
     model = ThroughputModel(
         kind=exp.get("model", "dijkstra_homogeneous"),
         tie_break=tie_break,
@@ -134,10 +118,7 @@ def load_config(path) -> ExperimentConfig:
     )
     attacks = [a.strip() for a in exp.get("attacks", ",".join(ATTACK_KINDS)).split(",") if a.strip()]
     tradeoff = TradeoffParams(
-        alpha_tol=get_float("alpha_tol", 1.0),
-        beta_tol=get_float("beta_tol", 1.0),
-        delta_tol=get_float("delta_tol", 1.0),
-        gamma_tol=get_float("gamma_tol", 1.0),
+        **{f.name: _read(exp.getfloat, f.name, f.default, "a number") for f in fields(TradeoffParams)}
     )
 
     topologies: list[TopologyDecl] = []
@@ -177,12 +158,12 @@ def load_config(path) -> ExperimentConfig:
         topologies=topologies,
         attacks=attacks,
         model=model,
-        stop_fraction=get_float("stop_fraction", 1.0),
+        stop_fraction=_read(exp.getfloat, "stop_fraction", 1.0, "a number"),
         tradeoff=tradeoff,
         output_dir=(base / exp.get("output_dir", "results")),
         global_seed=global_seed,
-        batch=get_int("batch", 1),
-        recompute=get_bool("recompute", True),
+        batch=_read(exp.getint, "batch", 1, "an integer"),
+        recompute=_read(exp.getboolean, "recompute", True, "a boolean"),
     )
 
 
@@ -235,8 +216,8 @@ def _pearson(xs: list[float], ys: list[float]) -> float:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every (topology, attack) cell and write the report bundle.
 
-    A failing cell is logged and surfaces as NaN in the tables; the rest of
-    the grid still runs.
+    A failing cell, or a topology that cannot be built or measured, is
+    logged and surfaces as NaN in the tables; the rest of the grid still runs.
     """
     out = Path(config.output_dir)
     curves_dir = out / "curves"
@@ -250,8 +231,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     for decl in config.topologies:
         try:
             g = _build_topology(decl)
+            reports[decl.name] = metrics(g)
             graphs[decl.name] = g
-            reports[decl.name] = metrics(g, with_betweenness=False)
             log_lines.append(
                 f"topology {decl.name}: n={g.number_of_nodes} m={g.number_of_edges}"
             )
@@ -279,39 +260,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     rows: list[RankingRow] = []
     for decl in config.topologies:
         name = decl.name
-        if name not in graphs:
-            rows.append(RankingRow(name, 0, 0, math.nan, math.nan, math.nan, math.nan))
-            continue
-        rep = reports[name]
-        elas = {
-            kind: curves[(name, kind)].elasticity if (name, kind) in curves else math.nan
-            for kind in ATTACK_KINDS
-        }
+        size = (reports[name].nodes, reports[name].links) if name in reports else (0, 0)
+        # a topology without metrics has no curves, so its elasticities are NaN
+        elas = [curves[(name, k)].elasticity if (name, k) in curves else math.nan for k in ATTACK_KINDS]
         re_score = math.nan
-        if all(math.isfinite(v) for v in elas.values()):
+        if all(map(math.isfinite, elas)):
             try:
-                re_score = tradeoff_re(
-                    elas["random"],
-                    elas["highest_degree"],
-                    elas["highest_betweenness"],
-                    rep.nodes,
-                    rep.links,
-                    config.tradeoff,
-                )
+                re_score = tradeoff_re(*elas, *size, config.tradeoff)
             except ParameterError as exc:
                 errors[f"tradeoff/{name}"] = str(exc)
                 log_lines.append(f"tradeoff {name}: NaN ({exc})")
-        rows.append(
-            RankingRow(
-                name=name,
-                nodes=rep.nodes,
-                links=rep.links,
-                elas_r=elas["random"],
-                elas_d=elas["highest_degree"],
-                elas_b=elas["highest_betweenness"],
-                re_score=re_score,
-            )
-        )
+        rows.append(RankingRow(name, *size, *elas, re_score))
 
     _write_metrics_csv(out / "metrics.csv", config, reports)
     _write_ranking_csv(out / "ranking.csv", rows)
@@ -319,7 +278,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     correlations = _write_correlations_csv(out / "correlations.csv", rows, reports)
 
     log_lines.append(f"elapsed {time.monotonic() - started:.1f}s")
-    (out / "run.log").write_text("\n".join(log_lines) + "\n")
+    write_lines(out / "run.log", log_lines)
 
     return ExperimentReport(
         rows=rows,
@@ -338,61 +297,50 @@ def _write_metrics_csv(path: Path, config: ExperimentConfig, reports: dict[str, 
             lines.append(reports[decl.name].csv_row(decl.name))
         else:
             lines.append(f"{decl.name},NaN,NaN,NaN,NaN,NaN,NaN")
-    path.write_text("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
-def _desc(rows: list[RankingRow], key) -> list[RankingRow]:
-    return sorted(rows, key=lambda r: (math.isnan(key(r)), -(key(r) if not math.isnan(key(r)) else 0.0), r.name))
+def _cell(v) -> str:
+    """A table cell: floats in `fmt`, names and counts as they are."""
+    return fmt(v) if isinstance(v, float) else str(v)
+
+
+def _desc(rows: list[RankingRow], col: str) -> list[RankingRow]:
+    """Rows by descending `col`, NaN last, ties by name."""
+
+    def key(r):
+        v = getattr(r, col)
+        return (math.isnan(v), 0.0 if math.isnan(v) else -v, r.name)
+
+    return sorted(rows, key=key)
 
 
 def _write_ranking_csv(path: Path, rows: list[RankingRow]) -> None:
-    by_links = _desc(rows, lambda r: float(r.links))
-    by_r = _desc(rows, lambda r: r.elas_r)
-    by_d = _desc(rows, lambda r: r.elas_d)
-    by_b = _desc(rows, lambda r: r.elas_b)
-    lines = ["links_name,links,elas_r_name,elas_r,elas_d_name,elas_d,elas_b_name,elas_b"]
-    for rl, rr, rd, rb in zip(by_links, by_r, by_d, by_b):
-        lines.append(
-            f"{rl.name},{rl.links},{rr.name},{fmt(rr.elas_r)},"
-            f"{rd.name},{fmt(rd.elas_d)},{rb.name},{fmt(rb.elas_b)}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+    cols = ["links", *_ELAS.values()]
+    lines = [",".join(f"{c}_name,{c}" for c in cols)]
+    for ranked in zip(*(_desc(rows, c) for c in cols)):
+        lines.append(",".join(f"{r.name},{_cell(getattr(r, c))}" for r, c in zip(ranked, cols)))
+    write_lines(path, lines)
 
 
 def _write_tradeoff_csv(path: Path, rows: list[RankingRow], params: TradeoffParams) -> None:
-    ordered = _desc(rows, lambda r: r.re_score)
-    lines = [
-        f"# tolerances alpha={fmt(params.alpha_tol)} beta={fmt(params.beta_tol)} "
-        f"delta={fmt(params.delta_tol)} gamma={fmt(params.gamma_tol)}",
-        "name,nodes,links,elas_r,elas_d,elas_b,re_score",
-    ]
-    for r in ordered:
-        lines.append(
-            f"{r.name},{r.nodes},{r.links},{fmt(r.elas_r)},{fmt(r.elas_d)},"
-            f"{fmt(r.elas_b)},{fmt(r.re_score)}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+    tolerances = (f"{f.name.removesuffix('_tol')}={fmt(getattr(params, f.name))}" for f in fields(params))
+    cols = ["name", "nodes", "links", *_ELAS.values(), "re_score"]
+    lines = ["# tolerances " + " ".join(tolerances), ",".join(cols)]
+    lines.extend(",".join(_cell(getattr(r, c)) for c in cols) for r in _desc(rows, "re_score"))
+    write_lines(path, lines)
 
 
 def _write_correlations_csv(
     path: Path, rows: list[RankingRow], reports: dict[str, MetricsReport]
 ) -> dict[tuple[str, str], float]:
-    metric_cols = {
-        "links": lambda r: float(reports[r.name].links) if r.name in reports else math.nan,
-        "heterogeneity": lambda r: reports[r.name].heterogeneity if r.name in reports else math.nan,
-        "asp": lambda r: reports[r.name].asp if r.name in reports else math.nan,
-    }
-    elas_cols = {
-        "random": lambda r: r.elas_r,
-        "highest_degree": lambda r: r.elas_d,
-        "highest_betweenness": lambda r: r.elas_b,
-    }
     out: dict[tuple[str, str], float] = {}
     lines = ["metric,attack,pearson_r"]
-    for mname, mget in metric_cols.items():
-        for aname, aget in elas_cols.items():
-            r = _pearson([mget(row) for row in rows], [aget(row) for row in rows])
-            out[(mname, aname)] = r
-            lines.append(f"{mname},{aname},{fmt(r)}")
-    path.write_text("\n".join(lines) + "\n")
+    for metric in ("links", "heterogeneity", "asp"):
+        xs = [float(getattr(reports[r.name], metric)) if r.name in reports else math.nan for r in rows]
+        for kind, col in _ELAS.items():
+            r = _pearson(xs, [getattr(row, col) for row in rows])
+            out[(metric, kind)] = r
+            lines.append(f"{metric},{kind},{fmt(r)}")
+    write_lines(path, lines)
     return out

@@ -1,4 +1,5 @@
-"""Undirected simple graph with stable node ids, plus the structural metrics.
+"""Undirected simple graph with stable node ids, the structural metrics, and
+the plain-text writer and number format that every output file uses.
 
 Nodes are integers 0..n-1.  Removing a node leaves its id in place as an
 inert slot, so attack sequences and reports can keep referring to original
@@ -7,7 +8,6 @@ labels while the live graph shrinks around them.
 
 from __future__ import annotations
 
-import io
 import math
 import re
 from dataclasses import dataclass
@@ -33,6 +33,22 @@ __all__ = [
 METRICS_CSV_HEADER = "name,nodes,links,density,diameter,asp,heterogeneity"
 
 _NODES_HEADER = re.compile(r"^#\s*nodes\s+(\d+)\s*$")
+
+
+def fmt(x: float) -> str:
+    """CSV number format: 7 significant digits, `.` separator, literal NaN."""
+    if isinstance(x, float) and math.isnan(x):
+        return "NaN"
+    return f"{x:.7g}"
+
+
+def write_lines(target, lines) -> None:
+    """Write `lines`, each ended by a newline, to a path or an open text file."""
+    payload = "\n".join(lines) + "\n"
+    if isinstance(target, (str, Path)):
+        Path(target).write_text(payload)
+    else:
+        target.write(payload)
 
 
 class Graph:
@@ -273,19 +289,7 @@ def save_edge_list(g: Graph, target) -> None:
     Round-trips (N, edge set) exactly.  Removed slots are not representable:
     they reload as isolated nodes.
     """
-    lines = [f"# nodes {g.id_space}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    payload = "\n".join(lines) + "\n"
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(payload)
-    else:
-        target.write(payload)
-
-
-def dumps_edge_list(g: Graph) -> str:
-    buf = io.StringIO()
-    save_edge_list(g, buf)
-    return buf.getvalue()
+    write_lines(target, [f"# nodes {g.id_space}", *(f"{u} {v}" for u, v in g.edges())])
 
 
 # -- components and metrics ---------------------------------------------------
@@ -337,25 +341,13 @@ class MetricsReport:
     asp: float
     heterogeneity: float
     degree_histogram: dict[int, int]
-    betweenness_values: np.ndarray
 
     def csv_row(self, name: str) -> str:
-        from .experiment import fmt  # local import to avoid a cycle
-
-        return ",".join(
-            [
-                name,
-                str(self.nodes),
-                str(self.links),
-                fmt(self.density),
-                fmt(self.diameter),
-                fmt(self.asp),
-                fmt(self.heterogeneity),
-            ]
-        )
+        floats = (self.density, self.diameter, self.asp, self.heterogeneity)
+        return ",".join([name, str(self.nodes), str(self.links), *map(fmt, floats)])
 
 
-def metrics(g: Graph, with_betweenness: bool = True) -> MetricsReport:
+def metrics(g: Graph) -> MetricsReport:
     """Density, diameter, average shortest path, heterogeneity, and
     the degree histogram of `g`.
 
@@ -394,7 +386,6 @@ def metrics(g: Graph, with_betweenness: bool = True) -> MetricsReport:
         # every unordered pair counted twice in the per-source sums
         asp = total / (len(comp) * (len(comp) - 1))
 
-    bvals = betweenness(g) if with_betweenness else np.zeros(g.id_space)
     return MetricsReport(
         nodes=n,
         links=m,
@@ -403,5 +394,4 @@ def metrics(g: Graph, with_betweenness: bool = True) -> MetricsReport:
         asp=asp,
         heterogeneity=het,
         degree_histogram=hist,
-        betweenness_values=bvals,
     )

@@ -11,12 +11,12 @@ the natural reference point for every other topology.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ComputeError, ParameterError
-from .graph import Graph, betweenness
+from .graph import Graph, betweenness, fmt, write_lines
 from .throughput import ThroughputModel, raw_throughput
 
 __all__ = [
@@ -122,21 +122,18 @@ class ElasticityCurve:
         return list(zip(self.fractions.tolist(), self.normalized.tolist()))
 
     def write_csv(self, target) -> None:
-        from .experiment import fmt
-        from pathlib import Path
-
-        lines = ["fraction_removed,normalized_throughput"]
-        lines.extend(f"{fmt(f)},{fmt(t)}" for f, t in self.samples)
-        lines.append(f"# elasticity = {fmt(self.elasticity)}")
-        lines.append(f"# alpha = {fmt(self.alpha)}")
-        lines.append(f"# strategy = {self.strategy}")
-        lines.append(f"# model = {self.model}")
-        lines.append(f"# seed = {'' if self.seed is None else self.seed}")
-        payload = "\n".join(lines) + "\n"
-        if isinstance(target, (str, Path)):
-            Path(target).write_text(payload)
-        else:
-            target.write(payload)
+        write_lines(
+            target,
+            [
+                "fraction_removed,normalized_throughput",
+                *(f"{fmt(f)},{fmt(t)}" for f, t in self.samples),
+                f"# elasticity = {fmt(self.elasticity)}",
+                f"# alpha = {fmt(self.alpha)}",
+                f"# strategy = {self.strategy}",
+                f"# model = {self.model}",
+                f"# seed = {'' if self.seed is None else self.seed}",
+            ],
+        )
 
 
 def _trapezoid(x: np.ndarray, y: np.ndarray) -> float:
@@ -191,17 +188,22 @@ def elasticity(
 def mesh_elasticity_discrete(n: int, zeta: int) -> float:
     """Trapezoidal elasticity of the complete graph on n nodes after zeta
     removals, evaluated exactly from the per-step throughput.
+
+    After k removals the mesh keeps (n-k)(n-k-1) of its n(n-1) pairs, so the
+    trapezoid sum is one ratio of integers; it is computed in Python integers
+    and divided once, which rounds correctly at any n.
     """
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
     if not 1 <= zeta <= n:
         raise ParameterError(f"zeta must be in [1, {n}], got {zeta}")
-    k = np.arange(1, zeta, dtype=float)
-    beta = (n - k) * (n - k - 1) / (n * (n - 1.0))
-    total = 0.5 + beta.sum()
-    if zeta <= n - 1:
-        total += (n - zeta) * (n - zeta - 1) / (2.0 * n * (n - 1))
-    return float(total / n)
+
+    def t(b):  # sum of j(j-1) for j = 1..b
+        return (b + 1) * b * (b - 1) // 3
+
+    inner = t(n - 1) - t(n - zeta)  # the samples after 1..zeta-1 removals
+    last = (n - zeta) * (n - zeta - 1)
+    return (n * (n - 1) + 2 * inner + last) / (2 * n * n * (n - 1))
 
 
 def mesh_elasticity_continuous(n: int, zeta: int | str | None = "all") -> float:
@@ -237,10 +239,10 @@ class TradeoffParams:
     gamma_tol: float = 1.0
 
     def __post_init__(self):
-        for name in ("alpha_tol", "beta_tol", "delta_tol", "gamma_tol"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not 0.0 <= v <= 1.0:
-                raise ParameterError(f"{name} must be in [0, 1], got {v}")
+                raise ParameterError(f"{f.name} must be in [0, 1], got {v}")
 
 
 def tradeoff_re(

@@ -87,6 +87,10 @@ class TestBound:
         assert main(["bound", "--n", "1e9", "--mode", "continuous"]) == 0
         assert capsys.readouterr().out.strip() == "0.3333333"
 
+    def test_discrete_huge_n(self, capsys):
+        assert main(["bound", "--n", "1e30", "--mode", "discrete"]) == 0
+        assert capsys.readouterr().out.strip() == "0.3333333"
+
     def test_partial_zeta(self, capsys):
         assert main(["bound", "--n", "20", "--mode", "discrete", "--zeta", "5"]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(

@@ -1,5 +1,6 @@
 """Experiment config parsing and the report bundle."""
 
+import hashlib
 import math
 
 import pytest
@@ -33,9 +34,54 @@ p = 0.4
 """
 
 
+# the same topologies under the heterogeneous engine, with a static ranking,
+# batches of 3 and a stop at half the nodes
+HET_CONFIG = (
+    CONFIG.replace("output_dir = out", "output_dir = het")
+    .replace("model = dijkstra_homogeneous", "model = dijkstra_heterogeneous\nrecompute = false")
+    .replace("stop_fraction = 1.0", "stop_fraction = 0.5")
+    .replace("batch = 1", "batch = 3")
+)
+
+# sha256 of every table and curve that CONFIG and HET_CONFIG write
+GOLDEN = {
+    "grid.ini": {
+        "correlations.csv": "d01d7f94cf04fe0ef4ab36e4de854b3ee8f69bf2b1d7c53381a17f4015fce1df",
+        "curves/gi_highest_betweenness.csv": "114057444d390dc7852870a2bfa12bc9381659b54ec4009d89cf279dca8e722f",
+        "curves/gi_highest_degree.csv": "dc3e4cad4bc0f1f386c1eb69ed832ab9a059ebef283852785fab1e83230fe982",
+        "curves/gi_random.csv": "b2f8f3b42eaa9a4f0efe8947ba3248250bd2665d89a90412cdd5cf7e67a341d4",
+        "curves/mesh10_highest_betweenness.csv": "e6f2f4606bb13f127b0c492d93fe03b1a87080598785f4f56b2652b98772666e",
+        "curves/mesh10_highest_degree.csv": "e76bbc79ca81c70112e60d63584c9f7255a7802ee017eb85057d9178139fa971",
+        "curves/mesh10_random.csv": "ce2f732ce64628e69d1e0ed5cabd5cb8df234532260fd72934c142f3cc3402ff",
+        "curves/star10_highest_betweenness.csv": "ce9d320edf65aa2a6056de4d83fac9d26434c539d0117c2ff1516dced712cbd7",
+        "curves/star10_highest_degree.csv": "2a0d47f3d7aa3f4590032980c66463e81179edbd3939e596b1973a073dfebaf0",
+        "curves/star10_random.csv": "a390c916ef86515e29c86d274513e80a75db881e386fe7a85a7a232e22f6ea2f",
+        "metrics.csv": "bdf3b368ef160a7fd71e1d53d7909be06ff0487ef8a694d3672a23da7d315a76",
+        "ranking.csv": "a95a3a7c2113f28a667b35a551faf9d2f23a8864ad2e8f8eeadc7ec18b5ffa38",
+        "tradeoff.csv": "5bd3959949cc884e0c1315782f855c679bd89c651b5d1f822b0dfb8077cd2b3a",
+    },
+    "het.ini": {
+        "correlations.csv": "7c1da8acfba6cbde10338f6cacc4914fe30d6c9219e439b0de8f388919a58d56",
+        "curves/gi_highest_betweenness.csv": "39dd4899b14a379b6c28db28e10cd9136c8fe14f83c83a9bf4ed73ee1c335784",
+        "curves/gi_highest_degree.csv": "26d9e2076ea203c998b46677b5b96d348102094684deea37313666e181f54963",
+        "curves/gi_random.csv": "5be866ffdb84d998c8f342a7bdd00367a968ce0d526c91c6dd13920de16e5765",
+        "curves/mesh10_highest_betweenness.csv": "e97df55749ecf0f8b487efef809d23e94ca054f9f55c380eb3f9d92b6c6f4135",
+        "curves/mesh10_highest_degree.csv": "398bc82336dc18e164b22b95f85769a8606b614c558f7671520ebc7db096f42a",
+        "curves/mesh10_random.csv": "106d8603f48fb74503816d38f31e9e3f5ed4111cf53fdce6f69abb46d53d7552",
+        "curves/star10_highest_betweenness.csv": "6f2d1d1477603505d35bfcbd151428638f382293a521666caa7eeb2f0b37c27b",
+        "curves/star10_highest_degree.csv": "21c60743c3d0d8e5aa0ce697091e13481dc8630825f1c75722b9c81c5b8a261b",
+        "curves/star10_random.csv": "1290b34947b831525e94e6f50c01f7a6e0231112e4ee7447f440375d2b2368c3",
+        "metrics.csv": "bdf3b368ef160a7fd71e1d53d7909be06ff0487ef8a694d3672a23da7d315a76",
+        "ranking.csv": "a3f88af9cbca1d14c2231d35c3260def028f05673fc58af16aaab455108c549a",
+        "tradeoff.csv": "d2a88b02930252dcfbd3c27987ec496624fd7c8d9ac38a050e4b286024d519ed",
+    },
+}
+
+
 @pytest.fixture
 def config_dir(tmp_path):
     (tmp_path / "grid.ini").write_text(CONFIG)
+    (tmp_path / "het.ini").write_text(HET_CONFIG)
     save_edge_list(star_graph(10), tmp_path / "star10.edges")
     return tmp_path
 
@@ -209,3 +255,36 @@ class TestRunExperiment:
         assert list(report.errors) == ["tradeoff/barbell"]
         assert "outside [0, 1]" in report.errors["tradeoff/barbell"]
         assert "tradeoff barbell: NaN" in (report.output_dir / "run.log").read_text()
+
+    def test_metrics_failure_yields_nan_row_and_run_continues(self, tmp_path):
+        save_edge_list(ne.gen_mesh(4), tmp_path / "k4.edges")
+        (tmp_path / "one.edges").write_text("# nodes 1\n")
+        base = "[experiment]\noutput_dir = {out}\n{one}[topology:k4]\npath = k4.edges\n"
+        (tmp_path / "both.ini").write_text(base.format(out="both", one="[topology:one]\npath = one.edges\n"))
+        (tmp_path / "k4.ini").write_text(base.format(out="k4", one=""))
+        report = run_experiment(load_config(tmp_path / "both.ini"))
+        alone = run_experiment(load_config(tmp_path / "k4.ini"))
+        assert list(report.errors) == ["one"]
+        assert "ERROR" in (report.output_dir / "run.log").read_text()
+        for name in ("metrics.csv", "ranking.csv", "tradeoff.csv", "correlations.csv"):
+            assert (report.output_dir / name).exists()
+        tradeoff = (report.output_dir / "tradeoff.csv").read_text().splitlines()
+        assert "one,0,0,NaN,NaN,NaN,NaN" in tradeoff
+        for name in ("metrics.csv", "tradeoff.csv"):
+            k4_rows = [r for r in (alone.output_dir / name).read_text().splitlines() if r.startswith("k4,")]
+            assert len(k4_rows) == 1
+            assert k4_rows[0] in (report.output_dir / name).read_text().splitlines()
+        for kind in ne.robustness.ATTACK_KINDS:
+            curve = f"curves/k4_{kind}.csv"
+            assert (report.output_dir / curve).read_text() == (alone.output_dir / curve).read_text()
+
+
+class TestGoldenBundle:
+    @pytest.mark.parametrize("ini", sorted(GOLDEN))
+    def test_bundle_bytes(self, config_dir, ini):
+        out = run_experiment(load_config(config_dir / ini)).output_dir
+        got = {
+            p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*.csv"))
+        }
+        assert got == GOLDEN[ini]

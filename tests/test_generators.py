@@ -75,7 +75,7 @@ class TestPreferentialAttachment:
         for m in (1, 2):
             g = ne.gen_preferential_attachment(1000, m, seed=11)
             assert min(g.degree(v) for v in g.nodes) >= m
-            assert ne.metrics(g, with_betweenness=False).heterogeneity > 1.0
+            assert ne.metrics(g).heterogeneity > 1.0
 
     def test_bad_parameters(self):
         with pytest.raises(ne.ParameterError):

@@ -9,7 +9,7 @@ import pytest
 
 import netelast as ne
 from netelast import _csr
-from netelast.graph import dumps_edge_list
+from netelast.graph import save_edge_list
 
 from conftest import (
     betweenness_oracle,
@@ -63,7 +63,9 @@ class TestEdgeList:
             for u, v in combinations(range(n), 2):
                 if rng.random() < 0.4:
                     g.add_edge(u, v)
-            h = ne.load_edge_list(dumps_edge_list(g))
+            buf = io.StringIO()
+            save_edge_list(g, buf)
+            h = ne.load_edge_list(buf.getvalue())
             assert h.number_of_nodes == g.number_of_nodes
             assert h.edges() == g.edges()
 
@@ -203,7 +205,7 @@ class TestMetrics:
         pick = rng.choice(iu.size, size=4505, replace=False)
         for idx in pick:
             g.add_edge(int(iu[idx]), int(iv[idx]))
-        rep = ne.metrics(g, with_betweenness=False)
+        rep = ne.metrics(g)
         assert rep.density == pytest.approx(0.00902, abs=5e-6)
 
     def test_regular_ring_heterogeneity_zero(self):
@@ -223,7 +225,7 @@ class TestMetrics:
             for u, v in combinations(range(n), 2):
                 if rng.random() < 0.25:
                     g.add_edge(u, v)
-            rep = ne.metrics(g, with_betweenness=False)
+            rep = ne.metrics(g)
             if not math.isnan(rep.diameter):
                 assert rep.asp <= rep.diameter + 1e-12
                 assert rep.asp >= 1.0
@@ -235,7 +237,7 @@ class TestMetrics:
             if g.number_of_nodes < 2:
                 continue
             comps, diameter, asp = structure_oracle(g)
-            rep = ne.metrics(g, with_betweenness=False)
+            rep = ne.metrics(g)
             assert ne.connected_components(g) == comps
             assert rep.diameter == diameter or math.isnan(rep.diameter) and math.isnan(diameter)
             assert rep.asp == asp or math.isnan(rep.asp) and math.isnan(asp)
@@ -247,7 +249,7 @@ class TestMetrics:
         comps, diameter, asp = structure_oracle(g)
         # distances come from scipy in blocks of source rows; span two
         assert len(max(comps, key=len)) > _csr._DIST_BLOCK
-        rep = ne.metrics(g, with_betweenness=False)
+        rep = ne.metrics(g)
         assert ne.connected_components(g) == comps
         assert (rep.diameter, rep.asp) == (diameter, asp)
 

@@ -2,6 +2,7 @@
 
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -206,6 +207,15 @@ class TestMeshBounds:
             assert ne.mesh_elasticity_discrete(n, n) == pytest.approx(
                 1 / 3 - 1 / (6 * n), abs=1e-12
             )
+
+    def test_discrete_equals_exact_trapezoid(self):
+        # the trapezoid sum over the mesh's surviving-pair shares in exact
+        # rationals, rounded once
+        for n in range(2, 61):
+            for zeta in range(1, n + 1):
+                share = [Fraction((n - k) * (n - k - 1), n * (n - 1)) for k in range(zeta + 1)]
+                area = (share[0] + share[zeta]) / 2 + sum(share[1:zeta])
+                assert ne.mesh_elasticity_discrete(n, zeta) == float(area / n)
 
     def test_discrete_partial_equals_simulation(self):
         # partial-removal trapezoid sum against the simulated mesh curve
