@@ -6,6 +6,8 @@ residual round, so it only accepts small graphs; the two shortest-path
 engines scale to the 1000-node grids.
 """
 
+import io
+
 import netelast as ne
 
 def cycle(n):
@@ -22,7 +24,7 @@ def wheel(n):
     return g
 
 GRAPHS = {
-    "path-3": ne.load_edge_list("0 1\n1 2"),
+    "path-3": ne.load_edge_list(io.StringIO("0 1\n1 2")),
     "clique-5": ne.gen_mesh(5),
     "cycle-6": cycle(6),
     "wheel-7": wheel(7),
@@ -42,7 +44,7 @@ print("which costs total throughput on sparse graphs with long detours -")
 print("see the per-pair view below for how the filler spreads deliveries.")
 
 print()
-r = ne.throughput_dijkstra_heterogeneous(ne.load_edge_list("0 1\n1 2\n2 3"))
+r = ne.throughput_dijkstra_heterogeneous(ne.load_edge_list(io.StringIO("0 1\n1 2\n2 3")))
 print("per-pair deliveries on the 4-path (heterogeneous filler):")
 for (s, t), v in sorted(r.per_pair_delivered.items()):
     print(f"  {s} -> {t}: {v:.3f}")

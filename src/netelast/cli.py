@@ -10,10 +10,11 @@ import argparse
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import ComputeError, ParameterError, ParseError
 from .experiment import load_config, run_experiment
-from .generators import FAMILIES, GeneratorSpec
+from .generators import FAMILIES, GeneratorSpec, check_params
 from .graph import METRICS_CSV_HEADER, fmt, load_edge_list, metrics, save_edge_list
 from .robustness import (
     ATTACK_KINDS,
@@ -35,28 +36,17 @@ EXIT_IO = 5
 
 def _add_generator_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("-n", type=int, default=0, help="node count")
-    p.add_argument("-p", type=float, default=0.0, help="edge/rewiring probability")
-    p.add_argument("-k", type=int, default=0, help="ring-lattice neighbour count")
-    p.add_argument("-m", type=int, default=0, help="links per arriving node")
-    p.add_argument("--rows", type=int, default=0)
-    p.add_argument("--cols", type=int, default=0)
-    p.add_argument("--diagonals", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    types = get_type_hints(GeneratorSpec)
+    for f in fields(GeneratorSpec)[1:]:
+        how = {"action": "store_true"} if types[f.name] is bool else {"type": types[f.name]}
+        flag = ("-" if len(f.name) == 1 else "--") + f.name
+        p.add_argument(flag, default=argparse.SUPPRESS, help=f.metadata.get("help"), **how)
 
 
 def _spec_from_args(args) -> GeneratorSpec:
-    return GeneratorSpec(
-        family=args.family,
-        n=args.n,
-        p=args.p,
-        k=args.k,
-        m=args.m,
-        rows=args.rows,
-        cols=args.cols,
-        diagonals=args.diagonals,
-        seed=args.seed,
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(GeneratorSpec)[1:] if hasattr(args, f.name)}
+    check_params(args.family, given)
+    return GeneratorSpec(family=args.family, **given)
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:

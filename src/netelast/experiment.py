@@ -15,11 +15,12 @@ import math
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .errors import NetelastError, ParameterError, ParseError
-from .generators import GeneratorSpec
+from .generators import FAMILIES, GeneratorSpec, check_params
 from .graph import METRICS_CSV_HEADER, Graph, MetricsReport, fmt, load_edge_list, metrics, write_lines
 from .robustness import ATTACK_KINDS, AttackStrategy, ElasticityCurve, TradeoffParams, elasticity, tradeoff_re
 from .throughput import ThroughputModel
@@ -73,6 +74,8 @@ class ExperimentConfig:
         names = [t.name for t in self.topologies]
         if len(set(names)) != len(names):
             raise ParameterError("topology names must be unique")
+        if len(set(self.attacks)) != len(self.attacks):
+            raise ParameterError("attack kinds must be unique")
         if not 0.0 < self.stop_fraction <= 1.0:
             raise ParameterError(f"stop_fraction must be in (0, 1], got {self.stop_fraction}")
         if self.batch < 1:
@@ -80,9 +83,6 @@ class ExperimentConfig:
         for a in self.attacks:
             if a not in ATTACK_KINDS:
                 raise ParameterError(f"unknown attack {a!r}")
-
-
-_GEN_INT_KEYS = ("n", "k", "m", "rows", "cols", "seed")
 
 
 def _read(get, key, default, noun):
@@ -121,6 +121,7 @@ def load_config(path) -> ExperimentConfig:
         **{f.name: _read(exp.getfloat, f.name, f.default, "a number") for f in fields(TradeoffParams)}
     )
 
+    types = get_type_hints(GeneratorSpec)
     topologies: list[TopologyDecl] = []
     for section in parser.sections():
         if not section.startswith("topology:"):
@@ -128,28 +129,29 @@ def load_config(path) -> ExperimentConfig:
                 raise ParseError(f"unknown section [{section}]")
             continue
         name = section.split(":", 1)[1].strip()
-        if not name:
-            raise ParseError(f"empty topology name in [{section}]")
+        if not name or {",", "/"} & set(name):
+            raise ParseError(f"topology name in [{section}] must be nonempty, without ',' or '/'")
         items = parser[section]
         if "path" in items:
+            extra = [key for key in items if key != "path"]
+            if extra:
+                raise ParseError(f"topology {name!r}: a path section takes only path; got {extra[0]!r}")
             topologies.append(TopologyDecl(name=name, path=(base / items["path"]).resolve()))
             continue
         if "family" not in items:
             raise ParseError(f"topology {name!r} needs either `path` or `family`")
-        kwargs: dict = {"family": items["family"].strip()}
+        family = items["family"].strip()
+        given = [key for key in items if key != "family"]
         try:
-            for key in _GEN_INT_KEYS:
-                if key in items:
-                    kwargs[key] = int(items[key])
-            if "p" in items:
-                kwargs["p"] = float(items["p"])
-            if "diagonals" in items:
-                kwargs["diagonals"] = items.getboolean("diagonals")
+            check_params(family, given)
+            kwargs = {k: items.getboolean(k) if types[k] is bool else types[k](items[k]) for k in given}
+        except ParameterError as exc:
+            raise ParseError(f"topology {name!r}: {exc}") from None
         except ValueError:
             raise ParseError(f"bad numeric value in topology {name!r}") from None
-        if "seed" not in items:
+        if "seed" in FAMILIES[family][1] and "seed" not in items:
             kwargs["seed"] = derive_seed(global_seed, name)
-        topologies.append(TopologyDecl(name=name, spec=GeneratorSpec(**kwargs)))
+        topologies.append(TopologyDecl(name=name, spec=GeneratorSpec(family, **kwargs)))
 
     if not topologies:
         raise ParseError(f"config {path} declares no topologies")

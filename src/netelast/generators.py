@@ -6,12 +6,12 @@ determines the edge set, so experiment grids are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError
-from .graph import Graph
+from .graph import Graph, seeded_rng
 
 __all__ = [
     "GeneratorSpec",
@@ -21,9 +21,8 @@ __all__ = [
     "gen_near_regular",
     "gen_mesh",
     "FAMILIES",
+    "check_params",
 ]
-
-FAMILIES = ("gilbert", "watts_strogatz", "preferential_attachment", "near_regular", "mesh")
 
 
 def gen_gilbert(n: int, p: float, seed: int) -> Graph:
@@ -32,7 +31,7 @@ def gen_gilbert(n: int, p: float, seed: int) -> Graph:
         raise ParameterError(f"gilbert needs n >= 2, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"edge probability must be in [0, 1], got {p}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     pairs = np.column_stack(np.triu_indices(n, k=1))
     mask = rng.random(pairs.shape[0]) < p
     return Graph.from_edges(n, pairs[mask])
@@ -52,7 +51,7 @@ def gen_watts_strogatz(n: int, k: int, p: float, seed: int) -> Graph:
         raise ParameterError(f"need n > k, got n={n}, k={k}")
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"rewiring probability must be in [0, 1], got {p}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     pair = lambda a, b: (a, b) if a < b else (b, a)
     edges = {pair(i, (i + d) % n) for d in range(1, k // 2 + 1) for i in range(n)}
     for d in range(1, k // 2 + 1):
@@ -82,7 +81,7 @@ def gen_preferential_attachment(n: int, m: int, seed: int) -> Graph:
         raise ParameterError(f"attachment count m must be >= 1, got {m}")
     if n <= m:
         raise ParameterError(f"need n > m, got n={n}, m={m}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     pairs: list[tuple[int, int]] = []
     repeated: list[int] = []  # one entry per degree unit
     for u in range(m + 1):
@@ -101,9 +100,9 @@ def gen_preferential_attachment(n: int, m: int, seed: int) -> Graph:
     return Graph.from_edges(n, pairs)
 
 
-def gen_near_regular(rows: int, cols: int, diagonals: bool, seed: int = 0) -> Graph:
+def gen_near_regular(rows: int, cols: int, diagonals: bool) -> Graph:
     """Planar grid with unit edges; with diagonals, nodes at distance
-    sqrt(2) are connected as well.  Deterministic (the seed is unused).
+    sqrt(2) are connected as well.  Deterministic.
     """
     if rows < 2 or cols < 2:
         raise ParameterError(f"grid needs rows, cols >= 2, got {rows}x{cols}")
@@ -123,39 +122,49 @@ def gen_mesh(n: int) -> Graph:
     return Graph.from_edges(n, np.column_stack(np.triu_indices(n, k=1)))
 
 
+# family -> (generator, the GeneratorSpec fields it takes, in call order)
+FAMILIES = {
+    "gilbert": (gen_gilbert, ("n", "p", "seed")),
+    "watts_strogatz": (gen_watts_strogatz, ("n", "k", "p", "seed")),
+    "preferential_attachment": (gen_preferential_attachment, ("n", "m", "seed")),
+    "near_regular": (gen_near_regular, ("rows", "cols", "diagonals")),
+    "mesh": (gen_mesh, ("n",)),
+}
+
+
+def check_params(family: str, given) -> None:
+    """Reject an unknown family, or a parameter in `given` that it does not take."""
+    if family not in FAMILIES:
+        raise ParameterError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
+    takes = FAMILIES[family][1]
+    for key in given:
+        if key not in takes:
+            raise ParameterError(f"family {family} takes {', '.join(takes)}; got {key!r}")
+
+
 @dataclass
 class GeneratorSpec:
-    """Declarative description of one generator call, as used by experiment
-    configs.  Fields that a family does not use may stay at their defaults.
+    """Declarative description of one generator call.  FAMILIES names the
+    fields each family takes; the others may stay at their defaults.
     """
 
     family: str
-    n: int = 0
-    p: float = 0.0
-    k: int = 0
-    m: int = 0
+    n: int = field(default=0, metadata={"help": "node count"})
+    p: float = field(default=0.0, metadata={"help": "edge/rewiring probability"})
+    k: int = field(default=0, metadata={"help": "ring-lattice neighbour count"})
+    m: int = field(default=0, metadata={"help": "links per arriving node"})
     rows: int = 0
     cols: int = 0
     diagonals: bool = False
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ParameterError(
-                f"unknown family {self.family!r}; expected one of {', '.join(FAMILIES)}"
-            )
+        check_params(self.family, ())
 
     def build(self) -> Graph:
-        if self.family == "gilbert":
-            return gen_gilbert(self.n, self.p, self.seed)
-        if self.family == "watts_strogatz":
-            return gen_watts_strogatz(self.n, self.k, self.p, self.seed)
-        if self.family == "preferential_attachment":
-            return gen_preferential_attachment(self.n, self.m, self.seed)
-        if self.family == "near_regular":
-            if self.rows * self.cols != self.n and self.n:
-                raise ParameterError(
-                    f"near_regular rows*cols must equal n, got {self.rows}x{self.cols} != {self.n}"
-                )
-            return gen_near_regular(self.rows, self.cols, self.diagonals, self.seed)
-        return gen_mesh(self.n)
+        if self.family == "near_regular" and self.n and self.rows * self.cols != self.n:
+            got = f"{self.rows}x{self.cols} != {self.n}"
+            raise ParameterError(f"near_regular rows*cols must equal n, got {got}")
+        gen, takes = FAMILIES[self.family]
+        # called through the module attribute, so a wrapper put there sees the call
+        return globals()[gen.__name__](*(getattr(self, k) for k in takes))

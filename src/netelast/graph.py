@@ -1,5 +1,5 @@
 """Undirected simple graph with stable node ids, the structural metrics, and
-the plain-text writer and number format that every output file uses.
+the text writer, number format and seeded random generator the modules share.
 
 Nodes are integers 0..n-1.  Removing a node leaves its id in place as an
 inert slot, so attack sequences and reports can keep referring to original
@@ -40,6 +40,13 @@ def fmt(x: float) -> str:
     if isinstance(x, float) and math.isnan(x):
         return "NaN"
     return f"{x:.7g}"
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's generator for `seed`, which must be a nonnegative integer."""
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def write_lines(target, lines) -> None:
@@ -229,18 +236,10 @@ def load_edge_list(source) -> Graph:
     and self-loops are rejected so that data errors in ingested files
     surface instead of being silently merged.
 
-    `source` may be a str/bytes payload, a Path, or an open text file.
+    `source` is a path (str or Path) or an open text file, as for
+    save_edge_list.
     """
-    if isinstance(source, Path):
-        text = source.read_text()
-    elif isinstance(source, bytes):
-        text = source.decode()
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode()
+    text = Path(source).read_text() if isinstance(source, (str, Path)) else source.read()
 
     declared_n: int | None = None
     pairs: list[tuple[int, int, int]] = []  # (u, v, line_no)

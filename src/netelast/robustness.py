@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ComputeError, ParameterError
-from .graph import Graph, betweenness, fmt, write_lines
+from .graph import Graph, betweenness, fmt, seeded_rng, write_lines
 from .throughput import ThroughputModel, raw_throughput
 
 __all__ = [
@@ -75,7 +75,7 @@ def _removal_batches(g: Graph, strategy: AttackStrategy, limit: int):
     rankings are recomputed on the copy before every batch.
     """
     if strategy.kind == "random":
-        rng = np.random.default_rng(strategy.seed)
+        rng = seeded_rng(strategy.seed)
         order = [int(v) for v in rng.permutation(g.nodes)]
     elif not strategy.recompute:
         order = _rank(g, strategy.kind)

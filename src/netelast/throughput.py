@@ -23,7 +23,7 @@ from scipy.optimize import linprog
 
 from . import _csr
 from .errors import ComputeError, GraphSizeError, ParameterError
-from .graph import Graph
+from .graph import Graph, seeded_rng
 
 __all__ = [
     "ThroughputModel",
@@ -81,7 +81,7 @@ class ModelComparison:
 
 def _tie_rng(model: ThroughputModel) -> np.random.Generator | None:
     """The seeded generator for random tie-breaking, None for sequential."""
-    return np.random.default_rng(model.seed) if model.tie_break == "random" else None
+    return seeded_rng(model.seed) if model.tie_break == "random" else None
 
 
 # -- shortest-path trees -------------------------------------------------------

@@ -1,5 +1,7 @@
 """CLI surface: subcommands, formats, exit codes."""
 
+import io
+
 import pytest
 
 import netelast as ne
@@ -21,7 +23,7 @@ class TestGenerate:
         assert main(["generate", "--family", "mesh", "-n", "4"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("# nodes 4\n")
-        assert ne.load_edge_list(out).number_of_edges == 6
+        assert ne.load_edge_list(io.StringIO(out)).number_of_edges == 6
 
     def test_seeded_output_is_stable(self, capsys):
         args = ["generate", "--family", "gilbert", "-n", "30", "-p", "0.2", "--seed", "5"]
@@ -35,6 +37,25 @@ class TestGenerate:
         assert main(["generate", "--family", "mesh", "-n", "5", "--out", str(target)]) == 0
         assert ne.load_edge_list(target).number_of_edges == 10
 
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--family", "mesh", "-n", "4", "-k", "3"],
+            ["--family", "mesh", "-n", "4", "--seed", "1"],
+            ["--family", "near_regular", "-n", "6", "--rows", "2", "--cols", "3"],
+            ["--family", "gilbert", "-n", "10", "-p", "0.3", "--diagonals"],
+        ],
+        ids=["mesh_k", "mesh_seed", "grid_n", "gilbert_diagonals"],
+    )
+    def test_flag_the_family_does_not_take_is_3(self, args, capsys):
+        assert main(["generate", *args]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("netelast: parameter error: family ") and err.count("\n") == 1
+
+    def test_negative_seed_is_3(self, capsys):
+        assert main(["generate", "--family", "gilbert", "-n", "10", "-p", "0.3", "--seed", "-1"]) == 3
+        assert capsys.readouterr().err == "netelast: parameter error: seed must be >= 0, got -1\n"
 
 class TestMetrics:
     def test_prints_header_and_row(self, star_file, capsys):
@@ -57,6 +78,10 @@ class TestAttack:
 
     def test_random_needs_seed(self, star_file, capsys):
         assert main(["attack", "--input", str(star_file), "--attack", "random"]) == 3
+
+    def test_negative_seed_is_3(self, star_file, capsys):
+        assert main(["attack", "--input", str(star_file), "--attack", "random", "--seed", "-3"]) == 3
+        assert capsys.readouterr().err == "netelast: parameter error: seed must be >= 0, got -3\n"
 
 
 class TestElasticity:
@@ -117,6 +142,26 @@ class TestRun:
         )
         assert main(["run", "--config", str(tmp_path / "grid.ini")]) == 0
         assert (tmp_path / "out" / "ranking.csv").exists()
+
+    def test_repeated_attack_is_3(self, tmp_path, capsys):
+        (tmp_path / "grid.ini").write_text(
+            "[experiment]\nattacks = highest_degree, highest_degree\n"
+            "[topology:m]\nfamily = mesh\nn = 8\n"
+        )
+        assert main(["run", "--config", str(tmp_path / "grid.ini")]) == 3
+
+    @pytest.mark.parametrize("name", ["a,b", "ring/1"])
+    def test_bad_topology_name_is_2(self, tmp_path, name, capsys):
+        (tmp_path / "grid.ini").write_text(f"[experiment]\n[topology:{name}]\nfamily = mesh\nn = 8\n")
+        assert main(["run", "--config", str(tmp_path / "grid.ini")]) == 2
+        assert not (tmp_path / "results").exists()
+
+    def test_unknown_topology_key_is_2(self, tmp_path, capsys):
+        (tmp_path / "grid.ini").write_text(
+            "[experiment]\n[topology:ws]\nfamily = watts_strogatz\nn = 40\nk = 4\nbeta = 0.3\n"
+        )
+        assert main(["run", "--config", str(tmp_path / "grid.ini")]) == 2
+        assert "'ws'" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -149,6 +149,52 @@ class TestLoadConfig:
             load_config(p)
 
 
+    @pytest.mark.parametrize(
+        "body,key",
+        [
+            ("family = watts_strogatz\nn = 40\nk = 4\nbeta = 0.3\n", "beta"),
+            ("family = watts_strogatz\nn = 40\nk = 4\np = 0.3\nm = 2\n", "m"),
+            ("family = mesh\nn = 4\nseed = 3\n", "seed"),
+            ("family = near_regular\nrows = 2\ncols = 3\nn = 6\n", "n"),
+            ("path = k4.edges\nfamily = mesh\n", "family"),
+            ("path = k4.edges\nn = 4\n", "n"),
+        ],
+        ids=["ws_beta", "ws_m", "mesh_seed", "grid_n", "path_and_family", "path_and_n"],
+    )
+    def test_parameter_the_section_does_not_take(self, tmp_path, body, key):
+        p = tmp_path / "bad.ini"
+        p.write_text("[experiment]\n[topology:t]\n" + body)
+        with pytest.raises(ne.ParseError, match=f"topology 't': .* takes .*; got '{key}'"):
+            load_config(p)
+
+    def test_keys_read_by_field_type(self, tmp_path):
+        p = tmp_path / "grid.ini"
+        p.write_text(
+            "[experiment]\nglobal_seed = 5\n"
+            "[topology:ws]\nfamily = watts_strogatz\nn = 40\nk = 4\np = 0.25\nseed = 8\n"
+            "[topology:grid]\nfamily = near_regular\nrows = 2\ncols = 3\ndiagonals = yes\n"
+        )
+        ws, grid = (t.spec for t in load_config(p).topologies)
+        assert ws == ne.GeneratorSpec("watts_strogatz", n=40, k=4, p=0.25, seed=8)
+        assert grid == ne.GeneratorSpec("near_regular", rows=2, cols=3, diagonals=True)
+
+    @pytest.mark.parametrize("name", ["a,b", "ring/1"])
+    def test_name_that_breaks_output_files(self, tmp_path, name):
+        p = tmp_path / "bad.ini"
+        p.write_text(f"[experiment]\n[topology:{name}]\nfamily = mesh\nn = 4\n")
+        with pytest.raises(ne.ParseError, match=f"topology:{name}"):
+            load_config(p)
+
+    def test_repeated_attack_rejected(self, tmp_path):
+        p = tmp_path / "bad.ini"
+        p.write_text(
+            "[experiment]\nattacks = highest_degree, highest_degree\n"
+            "[topology:a]\nfamily = mesh\nn = 4\n"
+        )
+        with pytest.raises(ne.ParameterError, match="unique"):
+            load_config(p)
+
+
 class TestDeriveSeed:
     def test_stable_across_calls(self):
         assert derive_seed(42, "gi") == derive_seed(42, "gi")
@@ -226,6 +272,18 @@ class TestRunExperiment:
         assert "ghost" in report.errors
         assert ("ok", "random") in report.curves
         assert "ERROR" in (report.output_dir / "run.log").read_text()
+
+    def test_negative_seed_yields_nan_row_and_run_continues(self, tmp_path):
+        (tmp_path / "grid.ini").write_text(
+            "[experiment]\noutput_dir = out\nattacks = highest_degree\n"
+            "[topology:bad]\nfamily = gilbert\nn = 10\np = 0.3\nseed = -1\n"
+            "[topology:ok]\nfamily = mesh\nn = 4\n"
+        )
+        report = run_experiment(load_config(tmp_path / "grid.ini"))
+        assert "seed must be >= 0" in report.errors["bad"]
+        assert ("ok", "highest_degree") in report.curves
+        assert "bad,NaN,NaN,NaN,NaN,NaN,NaN" in (report.output_dir / "metrics.csv").read_text()
+        assert "topology bad: ERROR" in (report.output_dir / "run.log").read_text()
 
     def test_workers_key_is_ignored(self, tmp_path):
         base = (

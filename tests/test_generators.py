@@ -1,12 +1,15 @@
 """Topology generators: counts, determinism, structural invariants."""
 
 import hashlib
+import inspect
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import netelast as ne
+from netelast.generators import FAMILIES, check_params
 
 
 class TestGilbert:
@@ -190,3 +193,28 @@ class TestDeterminism:
     def test_unknown_family_rejected(self):
         with pytest.raises(ne.ParameterError):
             ne.GeneratorSpec(family="smallworld", n=10)
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_entry_matches_generator_signature(self, family):
+        gen, takes = FAMILIES[family]
+        assert set(takes) <= {f.name for f in fields(ne.GeneratorSpec)} - {"family"}
+        assert tuple(inspect.signature(gen).parameters) == takes
+
+    def test_unknown_parameter_named(self):
+        with pytest.raises(ne.ParameterError, match="mesh takes n; got 'k'"):
+            check_params("mesh", ["n", "k"])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ne.gen_gilbert(10, 0.3, seed=-1),
+            lambda: ne.gen_watts_strogatz(10, 4, 0.3, seed=-1),
+            lambda: ne.gen_preferential_attachment(10, 2, seed=-1),
+        ],
+        ids=["gilbert", "ws", "pa"],
+    )
+    def test_negative_seed_rejected(self, make):
+        with pytest.raises(ne.ParameterError, match="seed must be >= 0"):
+            make()

@@ -23,38 +23,38 @@ from conftest import (
 
 class TestEdgeList:
     def test_path_of_three(self):
-        g = ne.load_edge_list("0 1\n1 2")
+        g = ne.load_edge_list(io.StringIO("0 1\n1 2"))
         assert g.number_of_nodes == 3
         assert g.number_of_edges == 2
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ne.ParseError, match="duplicate"):
-            ne.load_edge_list("0 1\n1 0")
+            ne.load_edge_list(io.StringIO("0 1\n1 0"))
 
     def test_self_loop_rejected(self):
         with pytest.raises(ne.ParseError, match="self-loop"):
-            ne.load_edge_list("0 0")
+            ne.load_edge_list(io.StringIO("0 0"))
 
     def test_non_integer_rejected(self):
         with pytest.raises(ne.ParseError, match="non-integer"):
-            ne.load_edge_list("0 x")
+            ne.load_edge_list(io.StringIO("0 x"))
 
     def test_error_carries_line_number(self):
         with pytest.raises(ne.ParseError, match="line 3"):
-            ne.load_edge_list("0 1\n1 2\n2 2")
+            ne.load_edge_list(io.StringIO("0 1\n1 2\n2 2"))
 
     def test_comments_and_blank_lines_ignored(self):
-        g = ne.load_edge_list("# a comment\n\n0 1\n# another\n1 2\n")
+        g = ne.load_edge_list(io.StringIO("# a comment\n\n0 1\n# another\n1 2\n"))
         assert g.number_of_edges == 2
 
     def test_nodes_header_declares_isolated(self):
-        g = ne.load_edge_list("# nodes 5\n0 1\n")
+        g = ne.load_edge_list(io.StringIO("# nodes 5\n0 1\n"))
         assert g.number_of_nodes == 5
         assert g.number_of_edges == 1
 
     def test_header_too_small_rejected(self):
         with pytest.raises(ne.ParseError):
-            ne.load_edge_list("# nodes 2\n0 3\n")
+            ne.load_edge_list(io.StringIO("# nodes 2\n0 3\n"))
 
     def test_roundtrip_identity(self, rng):
         for _ in range(20):
@@ -65,9 +65,14 @@ class TestEdgeList:
                     g.add_edge(u, v)
             buf = io.StringIO()
             save_edge_list(g, buf)
-            h = ne.load_edge_list(buf.getvalue())
+            h = ne.load_edge_list(io.StringIO(buf.getvalue()))
             assert h.number_of_nodes == g.number_of_nodes
             assert h.edges() == g.edges()
+
+    def test_roundtrip_through_str_path(self, tmp_path):
+        p = tmp_path / "k3.edges"
+        save_edge_list(ne.gen_mesh(3), str(p))
+        assert ne.load_edge_list(str(p)).edges() == [(0, 1), (0, 2), (1, 2)]
 
     def test_load_from_stream(self):
         g = ne.load_edge_list(io.StringIO("0 1\n"))

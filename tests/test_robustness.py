@@ -33,6 +33,10 @@ class TestAttackSequence:
         assert sorted(a) == [0, 1, 2, 3, 4, 5]
         assert a != c
 
+    def test_negative_random_seed_rejected(self):
+        with pytest.raises(ne.ParameterError, match="seed must be >= 0"):
+            ne.attack_sequence(ne.gen_mesh(6), AttackStrategy("random", seed=-3))
+
     def test_adaptive_reranks_after_removal(self):
         # hub 0 with three leaves plus a tail 0-1-2-3-4-5: removing the hub
         # drops node 1 to degree one, so the adaptive attack jumps to node 2

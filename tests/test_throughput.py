@@ -376,6 +376,11 @@ class TestModelValidation:
         with pytest.raises(ne.ParameterError):
             ThroughputModel(tie_break="random")
 
+    def test_negative_tie_seed_rejected(self):
+        model = ThroughputModel(tie_break="random", seed=-1)
+        with pytest.raises(ne.ParameterError, match="seed must be >= 0"):
+            ne.evaluate_throughput(ne.gen_mesh(4), model)
+
     def test_random_tie_break_mean_close_to_sequential(self):
         # the modified tie-break changes throughput only marginally
         g = ne.gen_near_regular(3, 3, True)
