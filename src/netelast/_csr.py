@@ -159,21 +159,15 @@ def bfs(indptr: np.ndarray, indices: np.ndarray, sources, n: int, reach=None):
     return dist, frontiers, level_edges
 
 
-def brandes(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    sources: np.ndarray,
-    n: int,
-    reach: np.ndarray,
-    accum: np.ndarray,
-) -> None:
-    """Add the dependency contribution of each of `sources`, in order, into
+def brandes(traversal, n: int, accum: np.ndarray) -> None:
+    """Add the dependency contribution of the sources of one bfs result
+    `traversal` = (dist, frontiers, level_edges), in source order, into
     `accum`.
 
     Standard shortest-path counting with even splitting over equal-length
     paths, done level-by-level with bincount scatter-adds over flat ids.
     """
-    dist, frontiers, level_edges = bfs(indptr, indices, sources, n, reach)
+    dist, frontiers, level_edges = traversal
     sigma = np.zeros(dist.size)
     sigma[frontiers[0]] = 1.0
     for tails, heads, _ in level_edges:

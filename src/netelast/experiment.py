@@ -22,7 +22,8 @@ import numpy as np
 from .errors import NetelastError, ParameterError, ParseError
 from .generators import FAMILIES, GeneratorSpec, check_params
 from .graph import METRICS_CSV_HEADER, Graph, MetricsReport, fmt, load_edge_list, metrics, write_lines
-from .robustness import ATTACK_KINDS, AttackStrategy, ElasticityCurve, TradeoffParams, elasticity, tradeoff_re
+from .robustness import ATTACK_KINDS, AttackStrategy, ElasticityCurve, TradeoffParams, _curve, _intact, tradeoff_re
+from .robustness import elasticity  # noqa: F401  (a module attribute that profilers wrap)
 from .throughput import ThroughputModel
 
 __all__ = [
@@ -85,12 +86,8 @@ class ExperimentConfig:
                 raise ParameterError(f"unknown attack {a!r}")
 
 
-def _read(get, key, default, noun):
-    """One [experiment] key through a SectionProxy getter, e.g. `getint`."""
-    try:
-        return get(key, default)
-    except ValueError:
-        raise ParseError(f"key {key!r} is not {noun}") from None
+# [experiment] keys of earlier versions, accepted and ignored
+_RETIRED_KEYS = ("workers",)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -107,18 +104,24 @@ def load_config(path) -> ExperimentConfig:
         raise ParseError(f"config {path} has no [experiment] section")
     exp = parser["experiment"]
     base = path.parent
+    # tie_seed is read only for the random tie-break but allowed with either
+    used = {"tie_seed", *_RETIRED_KEYS}
 
-    global_seed = _read(exp.getint, "global_seed", 0, "an integer")
-    tie_break = exp.get("tie_break", "sequential")
-    tie_seed = _read(exp.getint, "tie_seed", 0, "an integer") if tie_break == "random" else None
-    model = ThroughputModel(
-        kind=exp.get("model", "dijkstra_homogeneous"),
-        tie_break=tie_break,
-        seed=tie_seed,
-    )
-    attacks = [a.strip() for a in exp.get("attacks", ",".join(ATTACK_KINDS)).split(",") if a.strip()]
+    def read(key, default, get=exp.get, noun=""):
+        """One [experiment] key through a SectionProxy getter, e.g. `getint`."""
+        used.add(key)
+        try:
+            return get(key, default)
+        except ValueError:
+            raise ParseError(f"key {key!r} is not {noun}") from None
+
+    global_seed = read("global_seed", 0, exp.getint, "an integer")
+    tie_break = read("tie_break", "sequential")
+    tie_seed = read("tie_seed", 0, exp.getint, "an integer") if tie_break == "random" else None
+    model = ThroughputModel(kind=read("model", "dijkstra_homogeneous"), tie_break=tie_break, seed=tie_seed)
+    attacks = [a.strip() for a in read("attacks", ",".join(ATTACK_KINDS)).split(",") if a.strip()]
     tradeoff = TradeoffParams(
-        **{f.name: _read(exp.getfloat, f.name, f.default, "a number") for f in fields(TradeoffParams)}
+        **{f.name: read(f.name, f.default, exp.getfloat, "a number") for f in fields(TradeoffParams)}
     )
 
     types = get_type_hints(GeneratorSpec)
@@ -156,17 +159,21 @@ def load_config(path) -> ExperimentConfig:
     if not topologies:
         raise ParseError(f"config {path} declares no topologies")
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         topologies=topologies,
         attacks=attacks,
         model=model,
-        stop_fraction=_read(exp.getfloat, "stop_fraction", 1.0, "a number"),
+        stop_fraction=read("stop_fraction", 1.0, exp.getfloat, "a number"),
         tradeoff=tradeoff,
-        output_dir=(base / exp.get("output_dir", "results")),
+        output_dir=base / read("output_dir", "results"),
         global_seed=global_seed,
-        batch=_read(exp.getint, "batch", 1, "an integer"),
-        recompute=_read(exp.getboolean, "recompute", True, "a boolean"),
+        batch=read("batch", 1, exp.getint, "an integer"),
+        recompute=read("recompute", True, exp.getboolean, "a boolean"),
     )
+    unknown = [key for key in exp if key not in used]
+    if unknown:
+        raise ParseError(f"unknown key {unknown[0]!r} in [experiment]")
+    return config
 
 
 @dataclass
@@ -201,6 +208,22 @@ def _build_topology(decl: TopologyDecl) -> Graph:
 def _attack_strategy(config: ExperimentConfig, topo: str, kind: str) -> AttackStrategy:
     seed = derive_seed(config.global_seed, topo, kind) if kind == "random" else None
     return AttackStrategy(kind=kind, seed=seed, recompute=config.recompute, batch=config.batch)
+
+
+def _topology_curves(config: ExperimentConfig, name: str, g: Graph) -> dict[str, ElasticityCurve | Exception]:
+    """Each attack cell of topology `name`: its curve, or the error that
+    ended it.  The intact graph is evaluated once for all the cells."""
+    try:
+        intact = _intact(g, config.model, config.stop_fraction, "highest_betweenness" in config.attacks)
+    except (NetelastError, OSError) as exc:
+        return dict.fromkeys(config.attacks, exc)
+    cells: dict[str, ElasticityCurve | Exception] = {}
+    for kind in config.attacks:
+        try:
+            cells[kind] = _curve(g, _attack_strategy(config, name, kind), config.model, config.stop_fraction, intact)
+        except (NetelastError, OSError) as exc:
+            cells[kind] = exc
+    return cells
 
 
 def _pearson(xs: list[float], ys: list[float]) -> float:
@@ -243,17 +266,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             log_lines.append(f"topology {decl.name}: ERROR {exc}")
 
     curves: dict[tuple[str, str], ElasticityCurve] = {}
-    for decl in config.topologies:
-        name = decl.name
-        if name not in graphs:
-            continue
-        for kind in config.attacks:
-            strategy = _attack_strategy(config, name, kind)
-            try:
-                curve = elasticity(graphs[name], strategy, config.model, config.stop_fraction)
-            except (NetelastError, OSError) as exc:
-                errors[f"{name}/{kind}"] = str(exc)
-                log_lines.append(f"cell {name}/{kind}: ERROR {exc}")
+    for name, g in graphs.items():
+        for kind, curve in _topology_curves(config, name, g).items():
+            if not isinstance(curve, ElasticityCurve):
+                errors[f"{name}/{kind}"] = str(curve)
+                log_lines.append(f"cell {name}/{kind}: ERROR {curve}")
                 continue
             curves[(name, kind)] = curve
             curve.write_csv(curves_dir / f"{name}_{kind}.csv")

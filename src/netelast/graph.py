@@ -135,7 +135,8 @@ class Graph:
             if gone[v]:
                 raise ParameterError(f"node {v} given twice")
             gone[v] = True
-        keep = ~gone[self._indices]
+        # one node (the loop's v): a compare is cheaper than a gather per arc
+        keep = self._indices != v if len(vs) == 1 else ~gone[self._indices]
         counts = np.diff(self._indptr)
         for v in vs:
             lo, hi = self._indptr[v], self._indptr[v + 1]
@@ -321,7 +322,7 @@ def betweenness(g: Graph) -> np.ndarray:
     sources = np.flatnonzero(g._present)
     reach = _csr.component_reach(indptr, indices, n, sources)
     for part in _csr.source_blocks(sources.size, n, indices.size):
-        _csr.brandes(indptr, indices, sources[part], n, reach[part], accum)
+        _csr.brandes(_csr.bfs(indptr, indices, sources[part], n, reach[part]), n, accum)
     return accum / 2.0
 
 

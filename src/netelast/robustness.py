@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ComputeError, ParameterError
 from .graph import Graph, betweenness, fmt, seeded_rng, write_lines
+from . import throughput
 from .throughput import ThroughputModel, raw_throughput
 
 __all__ = [
@@ -59,36 +60,51 @@ class AttackStrategy:
             raise ParameterError(f"{self.kind} attack takes no seed")
 
 
-def _rank(g: Graph, kind: str) -> list[int]:
-    """Present nodes ordered by descending score, ties to the smaller id."""
+def _rank(g: Graph, kind: str, scores: np.ndarray | None) -> list[int]:
+    """Present nodes ordered by descending score, ties to the smaller id; a
+    betweenness ranking reads `scores`, the betweenness of `g`."""
     nodes = np.flatnonzero(g._present)
-    scores = g.degrees() if kind == "highest_degree" else betweenness(g)[nodes]
+    scores = g.degrees() if kind == "highest_degree" else scores[nodes]
     return nodes[np.lexsort((nodes, -scores))].tolist()
 
 
-def _removal_batches(g: Graph, strategy: AttackStrategy, limit: int):
+def _evaluate(g: Graph, model: ThroughputModel | None, rank: bool):
+    """(raw throughput of `g` under `model`, None without a model; the
+    betweenness of `g` when `rank` is set, else None).  The homogeneous
+    model takes both from one routing traversal."""
+    if rank and model is not None and model.kind == "dijkstra_homogeneous":
+        accum = np.zeros(g.id_space)
+        # through the module attribute, so a wrapper installed there sees it
+        return throughput._raw_homogeneous(g, model, accum)[0], accum / 2.0
+    return None if model is None else raw_throughput(g, model), betweenness(g) if rank else None
+
+
+def _attack(g: Graph, strategy: AttackStrategy, limit: int, model: ThroughputModel | None, scores):
     """Remove the first `limit` nodes of the attack from a working copy of `g`,
-    one batch of `strategy.batch` at a time, yielding (copy, batch) after
-    each batch.
+    one batch of `strategy.batch` at a time, yielding (batch, raw throughput
+    of the copy under `model`) after each.
 
     Random and static orders are fixed on the intact graph; adaptive
-    rankings are recomputed on the copy before every batch.
+    rankings are recomputed on the copy before every batch.  A betweenness
+    ranking reads `scores` on the intact graph and, after a batch, the
+    betweenness that the copy's evaluation returned.
     """
     if strategy.kind == "random":
-        rng = seeded_rng(strategy.seed)
-        order = [int(v) for v in rng.permutation(g.nodes)]
+        order = [int(v) for v in seeded_rng(strategy.seed).permutation(g.nodes)]
     elif not strategy.recompute:
-        order = _rank(g, strategy.kind)
+        order = _rank(g, strategy.kind, scores)
     else:
         order = None
+    rerank = order is None and strategy.kind == "highest_betweenness"
     work = g.copy()
     removed = 0
     while removed < limit:
         step = min(strategy.batch, limit - removed)
-        batch = _rank(work, strategy.kind)[:step] if order is None else order[removed : removed + step]
+        batch = _rank(work, strategy.kind, scores)[:step] if order is None else order[removed : removed + step]
         work.remove_nodes(batch)
         removed += step
-        yield work, batch
+        raw, scores = _evaluate(work, model, rerank and removed < limit)
+        yield batch, raw
 
 
 def attack_sequence(g: Graph, strategy: AttackStrategy) -> list[int]:
@@ -97,7 +113,8 @@ def attack_sequence(g: Graph, strategy: AttackStrategy) -> list[int]:
     The input graph is not modified.  For adaptive strategies the ranking is
     refreshed once per batch of `strategy.batch` removals.
     """
-    return [v for _, batch in _removal_batches(g, strategy, g.number_of_nodes) for v in batch]
+    scores = _evaluate(g, None, strategy.kind == "highest_betweenness")[1]
+    return [v for batch, _ in _attack(g, strategy, g.number_of_nodes, None, scores) for v in batch]
 
 
 @dataclass
@@ -152,34 +169,36 @@ def elasticity(
     batch of removals until ceil(stop_fraction * N) nodes are gone; batches
     wider than one node are linearly interpolated by the trapezoid rule.
     """
+    model = model or ThroughputModel()
+    intact = _intact(g, model, stop_fraction, strategy.kind == "highest_betweenness")
+    return _curve(g, strategy, model, stop_fraction, intact)
+
+
+def _intact(g: Graph, model: ThroughputModel, stop_fraction: float, rank: bool):
+    """(alpha, betweenness of `g` when `rank` is set) for the curves of `g`
+    under `model`: one evaluation that every attack on `g` can share."""
     if not 0.0 < stop_fraction <= 1.0:
         raise ParameterError(f"stop_fraction must be in (0, 1], got {stop_fraction}")
-    model = model or ThroughputModel()
-    n = g.number_of_nodes
-    if n == 0:
+    if g.number_of_nodes == 0:
         raise ComputeError("cannot attack an empty graph")
-    alpha = raw_throughput(g, model)
+    alpha, scores = _evaluate(g, model, rank)
     if alpha <= 0.0:
         raise ComputeError("elasticity undefined: initial throughput is 0")
+    return alpha, scores
 
-    fractions = [0.0]
-    normalized = [1.0]
-    removed = 0
-    for work, batch in _removal_batches(g, strategy, math.ceil(stop_fraction * n)):
+
+def _curve(g: Graph, strategy: AttackStrategy, model: ThroughputModel, stop_fraction: float, intact):
+    """elasticity() from the intact evaluation `intact` = _intact(...)."""
+    alpha, scores = intact
+    n = g.number_of_nodes
+    fractions, normalized, removed = [0.0], [1.0], 0
+    for batch, raw in _attack(g, strategy, math.ceil(stop_fraction * n), model, scores):
         removed += len(batch)
         fractions.append(removed / n)
-        normalized.append(raw_throughput(work, model) / alpha)
+        normalized.append(raw / alpha)
     fr = np.array(fractions)
     tp = np.array(normalized)
-    return ElasticityCurve(
-        fractions=fr,
-        normalized=tp,
-        elasticity=_trapezoid(fr, tp),
-        alpha=alpha,
-        strategy=strategy.kind,
-        model=model.kind,
-        seed=strategy.seed,
-    )
+    return ElasticityCurve(fr, tp, _trapezoid(fr, tp), alpha, strategy.kind, model.kind, strategy.seed)
 
 
 # -- analytic mesh bounds -------------------------------------------------------

@@ -106,22 +106,25 @@ def shortest_path_tree(
     return dist, pred
 
 
-def _route_all(indptr, indices, sources, n, rng, reach=None):
+def _route_all(indptr, indices, sources, n, rng, reach=None, accum=None):
     """Single-path routing from every source over the CSR arcs, one batched
     bfs per block of sources.
 
     Returns (loads, reached): per arc (aligned with `indices`) the number of
     source->dest paths crossing it, i.e. the size of the destination subtree
     below the arc; and a bool matrix whose row i marks the nodes that
-    sources[i] routes to.  `reach` is passed on to bfs.
+    sources[i] routes to.  `reach` is passed on to bfs.  With `accum`, each
+    block's traversal also adds its Brandes dependencies into it, in the
+    blocks and source order that graph.betweenness uses.
     """
     loads = np.zeros(indices.size)
     reached = np.zeros((len(sources), n), dtype=bool)
     for part in _csr.source_blocks(len(sources), n, indices.size):
         block = sources[part]
-        _, frontiers, level_edges = _csr.bfs(
-            indptr, indices, block, n, None if reach is None else reach[part]
-        )
+        traversal = _csr.bfs(indptr, indices, block, n, None if reach is None else reach[part])
+        if accum is not None:
+            _csr.brandes(traversal, n, accum)
+        _, frontiers, level_edges = traversal
         size = block.size * n
         pred, via = _csr.pick_predecessors(level_edges, size, n, rng)
         dests = np.flatnonzero(pred >= 0)
@@ -148,14 +151,15 @@ def throughput_dijkstra_homogeneous(g: Graph, model: ThroughputModel | None = No
     return ThroughputResult(raw_throughput=raw, per_pair_delivered=per_pair)
 
 
-def _raw_homogeneous(g: Graph, model: ThroughputModel) -> tuple[float, float, np.ndarray]:
+def _raw_homogeneous(g: Graph, model: ThroughputModel, accum=None) -> tuple[float, float, np.ndarray]:
     """(raw_throughput, uniform per-pair rate, reached matrix over the present
     sources) of the homogeneous model; the per-pair map is left to the caller
-    that needs it."""
+    that needs it.  With `accum`, the routing traversal also adds twice the
+    betweenness of every node id into it."""
     indptr, indices = g.csr()
     sources = np.flatnonzero(g._present)
     reach = _csr.component_reach(indptr, indices, g.id_space, sources)
-    util, reached = _route_all(indptr, indices, sources, g.id_space, _tie_rng(model), reach)
+    util, reached = _route_all(indptr, indices, sources, g.id_space, _tie_rng(model), reach, accum)
     max_util = util.max() if util.size else 0.0
     delta = 1.0 / max_util if max_util > 0 else 1.0
     return delta * np.count_nonzero(reached), delta, reached

@@ -164,6 +164,13 @@ class TestRun:
         assert "'ws'" in capsys.readouterr().err
 
 
+    def test_misspelt_experiment_key_is_2(self, tmp_path, capsys):
+        (tmp_path / "grid.ini").write_text("[experiment]\natacks = random\n[topology:m]\nfamily = mesh\nn = 8\n")
+        assert main(["run", "--config", str(tmp_path / "grid.ini")]) == 2
+        assert "'atacks'" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
+
 class TestExitCodes:
     def test_parse_error_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.edges"

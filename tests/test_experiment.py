@@ -6,6 +6,7 @@ import math
 import pytest
 
 import netelast as ne
+from netelast import robustness
 from netelast.experiment import derive_seed, fmt, load_config, run_experiment
 from netelast.graph import save_edge_list
 
@@ -185,6 +186,15 @@ class TestLoadConfig:
         with pytest.raises(ne.ParseError, match=f"topology:{name}"):
             load_config(p)
 
+    @pytest.mark.parametrize("typo", ["atacks = random", "stop_fracton = 0.5"])
+    def test_misspelt_experiment_key_rejected(self, tmp_path, typo):
+        # a misspelt key used to load silently with the default in its place
+        p = tmp_path / "c.ini"
+        p.write_text(f"[experiment]\n{typo}\n[topology:a]\nfamily = mesh\nn = 4\n")
+        key = typo.split(" = ")[0]
+        with pytest.raises(ne.ParseError, match=f"unknown key '{key}' in \\[experiment\\]"):
+            load_config(p)
+
     def test_repeated_attack_rejected(self, tmp_path):
         p = tmp_path / "bad.ini"
         p.write_text(
@@ -335,6 +345,52 @@ class TestRunExperiment:
         for kind in ne.robustness.ATTACK_KINDS:
             curve = f"curves/k4_{kind}.csv"
             assert (report.output_dir / curve).read_text() == (alone.output_dir / curve).read_text()
+
+
+class TestSharedIntactEvaluation:
+    def test_intact_graph_evaluated_once_per_topology(self, config_dir, monkeypatch):
+        intact, standalone = [], []
+        real_evaluate, real_betweenness = robustness._evaluate, robustness.betweenness
+
+        def evaluate(g, model, rank):
+            if g.number_of_nodes == g.id_space:
+                intact.append(rank)
+            return real_evaluate(g, model, rank)
+
+        def betweenness(g):
+            standalone.append(g)
+            return real_betweenness(g)
+
+        monkeypatch.setattr(robustness, "_evaluate", evaluate)
+        monkeypatch.setattr(robustness, "betweenness", betweenness)
+        report = run_experiment(load_config(config_dir / "grid.ini"))
+        # 3 topologies x 3 attacks: one intact evaluation per topology, which
+        # also ranks it for the betweenness attack, and no standalone ranking
+        assert len(report.curves) == 9
+        assert intact == [True, True, True]
+        assert standalone == []
+
+    def test_failed_intact_evaluation_reported_for_every_cell(self, tmp_path):
+        # an LP topology over its size limit, and an edgeless one (alpha = 0)
+        (tmp_path / "flat.edges").write_text("# nodes 5\n")
+        (tmp_path / "grid.ini").write_text(
+            "[experiment]\noutput_dir = out\nmodel = lp_optimization\n"
+            "[topology:big]\nfamily = gilbert\nn = 40\np = 0.3\n"
+            "[topology:flat]\npath = flat.edges\n"
+            "[topology:small]\nfamily = mesh\nn = 5\n"
+        )
+        report = run_experiment(load_config(tmp_path / "grid.ini"))
+        texts = {
+            "big": "optimization model limited to 30 nodes, got 40",
+            "flat": "elasticity undefined: initial throughput is 0",
+        }
+        kinds = ("random", "highest_degree", "highest_betweenness")
+        assert report.errors == {f"{name}/{kind}": text for name, text in texts.items() for kind in kinds}
+        log = (report.output_dir / "run.log").read_text().splitlines()
+        assert log[4:13] == [
+            *(f"cell {name}/{kind}: ERROR {text}" for name, text in texts.items() for kind in kinds),
+            *(f"cell small/{kind}: elasticity=0.3" for kind in kinds),
+        ]
 
 
 class TestGoldenBundle:

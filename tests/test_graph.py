@@ -117,6 +117,26 @@ class TestGraph:
                 for a, b in zip(h.csr(), arrays):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
+    def test_single_node_removal_matches_batch_filter(self):
+        # one id takes the compare path; the reference is the batch filter
+        for g in (ne.gen_mesh(30), ne.gen_preferential_attachment(60, 2, seed=3)):
+            indptr, indices = g.csr()
+            for v in g.nodes:
+                gone = np.zeros(g.id_space, dtype=bool)
+                gone[v] = True
+                keep = ~gone[indices]
+                keep[indptr[v] : indptr[v + 1]] = False
+                counts = np.diff(indptr)
+                counts[indices[indptr[v] : indptr[v + 1]]] -= 1
+                counts[v] = 0
+                want = (np.concatenate(([0], np.cumsum(counts))), indices[keep])
+                h = g.copy()
+                h.remove_node(v)
+                for a, b in zip(h.csr(), want):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                    assert not a.flags.writeable
+                assert not h.has_node(v) and h.number_of_nodes == g.number_of_nodes - 1
+
     def test_remove_nodes_rejects_bad_ids_before_removing(self):
         g = path_graph(4)
         g.remove_node(3)

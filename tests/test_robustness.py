@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import netelast as ne
-from netelast import AttackStrategy, ThroughputModel, TradeoffParams, robustness
+from netelast import AttackStrategy, ThroughputModel, TradeoffParams, _csr, robustness
+from netelast.throughput import raw_throughput
 
 from conftest import canonical_relabel, path_graph, random_connected_graph, star_graph
 
@@ -102,8 +103,13 @@ class TestElasticity:
     def test_adaptive_attack_ranks_and_removes_only_up_to_the_stop(self, monkeypatch):
         g = ne.gen_watts_strogatz(40, 4, 0.2, seed=5)
         strategy = AttackStrategy("highest_betweenness", batch=2)
-        calls = {"betweenness": 0, "removed": []}
-        real_betweenness, real_remove_nodes = robustness.betweenness, ne.Graph.remove_nodes
+        calls = {"rankings": 0, "betweenness": 0, "removed": []}
+        real_rank, real_betweenness = robustness._rank, robustness.betweenness
+        real_remove_nodes = ne.Graph.remove_nodes
+
+        def rank(*args):
+            calls["rankings"] += 1
+            return real_rank(*args)
 
         def betweenness(*args):
             calls["betweenness"] += 1
@@ -114,12 +120,14 @@ class TestElasticity:
             calls["removed"].append(len(vs))
             return real_remove_nodes(self, vs)
 
+        monkeypatch.setattr(ne.robustness, "_rank", rank)
         monkeypatch.setattr(ne.robustness, "betweenness", betweenness)
         monkeypatch.setattr(ne.Graph, "remove_nodes", remove_nodes)
         curve = ne.elasticity(g, strategy, stop_fraction=0.1)
         monkeypatch.undo()
-        # ceil(0.1 * 40) = 4 removals: two batches, one ranking each
-        assert calls == {"betweenness": 2, "removed": [2, 2]}
+        # ceil(0.1 * 40) = 4 removals: two batches, one ranking each; the
+        # rankings read the routing traversal, so no standalone betweenness
+        assert calls == {"rankings": 2, "betweenness": 0, "removed": [2, 2]}
         # the samples replay the first four nodes of the full removal order
         order = ne.attack_sequence(g, strategy)
         h = g.copy()
@@ -198,6 +206,66 @@ class TestElasticity:
         assert "# alpha = 12" in text
         assert "# strategy = highest_degree" in text
         assert "# model = dijkstra_homogeneous" in text
+
+
+class TestFusedPass:
+    """A betweenness ranking reads the routing traversal of the state it ranks."""
+
+    @pytest.mark.parametrize("block", [None, 1], ids=["blocks", "one-source-blocks"])
+    @pytest.mark.parametrize(
+        "model", [ThroughputModel(), ThroughputModel(tie_break="random", seed=3)], ids=lambda m: m.tie_break
+    )
+    def test_matches_separate_calls(self, model, block, monkeypatch):
+        # components of many sizes, sources spanning several bfs blocks
+        g = ne.gen_gilbert(300, 0.008, seed=4)
+        g.remove_nodes(range(0, 300, 7))
+        assert g.number_of_nodes > _csr._BLOCK_NODES // g.id_space
+        if block is not None:
+            monkeypatch.setattr(_csr, "_BLOCK_NODES", block)
+        raw, scores = robustness._evaluate(g, model, True)
+        assert np.float64(raw).tobytes() == np.float64(raw_throughput(g, model)).tobytes()
+        assert scores.tobytes() == ne.betweenness(g).tobytes()
+        assert robustness._evaluate(g, model, False) == (raw, None)
+
+    @pytest.mark.parametrize(
+        "model, standalone",
+        [(ThroughputModel(), 0), (ThroughputModel(kind="dijkstra_heterogeneous"), 3)],
+        ids=lambda x: getattr(x, "kind", x),
+    )
+    def test_adaptive_betweenness_rankings(self, model, standalone, monkeypatch):
+        # ceil(0.2 * 30) = 6 removals at batch 2: three rankings, of the intact
+        # graph and of the states after the first two batches
+        g = ne.gen_watts_strogatz(30, 4, 0.2, seed=8)
+        strategy = AttackStrategy("highest_betweenness", batch=2)
+        want = ne.elasticity(g, strategy, model, 0.2)
+        calls = {"rankings": 0, "betweenness": 0}
+        real_rank, real_betweenness = robustness._rank, robustness.betweenness
+
+        def rank(*args):
+            calls["rankings"] += 1
+            return real_rank(*args)
+
+        def betweenness(*args):
+            calls["betweenness"] += 1
+            return real_betweenness(*args)
+
+        monkeypatch.setattr(robustness, "_rank", rank)
+        monkeypatch.setattr(robustness, "betweenness", betweenness)
+        got = ne.elasticity(g, strategy, model, 0.2)
+        assert calls == {"rankings": 3, "betweenness": standalone}
+        assert got.normalized.tobytes() == want.normalized.tobytes()
+
+    def test_attack_sequence_ranks_with_standalone_betweenness(self, monkeypatch):
+        g = ne.gen_watts_strogatz(30, 4, 0.2, seed=8)
+        calls = []
+        real_betweenness = robustness.betweenness
+        monkeypatch.setattr(
+            robustness, "betweenness", lambda h: calls.append(h.number_of_nodes) or real_betweenness(h)
+        )
+        order = ne.attack_sequence(g, AttackStrategy("highest_betweenness", batch=4))
+        # ceil(30 / 4) = 8 rankings, none of the emptied graph
+        assert calls == [30, 26, 22, 18, 14, 10, 6, 2]
+        assert sorted(order) == g.nodes
 
 
 class TestMeshBounds:
