@@ -22,8 +22,7 @@ import numpy as np
 from .errors import NetelastError, ParameterError, ParseError
 from .generators import FAMILIES, GeneratorSpec, check_params
 from .graph import METRICS_CSV_HEADER, Graph, MetricsReport, fmt, load_edge_list, metrics, write_lines
-from .robustness import ATTACK_KINDS, AttackStrategy, ElasticityCurve, TradeoffParams, _curve, _intact, tradeoff_re
-from .robustness import elasticity  # noqa: F401  (a module attribute that profilers wrap)
+from .robustness import ATTACK_KINDS, AttackStrategy, ElasticityCurve, TradeoffParams, _curves, tradeoff_re
 from .throughput import ThroughputModel
 
 __all__ = [
@@ -75,6 +74,8 @@ class ExperimentConfig:
         names = [t.name for t in self.topologies]
         if len(set(names)) != len(names):
             raise ParameterError("topology names must be unique")
+        if not self.attacks:
+            raise ParameterError("attacks must name at least one attack kind")
         if len(set(self.attacks)) != len(self.attacks):
             raise ParameterError("attack kinds must be unique")
         if not 0.0 < self.stop_fraction <= 1.0:
@@ -210,22 +211,6 @@ def _attack_strategy(config: ExperimentConfig, topo: str, kind: str) -> AttackSt
     return AttackStrategy(kind=kind, seed=seed, recompute=config.recompute, batch=config.batch)
 
 
-def _topology_curves(config: ExperimentConfig, name: str, g: Graph) -> dict[str, ElasticityCurve | Exception]:
-    """Each attack cell of topology `name`: its curve, or the error that
-    ended it.  The intact graph is evaluated once for all the cells."""
-    try:
-        intact = _intact(g, config.model, config.stop_fraction, "highest_betweenness" in config.attacks)
-    except (NetelastError, OSError) as exc:
-        return dict.fromkeys(config.attacks, exc)
-    cells: dict[str, ElasticityCurve | Exception] = {}
-    for kind in config.attacks:
-        try:
-            cells[kind] = _curve(g, _attack_strategy(config, name, kind), config.model, config.stop_fraction, intact)
-        except (NetelastError, OSError) as exc:
-            cells[kind] = exc
-    return cells
-
-
 def _pearson(xs: list[float], ys: list[float]) -> float:
     x = np.asarray(xs)
     y = np.asarray(ys)
@@ -267,7 +252,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     curves: dict[tuple[str, str], ElasticityCurve] = {}
     for name, g in graphs.items():
-        for kind, curve in _topology_curves(config, name, g).items():
+        strategies = [_attack_strategy(config, name, kind) for kind in config.attacks]
+        for kind, curve in zip(config.attacks, _curves(g, strategies, config.model, config.stop_fraction)):
             if not isinstance(curve, ElasticityCurve):
                 errors[f"{name}/{kind}"] = str(curve)
                 log_lines.append(f"cell {name}/{kind}: ERROR {curve}")

@@ -6,7 +6,7 @@ determines the edge set, so experiment grids are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -145,7 +145,7 @@ def check_params(family: str, given) -> None:
 @dataclass
 class GeneratorSpec:
     """Declarative description of one generator call.  FAMILIES names the
-    fields each family takes; the others may stay at their defaults.
+    fields each family takes; the others must stay at their defaults.
     """
 
     family: str
@@ -159,12 +159,9 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_params(self.family, ())
+        check_params(self.family, [f.name for f in fields(self)[1:] if getattr(self, f.name) != f.default])
 
     def build(self) -> Graph:
-        if self.family == "near_regular" and self.n and self.rows * self.cols != self.n:
-            got = f"{self.rows}x{self.cols} != {self.n}"
-            raise ParameterError(f"near_regular rows*cols must equal n, got {got}")
         gen, takes = FAMILIES[self.family]
         # called through the module attribute, so a wrapper put there sees the call
         return globals()[gen.__name__](*(getattr(self, k) for k in takes))

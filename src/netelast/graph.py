@@ -135,8 +135,8 @@ class Graph:
             if gone[v]:
                 raise ParameterError(f"node {v} given twice")
             gone[v] = True
-        # one node (the loop's v): a compare is cheaper than a gather per arc
-        keep = self._indices != v if len(vs) == 1 else ~gone[self._indices]
+        # one node: a compare is cheaper than a gather per arc
+        keep = self._indices != next(iter(vs)) if len(vs) == 1 else ~gone[self._indices]
         counts = np.diff(self._indptr)
         for v in vs:
             lo, hi = self._indptr[v], self._indptr[v + 1]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ComputeError, ParameterError
+from .errors import ComputeError, NetelastError, ParameterError
 from .graph import Graph, betweenness, fmt, seeded_rng, write_lines
 from . import throughput
 from .throughput import ThroughputModel, raw_throughput
@@ -169,36 +169,41 @@ def elasticity(
     batch of removals until ceil(stop_fraction * N) nodes are gone; batches
     wider than one node are linearly interpolated by the trapezoid rule.
     """
-    model = model or ThroughputModel()
-    intact = _intact(g, model, stop_fraction, strategy.kind == "highest_betweenness")
-    return _curve(g, strategy, model, stop_fraction, intact)
+    (curve,) = _curves(g, [strategy], model or ThroughputModel(), stop_fraction)
+    if isinstance(curve, NetelastError):
+        raise curve
+    return curve
 
 
-def _intact(g: Graph, model: ThroughputModel, stop_fraction: float, rank: bool):
-    """(alpha, betweenness of `g` when `rank` is set) for the curves of `g`
-    under `model`: one evaluation that every attack on `g` can share."""
-    if not 0.0 < stop_fraction <= 1.0:
-        raise ParameterError(f"stop_fraction must be in (0, 1], got {stop_fraction}")
-    if g.number_of_nodes == 0:
-        raise ComputeError("cannot attack an empty graph")
-    alpha, scores = _evaluate(g, model, rank)
-    if alpha <= 0.0:
-        raise ComputeError("elasticity undefined: initial throughput is 0")
-    return alpha, scores
-
-
-def _curve(g: Graph, strategy: AttackStrategy, model: ThroughputModel, stop_fraction: float, intact):
-    """elasticity() from the intact evaluation `intact` = _intact(...)."""
-    alpha, scores = intact
+def _curves(
+    g: Graph, strategies: list[AttackStrategy], model: ThroughputModel, stop_fraction: float
+) -> list[ElasticityCurve | NetelastError]:
+    """elasticity() of `g` under each of `strategies`, or the error that ended
+    that curve.  The intact graph is evaluated once for all of them, ranked
+    by betweenness only if some strategy needs it; if that evaluation fails,
+    every entry is its error."""
     n = g.number_of_nodes
-    fractions, normalized, removed = [0.0], [1.0], 0
-    for batch, raw in _attack(g, strategy, math.ceil(stop_fraction * n), model, scores):
-        removed += len(batch)
-        fractions.append(removed / n)
-        normalized.append(raw / alpha)
-    fr = np.array(fractions)
-    tp = np.array(normalized)
-    return ElasticityCurve(fr, tp, _trapezoid(fr, tp), alpha, strategy.kind, model.kind, strategy.seed)
+    try:
+        if not 0.0 < stop_fraction <= 1.0:
+            raise ParameterError(f"stop_fraction must be in (0, 1], got {stop_fraction}")
+        if n == 0:
+            raise ComputeError("cannot attack an empty graph")
+        alpha, scores = _evaluate(g, model, any(s.kind == "highest_betweenness" for s in strategies))
+        if alpha <= 0.0:
+            raise ComputeError("elasticity undefined: initial throughput is 0")
+    except NetelastError as exc:
+        return [exc] * len(strategies)
+    curves, limit = [], math.ceil(stop_fraction * n)
+    for strategy in strategies:
+        try:
+            steps = [(len(batch), raw) for batch, raw in _attack(g, strategy, limit, model, scores)]
+        except NetelastError as exc:
+            curves.append(exc)
+            continue
+        fr = np.cumsum([0] + [size for size, _ in steps]) / n
+        tp = np.array([1.0] + [raw / alpha for _, raw in steps])
+        curves.append(ElasticityCurve(fr, tp, _trapezoid(fr, tp), alpha, strategy.kind, model.kind, strategy.seed))
+    return curves
 
 
 # -- analytic mesh bounds -------------------------------------------------------

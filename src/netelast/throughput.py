@@ -145,10 +145,18 @@ def throughput_dijkstra_homogeneous(g: Graph, model: ThroughputModel | None = No
     all pairs share the uniform rate 1 / (max arc utilization).
     """
     raw, delta, reached = _raw_homogeneous(g, model or ThroughputModel())
-    sources = np.flatnonzero(g._present)
+    return ThroughputResult(raw, _per_pair(np.flatnonzero(g._present), reached, delta))
+
+
+def _per_pair(sources: np.ndarray, reached: np.ndarray, rate) -> dict[tuple[int, int], float]:
+    """{(sources[i], t): rate} over the nonzero entries reached[i, t], source-major
+    and destinations ascending.  `rate` is one value that every pair shares,
+    or an array shaped like `reached` whose entries go to their pairs as floats."""
     rows, dests = np.nonzero(reached)
-    per_pair = {(int(sources[i]), int(t)): delta for i, t in zip(rows, dests)}
-    return ThroughputResult(raw_throughput=raw, per_pair_delivered=per_pair)
+    pairs = zip(sources[rows].tolist(), dests.tolist())
+    if np.ndim(rate) == 0:
+        return dict.fromkeys(pairs, rate)
+    return dict(zip(pairs, rate[rows, dests].tolist()))
 
 
 def _raw_homogeneous(g: Graph, model: ThroughputModel, accum=None) -> tuple[float, float, np.ndarray]:
@@ -201,8 +209,7 @@ def _fill_residual(g: Graph, fill, rounds_per_arc: int, failure: str) -> Through
         capacity[capacity <= _RESIDUAL_EPS] = 0.0
     else:
         raise ComputeError(failure)
-    rows, dests = np.nonzero(demand)
-    per_pair = dict(zip(zip(present[rows].tolist(), dests.tolist()), demand[rows, dests].tolist()))
+    per_pair = _per_pair(present, demand, demand)
     # the builtin sum, in pair order, is the engines' definition of raw
     return ThroughputResult(float(sum(per_pair.values())), per_pair)
 
@@ -357,13 +364,7 @@ def raw_throughput(g: Graph, model: ThroughputModel) -> float:
 
 def compare_models(g: Graph, tie_break: str = "sequential", seed: int | None = None) -> ModelComparison:
     """raw_throughput under all three engines (LP size limits apply)."""
-    kw = dict(tie_break=tie_break, seed=seed)
-    return ModelComparison(
-        lp=throughput_lp(g, ThroughputModel(kind="lp_optimization", **kw)).raw_throughput,
-        heterogeneous=throughput_dijkstra_heterogeneous(
-            g, ThroughputModel(kind="dijkstra_heterogeneous", **kw)
-        ).raw_throughput,
-        homogeneous=throughput_dijkstra_homogeneous(
-            g, ThroughputModel(kind="dijkstra_homogeneous", **kw)
-        ).raw_throughput,
-    )
+    # ModelComparison's fields are MODEL_KINDS reversed: the LP runs first, so
+    # an oversized graph is refused before the other engines run
+    models = (ThroughputModel(kind, tie_break, seed) for kind in MODEL_KINDS[::-1])
+    return ModelComparison(*(evaluate_throughput(g, model).raw_throughput for model in models))

@@ -150,6 +150,12 @@ class TestRun:
         )
         assert main(["run", "--config", str(tmp_path / "grid.ini")]) == 3
 
+    def test_empty_attack_list_is_3(self, tmp_path, capsys):
+        (tmp_path / "grid.ini").write_text("[experiment]\nattacks =\n[topology:m]\nfamily = mesh\nn = 8\n")
+        assert main(["run", "--config", str(tmp_path / "grid.ini")]) == 3
+        assert "at least one attack kind" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
     @pytest.mark.parametrize("name", ["a,b", "ring/1"])
     def test_bad_topology_name_is_2(self, tmp_path, name, capsys):
         (tmp_path / "grid.ini").write_text(f"[experiment]\n[topology:{name}]\nfamily = mesh\nn = 8\n")

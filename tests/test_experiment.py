@@ -149,6 +149,12 @@ class TestLoadConfig:
         with pytest.raises(ne.ParameterError):
             load_config(p)
 
+    def test_empty_attack_list(self, tmp_path):
+        p = tmp_path / "bad.ini"
+        p.write_text("[experiment]\nattacks =\n[topology:a]\nfamily = mesh\nn = 4\n")
+        with pytest.raises(ne.ParameterError, match="attacks must name at least one attack kind"):
+            load_config(p)
+
 
     @pytest.mark.parametrize(
         "body,key",

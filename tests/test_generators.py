@@ -182,7 +182,8 @@ class TestDeterminism:
     )
     def test_pinned_edge_sets(self, params, digests):
         for seed, want in zip((1, 2), digests):
-            edges = ne.GeneratorSpec(seed=seed, **params).build().edges()
+            spec = dict(params, seed=seed) if "seed" in FAMILIES[params["family"]][1] else params
+            edges = ne.GeneratorSpec(**spec).build().edges()
             assert hashlib.sha256(repr(edges).encode()).hexdigest() == want
 
     def test_different_seed_different_edges(self):
@@ -205,6 +206,15 @@ class TestFamilyTable:
     def test_unknown_parameter_named(self):
         with pytest.raises(ne.ParameterError, match="mesh takes n; got 'k'"):
             check_params("mesh", ["n", "k"])
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [(dict(family="mesh", n=4, k=3), "k"), (dict(family="near_regular", n=30, rows=5, cols=6), "n")],
+        ids=["mesh_k", "grid_n"],
+    )
+    def test_spec_field_the_family_does_not_take_rejected(self, spec, key):
+        with pytest.raises(ne.ParameterError, match=f"got '{key}'"):
+            ne.GeneratorSpec(**spec)
 
     @pytest.mark.parametrize(
         "make",

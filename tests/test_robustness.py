@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -162,6 +163,20 @@ class TestElasticity:
     def test_bad_stop_fraction(self):
         with pytest.raises(ne.ParameterError):
             ne.elasticity(ne.gen_mesh(3), AttackStrategy("highest_degree"), stop_fraction=0.0)
+
+    def test_failed_cell_leaves_its_siblings(self):
+        # the intact evaluation succeeds; the random cell then fails on its seed
+        g = ne.gen_preferential_attachment(30, 2, seed=3)
+        bad, good = AttackStrategy("random", seed=-1), AttackStrategy("highest_degree")
+        cells = robustness._curves(g, [bad, good], ThroughputModel(), 1.0)
+        assert [type(c) for c in cells] == [ne.ParameterError, ne.ElasticityCurve]
+
+        def state(c):
+            return c.fractions.tobytes(), c.normalized.tobytes(), c.elasticity, c.alpha, c.strategy, c.model
+
+        assert state(cells[1]) == state(ne.elasticity(g, good))
+        with pytest.raises(ne.ParameterError, match=re.escape(str(cells[0]))):
+            ne.elasticity(g, bad)
 
     def test_mesh_attains_the_analytic_cap(self):
         # the complete graph realizes the 1/3 + 1/(2N) trapezoid cap exactly

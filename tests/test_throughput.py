@@ -156,6 +156,24 @@ class TestHomogeneous:
             vals = list(r.per_pair_delivered.values())
             assert max(vals) - min(vals) < 1e-12
 
+    @pytest.mark.parametrize(
+        "model, digest",
+        [
+            (ThroughputModel(), "9c517a3ac6c9f35d5d93f1520b49646af120b3bf295aeb129a91c403deb9a958"),
+            (
+                ThroughputModel(tie_break="random", seed=3),
+                "8a69ab441b8799547602f4893367c5700512926b2372d0e888d8c4e235475dd6",
+            ),
+        ],
+        ids=["sequential", "random"],
+    )
+    def test_per_pair_digest(self, model, digest):
+        # frozen from a reference run: the map's key order and its values,
+        # np.float64 like raw_throughput
+        r = ne.throughput_dijkstra_homogeneous(pa25_without_0_5_11(), model)
+        got = repr((r.raw_throughput, list(r.per_pair_delivered.items())))
+        assert hashlib.sha256(got.encode()).hexdigest() == digest
+
 
 class TestHeterogeneous:
     def test_k3_all_pairs_one(self):
