@@ -196,14 +196,11 @@ def pick_predecessors(
     via = np.full(size, -1, dtype=np.int64)
     keys = [None] * len(level_edges)
     if rng is not None and level_edges:
-        rows = [heads // n for _, heads, _ in level_edges]
-        counts = np.array([np.bincount(r, minlength=size // n) for r in rows])
-        # start of each (level, source) run in the source-major draw order
-        starts = np.cumsum(counts.T).reshape(counts.T.shape).T - counts
-        draws = rng.random(int(counts.sum()))
-        for d, r in enumerate(rows):
-            first = np.cumsum(counts[d]) - counts[d]
-            keys[d] = draws[starts[d][r] + np.arange(r.size) - first[r]]
+        heads = np.concatenate([h for _, h, _ in level_edges])
+        # levels list their arcs by ascending source: sorting stably by source is the draw order
+        draws = np.empty(heads.size)
+        draws[np.argsort(heads // n, kind="stable")] = rng.random(heads.size)
+        keys = np.split(draws, np.cumsum([h.size for _, h, _ in level_edges])[:-1])
     for key, (tails, heads, arcs) in zip(keys, level_edges):
         # arcs are in tail order, so without priorities the first one wins
         win = np.arange(heads.size)

@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None, help="curve CSV (default stdout)")
 
     p = sub.add_parser("bound", help="analytic mesh elasticity bounds")
-    p.add_argument("--n", required=True, help="mesh size (scientific notation accepted)")
+    p.add_argument("--n", required=True, help="mesh size, an integer (scientific notation accepted)")
     p.add_argument("--mode", required=True, choices=("discrete", "continuous"))
     p.add_argument("--zeta", type=int, default=None, help="nodes removed (default: all)")
 
@@ -157,6 +157,8 @@ def _cmd_bound(args) -> int:
         n = int(float(args.n))
     except (ValueError, OverflowError):
         raise ParameterError(f"--n must be a number, got {args.n!r}") from None
+    if n != float(args.n):
+        raise ParameterError(f"--n must be an integer, got {args.n!r}")
     if args.mode == "discrete":
         zeta = n if args.zeta is None else args.zeta
         value = mesh_elasticity_discrete(n, zeta)

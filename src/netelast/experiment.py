@@ -105,8 +105,7 @@ def load_config(path) -> ExperimentConfig:
         raise ParseError(f"config {path} has no [experiment] section")
     exp = parser["experiment"]
     base = path.parent
-    # tie_seed is read only for the random tie-break but allowed with either
-    used = {"tie_seed", *_RETIRED_KEYS}
+    used = set(_RETIRED_KEYS)
 
     def read(key, default, get=exp.get, noun=""):
         """One [experiment] key through a SectionProxy getter, e.g. `getint`."""
@@ -117,9 +116,8 @@ def load_config(path) -> ExperimentConfig:
             raise ParseError(f"key {key!r} is not {noun}") from None
 
     global_seed = read("global_seed", 0, exp.getint, "an integer")
-    tie_break = read("tie_break", "sequential")
-    tie_seed = read("tie_seed", 0, exp.getint, "an integer") if tie_break == "random" else None
-    model = ThroughputModel(kind=read("model", "dijkstra_homogeneous"), tie_break=tie_break, seed=tie_seed)
+    kind = read("model", "dijkstra_homogeneous")
+    model = ThroughputModel(kind, read("tie_break", "sequential"), read("tie_seed", None, exp.getint, "an integer"))
     attacks = [a.strip() for a in read("attacks", ",".join(ATTACK_KINDS)).split(",") if a.strip()]
     tradeoff = TradeoffParams(
         **{f.name: read(f.name, f.default, exp.getfloat, "a number") for f in fields(TradeoffParams)}

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ComputeError, NetelastError, ParameterError
 from .graph import Graph, betweenness, fmt, seeded_rng, write_lines
-from . import throughput
 from .throughput import ThroughputModel, raw_throughput
 
 __all__ = [
@@ -70,13 +69,12 @@ def _rank(g: Graph, kind: str, scores: np.ndarray | None) -> list[int]:
 
 def _evaluate(g: Graph, model: ThroughputModel | None, rank: bool):
     """(raw throughput of `g` under `model`, None without a model; the
-    betweenness of `g` when `rank` is set, else None).  The homogeneous
-    model takes both from one routing traversal."""
-    if rank and model is not None and model.kind == "dijkstra_homogeneous":
-        accum = np.zeros(g.id_space)
-        # through the module attribute, so a wrapper installed there sees it
-        return throughput._raw_homogeneous(g, model, accum)[0], accum / 2.0
-    return None if model is None else raw_throughput(g, model), betweenness(g) if rank else None
+    betweenness of `g` when `rank` is set, else None).  With a model, both
+    come from the engine's one routing traversal of `g`."""
+    if model is None:
+        return None, betweenness(g) if rank else None
+    accum = np.zeros(g.id_space) if rank else None
+    return raw_throughput(g, model, accum), accum / 2.0 if rank else None
 
 
 def _attack(g: Graph, strategy: AttackStrategy, limit: int, model: ThroughputModel | None, scores):

@@ -217,19 +217,22 @@ def _fill_residual(g: Graph, fill, rounds_per_arc: int, failure: str) -> Through
 # -- heterogeneous model -------------------------------------------------------
 
 
-def throughput_dijkstra_heterogeneous(g: Graph, model: ThroughputModel | None = None) -> ThroughputResult:
+def throughput_dijkstra_heterogeneous(g: Graph, model: ThroughputModel | None = None, *, accum=None) -> ThroughputResult:
     """Residual filling.
 
     Each round recomputes single shortest paths on the arcs that still have
     residual capacity, pushes the largest uniform rate that violates no
     residual, and saturates at least one arc, so the loop ends after at most
-    one round per arc.
+    one round per arc.  With `accum`, the first round (on g.csr() itself)
+    also adds twice the betweenness of every node id into it.
     """
     rng = _tie_rng(model or ThroughputModel(kind="dijkstra_heterogeneous"))
 
     def fill(indptr, indices, residual, present):
+        nonlocal accum
         # an alive arc's tail reaches its head, so some load is positive
-        loads, reached = _route_all(indptr, indices, present, indptr.size - 1, rng)
+        loads, reached = _route_all(indptr, indices, present, indptr.size - 1, rng, accum=accum)
+        accum = None
         used = loads > 0
         eps = float((residual[used] / loads[used]).min())
         return eps, eps * loads, reached
@@ -326,7 +329,8 @@ def _solve_concurrent_lp(indptr, indices, residual, sources, reached):
     return rate, util, flows
 
 
-def throughput_lp(g: Graph, model: ThroughputModel | None = None) -> ThroughputResult:
+def throughput_lp(g: Graph, model: ThroughputModel | None = None, *, accum=None) -> ThroughputResult:
+    """Concurrent-flow optimization per residual round; `accum` as in throughput_dijkstra_heterogeneous."""
     n_present = g.number_of_nodes
     if n_present > LP_MAX_NODES:
         raise GraphSizeError(
@@ -334,10 +338,12 @@ def throughput_lp(g: Graph, model: ThroughputModel | None = None) -> ThroughputR
         )
 
     def fill(indptr, indices, residual, present):
+        nonlocal accum
         if residual.sum() < _RATE_EPS:
             return 0.0, None, None
         # one routing pass finds the reachable pairs; its loads go unused
-        _, reached = _route_all(indptr, indices, present, indptr.size - 1, None)
+        _, reached = _route_all(indptr, indices, present, indptr.size - 1, None, accum=accum)
+        accum = None
         rate, util, _ = _solve_concurrent_lp(indptr, indices, residual, present, reached)
         return (rate if rate > _RATE_EPS else 0.0), util, reached
 
@@ -355,11 +361,13 @@ def evaluate_throughput(g: Graph, model: ThroughputModel) -> ThroughputResult:
     return throughput_lp(g, model)
 
 
-def raw_throughput(g: Graph, model: ThroughputModel) -> float:
-    """raw_throughput only; skips the per-pair map for the homogeneous model."""
+def raw_throughput(g: Graph, model: ThroughputModel, accum=None) -> float:
+    """raw_throughput only (no homogeneous per-pair map); `accum`, if given,
+    gains twice the betweenness of `g` from the engine's routing traversal."""
     if model.kind == "dijkstra_homogeneous":
-        return _raw_homogeneous(g, model)[0]
-    return evaluate_throughput(g, model).raw_throughput
+        return _raw_homogeneous(g, model, accum)[0]
+    engine = throughput_lp if model.kind == "lp_optimization" else throughput_dijkstra_heterogeneous
+    return engine(g, model, accum=accum).raw_throughput
 
 
 def compare_models(g: Graph, tie_break: str = "sequential", seed: int | None = None) -> ModelComparison:

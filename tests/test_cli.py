@@ -150,6 +150,13 @@ class TestRun:
         )
         assert main(["run", "--config", str(tmp_path / "grid.ini")]) == 3
 
+    def test_random_tie_break_without_tie_seed_is_3(self, tmp_path, capsys):
+        # the seed used to default to 0 without a word
+        (tmp_path / "grid.ini").write_text("[experiment]\ntie_break = random\n[topology:m]\nfamily = mesh\nn = 8\n")
+        assert main(["run", "--config", str(tmp_path / "grid.ini")]) == 3
+        assert "random tie-break requires a seed" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
     def test_empty_attack_list_is_3(self, tmp_path, capsys):
         (tmp_path / "grid.ini").write_text("[experiment]\nattacks =\n[topology:m]\nfamily = mesh\nn = 8\n")
         assert main(["run", "--config", str(tmp_path / "grid.ini")]) == 3
@@ -189,6 +196,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("n", ["inf", "1e400"])
     def test_bound_infinite_n_is_3(self, n, capsys):
         assert main(["bound", "--n", n, "--mode", "continuous"]) == 3
+
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_bound_fractional_n_is_3(self, mode, capsys):
+        # 10.5 used to answer for n = 10
+        assert main(["bound", "--n", "10.5", "--mode", mode]) == 3
+        assert "--n must be an integer, got '10.5'" in capsys.readouterr().err
 
     def test_compute_error_is_4(self, tmp_path, capsys):
         big = tmp_path / "big.edges"

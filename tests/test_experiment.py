@@ -1,6 +1,7 @@
 """Experiment config parsing and the report bundle."""
 
 import hashlib
+import io
 import math
 
 import pytest
@@ -201,6 +202,20 @@ class TestLoadConfig:
         with pytest.raises(ne.ParseError, match=f"unknown key '{key}' in \\[experiment\\]"):
             load_config(p)
 
+    def test_random_tie_break_needs_tie_seed(self, tmp_path):
+        # the seed used to default to 0 without a word
+        p = tmp_path / "c.ini"
+        p.write_text("[experiment]\ntie_break = random\n[topology:a]\nfamily = mesh\nn = 4\n")
+        with pytest.raises(ne.ParameterError, match="random tie-break requires a seed"):
+            load_config(p)
+
+    def test_tie_seed_must_be_an_integer(self, tmp_path):
+        # read under either tie-break, like every other key
+        p = tmp_path / "c.ini"
+        p.write_text("[experiment]\ntie_seed = abc\n[topology:a]\nfamily = mesh\nn = 4\n")
+        with pytest.raises(ne.ParseError, match="key 'tie_seed' is not an integer"):
+            load_config(p)
+
     def test_repeated_attack_rejected(self, tmp_path):
         p = tmp_path / "bad.ini"
         p.write_text(
@@ -314,6 +329,20 @@ class TestRunExperiment:
         r2 = run_experiment(load_config(tmp_path / "workers.ini"))
         for name in ("metrics.csv", "ranking.csv", "tradeoff.csv", "correlations.csv"):
             assert (r1.output_dir / name).read_text() == (r2.output_dir / name).read_text()
+
+    def test_random_tie_break_curves_match_elasticity(self, tmp_path):
+        (tmp_path / "grid.ini").write_text(
+            "[experiment]\noutput_dir = out\ntie_break = random\ntie_seed = 5\nbatch = 2\n"
+            "attacks = highest_degree, highest_betweenness\n"
+            "[topology:ws]\nfamily = watts_strogatz\nn = 30\nk = 4\np = 0.2\nseed = 8\n"
+        )
+        report = run_experiment(load_config(tmp_path / "grid.ini"))
+        g = ne.gen_watts_strogatz(30, 4, 0.2, seed=8)
+        model = ne.ThroughputModel(tie_break="random", seed=5)
+        for kind in ("highest_degree", "highest_betweenness"):
+            want = io.StringIO()
+            ne.elasticity(g, ne.AttackStrategy(kind, batch=2), model).write_csv(want)
+            assert (report.output_dir / f"curves/ws_{kind}.csv").read_text() == want.getvalue()
 
     def test_rejected_tradeoff_is_reported(self, tmp_path):
         # two K5 (0-4 and 5-9) joined through node 10: every elasticity is

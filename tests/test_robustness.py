@@ -1,5 +1,6 @@
 """Attack sequences, elasticity curves, analytic bounds, tradeoff score."""
 
+import hashlib
 import io
 import math
 import re
@@ -242,9 +243,45 @@ class TestFusedPass:
         assert scores.tobytes() == ne.betweenness(g).tobytes()
         assert robustness._evaluate(g, model, False) == (raw, None)
 
+    @pytest.mark.parametrize("block", [None, 1], ids=["blocks", "one-source-blocks"])
+    @pytest.mark.parametrize("tie_break", ["sequential", "random"])
+    @pytest.mark.parametrize("kind", ["dijkstra_heterogeneous", "lp_optimization"])
+    @pytest.mark.parametrize(
+        "build, removed",
+        [
+            (lambda: ne.gen_preferential_attachment(25, 2, seed=2), [0, 5, 11]),
+            # falls into components of 23, 2 and 1 nodes
+            (lambda: ne.gen_gilbert(30, 0.1, seed=3), [1, 4, 9, 20]),
+        ],
+        ids=["pa25", "gilbert30"],
+    )
+    def test_residual_engines_match_separate_calls(self, build, removed, kind, tie_break, block, monkeypatch):
+        # the first residual round routes the intact CSR, removed ids included
+        g = build()
+        g.remove_nodes(removed)
+        engine = ne.throughput_lp if kind == "lp_optimization" else ne.throughput_dijkstra_heterogeneous
+        model = ThroughputModel(kind, tie_break, 3 if tie_break == "random" else None)
+        plain = engine(g, model)
+        if block is not None:
+            monkeypatch.setattr(_csr, "_BLOCK_NODES", block)
+        accum = np.zeros(g.id_space)
+        fed = engine(g, model, accum=accum)
+        assert repr((fed.raw_throughput, list(fed.per_pair_delivered.items()))) == repr(
+            (plain.raw_throughput, list(plain.per_pair_delivered.items()))
+        )
+        want = ne.betweenness(g).tobytes()
+        assert (accum / 2.0).tobytes() == want
+        raw, scores = robustness._evaluate(g, model, True)
+        assert np.float64(raw).tobytes() == np.float64(plain.raw_throughput).tobytes()
+        assert scores.tobytes() == want
+
     @pytest.mark.parametrize(
         "model, standalone",
-        [(ThroughputModel(), 0), (ThroughputModel(kind="dijkstra_heterogeneous"), 3)],
+        [
+            (ThroughputModel(), 0),
+            (ThroughputModel(kind="dijkstra_heterogeneous"), 0),
+            (ThroughputModel(kind="lp_optimization"), 0),
+        ],
         ids=lambda x: getattr(x, "kind", x),
     )
     def test_adaptive_betweenness_rankings(self, model, standalone, monkeypatch):
@@ -269,6 +306,35 @@ class TestFusedPass:
         got = ne.elasticity(g, strategy, model, 0.2)
         assert calls == {"rankings": 3, "betweenness": standalone}
         assert got.normalized.tobytes() == want.normalized.tobytes()
+
+    @pytest.mark.parametrize(
+        "model, digest",
+        [
+            (
+                ThroughputModel(kind="dijkstra_heterogeneous"),
+                "cb0e2fc332fb642cac549b1b0629edffe7b28fbe92ebdceb3215c882273611bf",
+            ),
+            (
+                ThroughputModel(kind="dijkstra_heterogeneous", tie_break="random", seed=3),
+                "1086c124124e0ddfd7a10f1fe69673fade25ba3d204fb31790719c25671f6604",
+            ),
+            (
+                ThroughputModel(kind="lp_optimization"),
+                "cae4cbe672a1c253549f29c900ba77d7c8d97b1f4871797c8bf89ec02a0c3f2c",
+            ),
+            (
+                ThroughputModel(kind="lp_optimization", tie_break="random", seed=3),
+                "cae4cbe672a1c253549f29c900ba77d7c8d97b1f4871797c8bf89ec02a0c3f2c",
+            ),
+        ],
+        ids=["het_sequential", "het_random", "lp_sequential", "lp_random"],
+    )
+    def test_adaptive_residual_curve_digest(self, model, digest):
+        # frozen from a reference run that ranked with standalone betweenness:
+        # three rankings, each read now from the engine's first residual round
+        g = ne.gen_watts_strogatz(30, 4, 0.2, seed=8)
+        c = ne.elasticity(g, AttackStrategy("highest_betweenness", batch=2), model, 0.2)
+        assert hashlib.sha256(c.fractions.tobytes() + c.normalized.tobytes()).hexdigest() == digest
 
     def test_attack_sequence_ranks_with_standalone_betweenness(self, monkeypatch):
         g = ne.gen_watts_strogatz(30, 4, 0.2, seed=8)
