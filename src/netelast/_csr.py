@@ -6,18 +6,15 @@ the routing engines (keep_arcs masks the arcs that still have capacity).
 The level-edge kernels are level-synchronous: each BFS level is expanded
 with a handful of numpy calls, which keeps per-node Python overhead out of
 the n = 1000 attack simulations.  Routing, and with it the residual
-engines' reachability, goes through bfs; scipy's compiled traversals serve
-connected components and the distance sums of `metrics`.
+engines' reachability, goes through bfs, and one bfs result feeds the
+betweenness (brandes) and the hop-distance sums of `metrics` (hop_profile)
+as well; scipy's compiled traversal serves connected components.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
-
-# source rows per shortest_path call: bounds the dense distance block at
-# _DIST_BLOCK x n floats instead of a full n x n matrix
-_DIST_BLOCK = 128
 
 # one batched bfs holds at most _BLOCK_NODES flat ids (sources x id space)
 # and gathers at most _BLOCK_ARCS arcs per level
@@ -65,18 +62,6 @@ def arc_keys(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
 def adjacency(indptr: np.ndarray, indices: np.ndarray, n: int) -> csr_matrix:
     """The arcs as a unit-weight scipy matrix, row = tail, column = head."""
     return csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
-
-
-def hop_distances(indptr: np.ndarray, indices: np.ndarray, n: int, sources: np.ndarray):
-    """Yield (block, dist) over consecutive blocks of `sources`.
-
-    dist[i, t] is the hop count from block[i] to t along the arcs, inf when
-    t is unreachable.
-    """
-    adj = adjacency(indptr, indices, n)
-    for start in range(0, sources.size, _DIST_BLOCK):
-        block = sources[start : start + _DIST_BLOCK]
-        yield block, csgraph.shortest_path(adj, unweighted=True, indices=block)
 
 
 def component_reach(indptr: np.ndarray, indices: np.ndarray, n: int, sources: np.ndarray) -> np.ndarray:
@@ -145,9 +130,11 @@ def bfs(indptr: np.ndarray, indices: np.ndarray, sources, n: int, reach=None):
         if left is not None:
             frontier = frontier[left[frontier // n] > 0]
         tails, heads, arcs = gather_rows(indptr, indices, frontier, n)
-        # an arc to a node unseen before this level crosses into level d + 1
-        cross = dist[heads] == -1
-        if not cross.any():
+        # an arc to a node unseen before this level crosses into level d + 1;
+        # three gathers by position are several times faster than by this
+        # (typically mixed) bool mask
+        cross = np.flatnonzero(dist[heads] == -1)
+        if not cross.size:
             break
         level_edges.append((tails[cross], heads[cross], arcs[cross]))
         dist[level_edges[-1][1]] = d + 1
@@ -179,6 +166,18 @@ def brandes(traversal, n: int, accum: np.ndarray) -> None:
     delta[frontiers[0]] = 0.0
     for row in delta.reshape(-1, n):
         accum += row
+
+
+def hop_profile(traversal, n: int, out: np.ndarray) -> None:
+    """Write the distance profile of the sources of one bfs result
+    `traversal` into the (2, n) int array `out`: column s of a source s gets
+    the sum of its hop distances to the nodes it reaches (row 0) and the
+    largest of them, its eccentricity within its component (row 1).
+    Unreached flat ids (dist -1) count for neither.
+    """
+    dist, frontiers, _ = traversal
+    rows = dist.reshape(-1, n)
+    out[:, frontiers[0] % n] = np.maximum(rows, 0).sum(axis=1), rows.max(axis=1)
 
 
 def pick_predecessors(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NetelastError, ParameterError, ParseError
 from .generators import FAMILIES, GeneratorSpec, check_params
-from .graph import METRICS_CSV_HEADER, Graph, MetricsReport, fmt, load_edge_list, metrics, write_lines
+from .graph import METRICS_CSV_HEADER, Graph, MetricsReport, _require_pairs, fmt, load_edge_list, metrics, write_lines
 from .robustness import ATTACK_KINDS, AttackStrategy, ElasticityCurve, TradeoffParams, _curves, tradeoff_re
 from .throughput import ThroughputModel
 
@@ -117,7 +117,10 @@ def load_config(path) -> ExperimentConfig:
 
     global_seed = read("global_seed", 0, exp.getint, "an integer")
     kind = read("model", "dijkstra_homogeneous")
-    model = ThroughputModel(kind, read("tie_break", "sequential"), read("tie_seed", None, exp.getint, "an integer"))
+    tie_seed = read("tie_seed", None, exp.getint, "an integer")
+    if tie_seed is not None and tie_seed < 0:
+        raise ParameterError(f"tie_seed must be >= 0, got {tie_seed}")
+    model = ThroughputModel(kind, read("tie_break", "sequential"), tie_seed)
     attacks = [a.strip() for a in read("attacks", ",".join(ATTACK_KINDS)).split(",") if a.strip()]
     tradeoff = TradeoffParams(
         **{f.name: read(f.name, f.default, exp.getfloat, "a number") for f in fields(TradeoffParams)}
@@ -226,6 +229,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     A failing cell, or a topology that cannot be built or measured, is
     logged and surfaces as NaN in the tables; the rest of the grid still runs.
+    Each metrics row reads its distances from the traversal of the
+    topology's intact evaluation.
     """
     out = Path(config.output_dir)
     curves_dir = out / "curves"
@@ -234,12 +239,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     started = time.monotonic()
 
     graphs: dict[str, Graph] = {}
-    reports: dict[str, MetricsReport] = {}
     errors: dict[str, str] = {}
     for decl in config.topologies:
         try:
             g = _build_topology(decl)
-            reports[decl.name] = metrics(g)
+            _require_pairs(g)
             graphs[decl.name] = g
             log_lines.append(
                 f"topology {decl.name}: n={g.number_of_nodes} m={g.number_of_edges}"
@@ -249,9 +253,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             log_lines.append(f"topology {decl.name}: ERROR {exc}")
 
     curves: dict[tuple[str, str], ElasticityCurve] = {}
+    reports: dict[str, MetricsReport] = {}
     for name, g in graphs.items():
         strategies = [_attack_strategy(config, name, kind) for kind in config.attacks]
-        for kind, curve in zip(config.attacks, _curves(g, strategies, config.model, config.stop_fraction)):
+        profile = np.full((2, g.id_space), -1)
+        for kind, curve in zip(config.attacks, _curves(g, strategies, config.model, config.stop_fraction, profile)):
             if not isinstance(curve, ElasticityCurve):
                 errors[f"{name}/{kind}"] = str(curve)
                 log_lines.append(f"cell {name}/{kind}: ERROR {curve}")
@@ -259,6 +265,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             curves[(name, kind)] = curve
             curve.write_csv(curves_dir / f"{name}_{kind}.csv")
             log_lines.append(f"cell {name}/{kind}: elasticity={fmt(curve.elasticity)}")
+        reports[name] = metrics(g, profile)
 
     rows: list[RankingRow] = []
     for decl in config.topologies:

@@ -347,17 +347,29 @@ class MetricsReport:
         return ",".join([name, str(self.nodes), str(self.links), *map(fmt, floats)])
 
 
-def metrics(g: Graph) -> MetricsReport:
+def _require_pairs(g: Graph) -> int:
+    """The node count of `g`, which metrics refuses below 2."""
+    n = g.number_of_nodes
+    if n < 2:
+        raise ComputeError(f"metrics undefined for graphs with {n} node(s)")
+    return n
+
+
+def metrics(g: Graph, profile: np.ndarray | None = None) -> MetricsReport:
     """Density, diameter, average shortest path, heterogeneity, and
     the degree histogram of `g`.
 
     Heterogeneity is the population standard deviation of the degree
     sequence divided by its mean (0 for regular graphs, 0 on an edgeless
     graph by convention).
+
+    Diameter and asp are read from the hop-distance profile
+    (_csr.hop_profile) of the largest component's members.  `profile` is a
+    (2, id_space) int array that a routing traversal of `g` filled, -1 in
+    the columns it did not reach (see raw_throughput); when it is absent or
+    does not cover that component, metrics makes its own bfs pass over it.
     """
-    n = g.number_of_nodes
-    if n < 2:
-        raise ComputeError(f"metrics undefined for graphs with {n} node(s)")
+    n = _require_pairs(g)
     m = g.number_of_edges
     density = 2.0 * m / (n * (n - 1))
 
@@ -369,22 +381,22 @@ def metrics(g: Graph) -> MetricsReport:
     for d in degs:
         hist[int(d)] = hist.get(int(d), 0) + 1
 
-    comp = max(connected_components(g), key=len)
-    if len(comp) < 2:
+    comp = np.array(max(connected_components(g), key=len))
+    k = comp.size
+    if k < 2:
         diameter = math.nan
         asp = math.nan
     else:
-        indptr, indices = g.csr()
-        members = np.array(comp)
-        total = 0
-        eccmax = 0
-        for _, dist in _csr.hop_distances(indptr, indices, g.id_space, members):
-            dc = dist[:, members]
-            total += int(dc.sum())
-            eccmax = max(eccmax, int(dc.max()))
-        diameter = float(eccmax)
+        if profile is None or (profile[1, comp] < 0).any():
+            indptr, indices = g.csr()
+            profile = np.full((2, g.id_space), -1)
+            reach = np.full(k, k)
+            for part in _csr.source_blocks(k, g.id_space, indices.size):
+                _csr.hop_profile(_csr.bfs(indptr, indices, comp[part], g.id_space, reach[part]), g.id_space, profile)
+        sums, ecc = profile[:, comp]
+        diameter = float(ecc.max())
         # every unordered pair counted twice in the per-source sums
-        asp = total / (len(comp) * (len(comp) - 1))
+        asp = int(sums.sum()) / (k * (k - 1))
 
     return MetricsReport(
         nodes=n,

@@ -67,14 +67,16 @@ def _rank(g: Graph, kind: str, scores: np.ndarray | None) -> list[int]:
     return nodes[np.lexsort((nodes, -scores))].tolist()
 
 
-def _evaluate(g: Graph, model: ThroughputModel | None, rank: bool):
+def _evaluate(g: Graph, model: ThroughputModel | None, rank: bool, profile=None):
     """(raw throughput of `g` under `model`, None without a model; the
     betweenness of `g` when `rank` is set, else None).  With a model, both
-    come from the engine's one routing traversal of `g`."""
+    come from the engine's one routing traversal of `g`, which also writes
+    the hop-distance profile of `g` into `profile` when one is given (see
+    raw_throughput)."""
     if model is None:
         return None, betweenness(g) if rank else None
     accum = np.zeros(g.id_space) if rank else None
-    return raw_throughput(g, model, accum), accum / 2.0 if rank else None
+    return raw_throughput(g, model, accum, profile), accum / 2.0 if rank else None
 
 
 def _attack(g: Graph, strategy: AttackStrategy, limit: int, model: ThroughputModel | None, scores):
@@ -174,19 +176,20 @@ def elasticity(
 
 
 def _curves(
-    g: Graph, strategies: list[AttackStrategy], model: ThroughputModel, stop_fraction: float
+    g: Graph, strategies: list[AttackStrategy], model: ThroughputModel, stop_fraction: float, profile=None
 ) -> list[ElasticityCurve | NetelastError]:
     """elasticity() of `g` under each of `strategies`, or the error that ended
     that curve.  The intact graph is evaluated once for all of them, ranked
-    by betweenness only if some strategy needs it; if that evaluation fails,
-    every entry is its error."""
+    by betweenness only if some strategy needs it, and writing its
+    hop-distance profile into `profile` if one is given; if that evaluation
+    fails, every entry is its error."""
     n = g.number_of_nodes
     try:
         if not 0.0 < stop_fraction <= 1.0:
             raise ParameterError(f"stop_fraction must be in (0, 1], got {stop_fraction}")
         if n == 0:
             raise ComputeError("cannot attack an empty graph")
-        alpha, scores = _evaluate(g, model, any(s.kind == "highest_betweenness" for s in strategies))
+        alpha, scores = _evaluate(g, model, any(s.kind == "highest_betweenness" for s in strategies), profile)
         if alpha <= 0.0:
             raise ComputeError("elasticity undefined: initial throughput is 0")
     except NetelastError as exc:

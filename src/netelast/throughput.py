@@ -106,7 +106,7 @@ def shortest_path_tree(
     return dist, pred
 
 
-def _route_all(indptr, indices, sources, n, rng, reach=None, accum=None):
+def _route_all(indptr, indices, sources, n, rng, reach=None, accum=None, profile=None):
     """Single-path routing from every source over the CSR arcs, one batched
     bfs per block of sources.
 
@@ -115,7 +115,8 @@ def _route_all(indptr, indices, sources, n, rng, reach=None, accum=None):
     below the arc; and a bool matrix whose row i marks the nodes that
     sources[i] routes to.  `reach` is passed on to bfs.  With `accum`, each
     block's traversal also adds its Brandes dependencies into it, in the
-    blocks and source order that graph.betweenness uses.
+    blocks and source order that graph.betweenness uses; with `profile`, it
+    also writes its sources' hop-distance profile (_csr.hop_profile) there.
     """
     loads = np.zeros(indices.size)
     reached = np.zeros((len(sources), n), dtype=bool)
@@ -124,6 +125,8 @@ def _route_all(indptr, indices, sources, n, rng, reach=None, accum=None):
         traversal = _csr.bfs(indptr, indices, block, n, None if reach is None else reach[part])
         if accum is not None:
             _csr.brandes(traversal, n, accum)
+        if profile is not None:
+            _csr.hop_profile(traversal, n, profile)
         _, frontiers, level_edges = traversal
         size = block.size * n
         pred, via = _csr.pick_predecessors(level_edges, size, n, rng)
@@ -159,15 +162,16 @@ def _per_pair(sources: np.ndarray, reached: np.ndarray, rate) -> dict[tuple[int,
     return dict(zip(pairs, rate[rows, dests].tolist()))
 
 
-def _raw_homogeneous(g: Graph, model: ThroughputModel, accum=None) -> tuple[float, float, np.ndarray]:
+def _raw_homogeneous(g: Graph, model: ThroughputModel, accum=None, profile=None) -> tuple[float, float, np.ndarray]:
     """(raw_throughput, uniform per-pair rate, reached matrix over the present
     sources) of the homogeneous model; the per-pair map is left to the caller
     that needs it.  With `accum`, the routing traversal also adds twice the
-    betweenness of every node id into it."""
+    betweenness of every node id into it; with `profile`, it writes every
+    present node's hop-distance profile there (_csr.hop_profile)."""
     indptr, indices = g.csr()
     sources = np.flatnonzero(g._present)
     reach = _csr.component_reach(indptr, indices, g.id_space, sources)
-    util, reached = _route_all(indptr, indices, sources, g.id_space, _tie_rng(model), reach, accum)
+    util, reached = _route_all(indptr, indices, sources, g.id_space, _tie_rng(model), reach, accum, profile)
     max_util = util.max() if util.size else 0.0
     delta = 1.0 / max_util if max_util > 0 else 1.0
     return delta * np.count_nonzero(reached), delta, reached
@@ -217,22 +221,27 @@ def _fill_residual(g: Graph, fill, rounds_per_arc: int, failure: str) -> Through
 # -- heterogeneous model -------------------------------------------------------
 
 
-def throughput_dijkstra_heterogeneous(g: Graph, model: ThroughputModel | None = None, *, accum=None) -> ThroughputResult:
+def throughput_dijkstra_heterogeneous(
+    g: Graph, model: ThroughputModel | None = None, *, accum=None, profile=None
+) -> ThroughputResult:
     """Residual filling.
 
     Each round recomputes single shortest paths on the arcs that still have
     residual capacity, pushes the largest uniform rate that violates no
     residual, and saturates at least one arc, so the loop ends after at most
     one round per arc.  With `accum`, the first round (on g.csr() itself)
-    also adds twice the betweenness of every node id into it.
+    also adds twice the betweenness of every node id into it; with
+    `profile`, that round writes every present node's hop-distance profile
+    there (_csr.hop_profile).  A graph without edges routes no round and
+    leaves both untouched.
     """
     rng = _tie_rng(model or ThroughputModel(kind="dijkstra_heterogeneous"))
 
     def fill(indptr, indices, residual, present):
-        nonlocal accum
+        nonlocal accum, profile
         # an alive arc's tail reaches its head, so some load is positive
-        loads, reached = _route_all(indptr, indices, present, indptr.size - 1, rng, accum=accum)
-        accum = None
+        loads, reached = _route_all(indptr, indices, present, indptr.size - 1, rng, accum=accum, profile=profile)
+        accum = profile = None
         used = loads > 0
         eps = float((residual[used] / loads[used]).min())
         return eps, eps * loads, reached
@@ -329,8 +338,10 @@ def _solve_concurrent_lp(indptr, indices, residual, sources, reached):
     return rate, util, flows
 
 
-def throughput_lp(g: Graph, model: ThroughputModel | None = None, *, accum=None) -> ThroughputResult:
-    """Concurrent-flow optimization per residual round; `accum` as in throughput_dijkstra_heterogeneous."""
+def throughput_lp(g: Graph, model: ThroughputModel | None = None, *, accum=None, profile=None) -> ThroughputResult:
+    """Concurrent-flow optimization per residual round; `accum` and `profile`
+    as in throughput_dijkstra_heterogeneous.  A graph over LP_MAX_NODES is
+    refused before any routing."""
     n_present = g.number_of_nodes
     if n_present > LP_MAX_NODES:
         raise GraphSizeError(
@@ -338,12 +349,12 @@ def throughput_lp(g: Graph, model: ThroughputModel | None = None, *, accum=None)
         )
 
     def fill(indptr, indices, residual, present):
-        nonlocal accum
+        nonlocal accum, profile
         if residual.sum() < _RATE_EPS:
             return 0.0, None, None
         # one routing pass finds the reachable pairs; its loads go unused
-        _, reached = _route_all(indptr, indices, present, indptr.size - 1, None, accum=accum)
-        accum = None
+        _, reached = _route_all(indptr, indices, present, indptr.size - 1, None, accum=accum, profile=profile)
+        accum = profile = None
         rate, util, _ = _solve_concurrent_lp(indptr, indices, residual, present, reached)
         return (rate if rate > _RATE_EPS else 0.0), util, reached
 
@@ -361,13 +372,15 @@ def evaluate_throughput(g: Graph, model: ThroughputModel) -> ThroughputResult:
     return throughput_lp(g, model)
 
 
-def raw_throughput(g: Graph, model: ThroughputModel, accum=None) -> float:
+def raw_throughput(g: Graph, model: ThroughputModel, accum=None, profile=None) -> float:
     """raw_throughput only (no homogeneous per-pair map); `accum`, if given,
-    gains twice the betweenness of `g` from the engine's routing traversal."""
+    gains twice the betweenness of `g` from the engine's routing traversal,
+    and `profile`, if given and the engine routes `g`, the hop-distance
+    profile of its present nodes (_csr.hop_profile)."""
     if model.kind == "dijkstra_homogeneous":
-        return _raw_homogeneous(g, model, accum)[0]
+        return _raw_homogeneous(g, model, accum, profile)[0]
     engine = throughput_lp if model.kind == "lp_optimization" else throughput_dijkstra_heterogeneous
-    return engine(g, model, accum=accum).raw_throughput
+    return engine(g, model, accum=accum, profile=profile).raw_throughput
 
 
 def compare_models(g: Graph, tie_break: str = "sequential", seed: int | None = None) -> ModelComparison:

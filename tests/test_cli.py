@@ -157,6 +157,15 @@ class TestRun:
         assert "random tie-break requires a seed" in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
 
+    def test_negative_tie_seed_is_3(self, tmp_path, capsys):
+        # as on `netelast elasticity`; it used to exit 0 with every cell an error
+        (tmp_path / "grid.ini").write_text(
+            "[experiment]\ntie_break = random\ntie_seed = -1\n[topology:m]\nfamily = mesh\nn = 8\n"
+        )
+        assert main(["run", "--config", str(tmp_path / "grid.ini")]) == 3
+        assert "tie_seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
     def test_empty_attack_list_is_3(self, tmp_path, capsys):
         (tmp_path / "grid.ini").write_text("[experiment]\nattacks =\n[topology:m]\nfamily = mesh\nn = 8\n")
         assert main(["run", "--config", str(tmp_path / "grid.ini")]) == 3

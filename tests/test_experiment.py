@@ -4,10 +4,11 @@ import hashlib
 import io
 import math
 
+import numpy as np
 import pytest
 
 import netelast as ne
-from netelast import robustness
+from netelast import _csr, experiment, robustness
 from netelast.experiment import derive_seed, fmt, load_config, run_experiment
 from netelast.graph import save_edge_list
 
@@ -216,6 +217,14 @@ class TestLoadConfig:
         with pytest.raises(ne.ParseError, match="key 'tie_seed' is not an integer"):
             load_config(p)
 
+    @pytest.mark.parametrize("tie_break", ["random", "sequential"])
+    def test_negative_tie_seed_rejected(self, tmp_path, tie_break):
+        # it used to load, and every cell of a random tie-break run then failed
+        p = tmp_path / "c.ini"
+        p.write_text(f"[experiment]\ntie_break = {tie_break}\ntie_seed = -1\n[topology:a]\nfamily = mesh\nn = 4\n")
+        with pytest.raises(ne.ParameterError, match="tie_seed must be >= 0, got -1"):
+            load_config(p)
+
     def test_repeated_attack_rejected(self, tmp_path):
         p = tmp_path / "bad.ini"
         p.write_text(
@@ -387,10 +396,10 @@ class TestSharedIntactEvaluation:
         intact, standalone = [], []
         real_evaluate, real_betweenness = robustness._evaluate, robustness.betweenness
 
-        def evaluate(g, model, rank):
+        def evaluate(g, model, rank, profile=None):
             if g.number_of_nodes == g.id_space:
                 intact.append(rank)
-            return real_evaluate(g, model, rank)
+            return real_evaluate(g, model, rank, profile)
 
         def betweenness(g):
             standalone.append(g)
@@ -404,6 +413,50 @@ class TestSharedIntactEvaluation:
         assert len(report.curves) == 9
         assert intact == [True, True, True]
         assert standalone == []
+
+    def test_intact_graph_traversed_once_per_topology(self, config_dir, monkeypatch):
+        blocks, measured = [], []
+        real_bfs, real_metrics = _csr.bfs, experiment.metrics
+
+        def bfs(indptr, indices, sources, n, reach=None):
+            blocks.append((indptr, np.atleast_1d(sources).tolist()))
+            return real_bfs(indptr, indices, sources, n, reach)
+
+        def metrics(g, profile=None):
+            measured.append(g)
+            return real_metrics(g, profile)
+
+        monkeypatch.setattr(_csr, "bfs", bfs)
+        monkeypatch.setattr(experiment, "metrics", metrics)
+        run_experiment(load_config(config_dir / "grid.ini"))
+        # an intact graph shares its arrays only with the attack copies that
+        # have not removed a node yet, which evaluate nothing; so every source
+        # seen once is the intact evaluation, and metrics adds no pass of its own
+        assert [g.number_of_nodes for g in measured] == [10, 10, 18]
+        for g in measured:
+            assert [s for indptr, block in blocks if indptr is g.csr()[0] for s in block] == g.nodes
+
+    @pytest.mark.parametrize("kind", ["dijkstra_homogeneous", "dijkstra_heterogeneous", "lp_optimization"])
+    def test_metrics_rows_under_every_engine(self, tmp_path, kind):
+        # `split` has two largest components, {0, 5, 6} (a path) and {1, 2, 3};
+        # the LP refuses `big` before it routes, so metrics traverses it alone
+        (tmp_path / "split.edges").write_text("# nodes 7\n0 5\n5 6\n1 2\n2 3\n1 3\n")
+        (tmp_path / "grid.ini").write_text(
+            f"[experiment]\noutput_dir = out\nmodel = {kind}\nattacks = highest_degree\nstop_fraction = 0.1\n"
+            "[topology:big]\nfamily = gilbert\nn = 40\np = 0.3\n"
+            "[topology:split]\npath = split.edges\n"
+            "[topology:ws]\nfamily = watts_strogatz\nn = 24\nk = 4\np = 0.2\n"
+        )
+        report = run_experiment(load_config(tmp_path / "grid.ini"))
+        refused = {"big/highest_degree": "optimization model limited to 30 nodes, got 40"}
+        assert report.errors == (refused if kind == "lp_optimization" else {})
+        # written by the scipy all-pairs distance pass that metrics used to make
+        assert (report.output_dir / "metrics.csv").read_text() == (
+            "name,nodes,links,density,diameter,asp,heterogeneity\n"
+            "big,40,242,0.3102564,3,1.697436,0.2137606\n"
+            "split,7,5,0.2380952,2,1.333333,0.509902\n"
+            "ws,24,48,0.173913,5,2.641304,0.1613743\n"
+        )
 
     def test_failed_intact_evaluation_reported_for_every_cell(self, tmp_path):
         # an LP topology over its size limit, and an edgeless one (alpha = 0)

@@ -272,8 +272,8 @@ class TestMetrics:
         for v in range(0, 300, 7):
             g.remove_node(v)
         comps, diameter, asp = structure_oracle(g)
-        # distances come from scipy in blocks of source rows; span two
-        assert len(max(comps, key=len)) > _csr._DIST_BLOCK
+        # the component's sources are traversed in batched bfs blocks; span two
+        assert len(_csr.source_blocks(len(max(comps, key=len)), g.id_space, g.csr()[1].size)) >= 2
         rep = ne.metrics(g)
         assert ne.connected_components(g) == comps
         assert (rep.diameter, rep.asp) == (diameter, asp)

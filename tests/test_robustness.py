@@ -13,7 +13,14 @@ import netelast as ne
 from netelast import AttackStrategy, ThroughputModel, TradeoffParams, _csr, robustness
 from netelast.throughput import raw_throughput
 
-from conftest import canonical_relabel, path_graph, random_connected_graph, star_graph
+from conftest import (
+    bfs_distances,
+    canonical_relabel,
+    path_graph,
+    random_connected_graph,
+    star_graph,
+    structure_oracle,
+)
 
 
 class TestAttackSequence:
@@ -347,6 +354,57 @@ class TestFusedPass:
         # ceil(30 / 4) = 8 rankings, none of the emptied graph
         assert calls == [30, 26, 22, 18, 14, 10, 6, 2]
         assert sorted(order) == g.nodes
+
+
+def _without(g, removed):
+    g.remove_nodes(removed)
+    return g
+
+
+class TestFusedDistanceProfile:
+    """The intact evaluation's routing traversal yields the distances of metrics."""
+
+    GRAPHS = {
+        # components {0, 5, 6} (a path) and {1, 2, 3} (a triangle) tie for
+        # largest; the one with the smallest member counts
+        "tied-components": lambda: ne.Graph.from_edges(7, [(0, 5), (5, 6), (1, 2), (2, 3), (1, 3)]),
+        # components of 23, 2 and 1 nodes next to removed ids
+        "removed-ids": lambda: _without(ne.gen_gilbert(30, 0.1, seed=3), [1, 4, 9, 20]),
+        "edgeless": lambda: ne.Graph(5),
+        # only single-node components are left
+        "single-node-largest": lambda: _without(path_graph(5), [1, 3]),
+    }
+    MODELS = [
+        ThroughputModel(),
+        ThroughputModel(tie_break="random", seed=3),
+        ThroughputModel(kind="dijkstra_heterogeneous"),
+        ThroughputModel(kind="lp_optimization"),
+    ]
+
+    @pytest.mark.parametrize("block", [None, 1], ids=["blocks", "one-source-blocks"])
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m.kind}-{m.tie_break}")
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_matches_standalone_metrics_and_oracle(self, name, model, block, monkeypatch):
+        g = self.GRAPHS[name]()
+        standalone = ne.metrics(g)
+        if block is not None:
+            monkeypatch.setattr(_csr, "_BLOCK_NODES", block)
+        profile = np.full((2, g.id_space), -1)
+        robustness._evaluate(g, model, False, profile)
+        # every engine routes the intact graph, except that the residual
+        # engines route no round on a graph without edges
+        routed = model.kind == "dijkstra_homogeneous" or g.number_of_edges > 0
+        assert ((profile >= 0).all(axis=0) == (g._present & routed)).all()
+        adj = {v: g.neighbors(v) for v in g.nodes}
+        for s in g.nodes if routed else []:
+            hops = bfs_distances(adj, s).values()
+            assert profile[:, s].tolist() == [sum(hops), max(hops)]
+        # a filled profile spares metrics its own traversal
+        monkeypatch.setattr(_csr, "bfs", None if routed else _csr.bfs)
+        fused = ne.metrics(g, profile)
+        assert fused.csv_row(name) == standalone.csv_row(name)
+        _, diameter, asp = structure_oracle(g)
+        assert repr((fused.diameter, fused.asp)) == repr((diameter, asp))
 
 
 class TestMeshBounds:

@@ -1,0 +1,141 @@
+#!/usr/bin/env python3
+"""Interleaved parent/change pairs of the netelast benchmark, run back to back.
+
+    python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 --out BENCH.json
+
+Extracts the `--parent` commit with `git archive` into a temporary directory
+and runs `netelast_bench/run.py` (`--trace 0`) there and in this checkout's
+working tree, alternately, `--pairs` times per workload: pair i uses seed
+`--seed` + i, and the parent runs first in even pairs, the change in odd
+ones.  Every run is one fresh process, one after the other.  The output file
+holds every run's metrics, and per end-to-end metric of BENCHMARK.json each
+side's median and quartiles, the change's wins over its pairs, and whether a
+gain is shown: the change wins at least nine pairs in ten and the medians
+differ by more than the parent's interquartile range.  It also records the
+host's core count, the python/numpy/scipy versions and both commits.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def _extract(rev: str, into: Path) -> None:
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+
+
+def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark process in `tree`; its closing JSON line, plus its wall time."""
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "netelast_bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"{tree} {workload} seed {seed} exited {proc.returncode}:\n{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result["wall_s"] = time.perf_counter() - started
+    return result
+
+
+def _spread(values: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def _summary(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per end-to-end metric: both sides' spread, the change's pair wins and the gain rule."""
+    pairs = sorted({r["pair"] for r in runs})
+    value = {(r["pair"], r["side"]): r["metrics"] for r in runs}
+    out = {}
+    for spec in metrics:
+        name, sign = spec["name"], (1.0 if spec["better"] == "lower" else -1.0)
+        side = {s: [value[p, s][name]["value"] for p in pairs] for s in ("parent", "change")}
+        parent, change = _spread(side["parent"]), _spread(side["change"])
+        diffs = [sign * (p - c) for p, c in zip(side["parent"], side["change"])]
+        wins, ties = sum(d > 0 for d in diffs), sum(d == 0 for d in diffs)
+        iqr = parent["q3"] - parent["q1"]
+        out[name] = {
+            "unit": spec["unit"],
+            "better": spec["better"],
+            "parent": parent,
+            "change": change,
+            "median_change_pct": 100.0 * (change["median"] - parent["median"]) / parent["median"],
+            "bound_pct": 100.0 * spec["bound"],
+            "change_wins": wins,
+            "ties": ties,
+            "pairs": len(pairs),
+            "parent_iqr": iqr,
+            "gain_shown": wins >= 0.9 * len(pairs) and sign * (parent["median"] - change["median"]) > iqr,
+        }
+    return out
+
+
+def _versions() -> dict:
+    import numpy
+    import scipy
+
+    return {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__, "machine": platform.machine()}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("--parent", required=True, help="git revision of the parent side")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=None, help="run length (default: BENCHMARK.json's)")
+    p.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    p.add_argument("--workload", action="append", help="repeatable (default: every workload of BENCHMARK.json)")
+    p.add_argument("--out", type=Path, required=True)
+    args = p.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    parent_commit = _git("rev-parse", args.parent)
+    report = {
+        "parent": {"commit": parent_commit},
+        # the change side is the working tree, which may hold uncommitted edits
+        "change": {"commit": _git("rev-parse", "HEAD"), "uncommitted": bool(_git("status", "--porcelain"))},
+        "host": _versions(),
+        "settings": {"pairs": args.pairs, "seconds": seconds, "seeds": [args.seed + i for i in range(args.pairs)]},
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench_parent_") as tmp:
+        _extract(parent_commit, Path(tmp))
+        trees = {"parent": Path(tmp), "change": ROOT}
+        for workload in workloads:
+            runs = []
+            for i in range(args.pairs):
+                for order, side in enumerate(("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                    result = _run(trees[side], workload, args.seed + i, seconds)
+                    runs.append({"pair": i, "seed": args.seed + i, "side": side, "order": order, **result})
+                    print(f"{workload} pair {i} {side}: run_s {result['metrics']['run_s']['value']:.4f}",
+                          flush=True)
+            report["workloads"][workload] = {"summary": _summary(runs, bench["end_to_end"]), "runs": runs}
+            args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
