@@ -8,13 +8,13 @@ with a handful of numpy calls, which keeps per-node Python overhead out of
 the n = 1000 attack simulations.  Routing, and with it the residual
 engines' reachability, goes through bfs, and one bfs result feeds the
 betweenness (brandes) and the hop-distance sums of `metrics` (hop_profile)
-as well; scipy's compiled traversal serves connected components.
+as well.  Connected components come from hook-and-shortcut rounds over the
+same arrays (component_labels), so the module needs numpy only.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
 
 # one batched bfs holds at most _BLOCK_NODES flat ids (sources x id space)
 # and gathers at most _BLOCK_ARCS arcs per level
@@ -59,15 +59,45 @@ def arc_keys(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
     return arc_tails(indptr) * n + indices
 
 
-def adjacency(indptr: np.ndarray, indices: np.ndarray, n: int) -> csr_matrix:
-    """The arcs as a unit-weight scipy matrix, row = tail, column = head."""
-    return csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+def component_labels(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
+    """For every node id of a symmetric CSR, the smallest id in its
+    connected component (a node without arcs is its own label).
+
+    FastSV hook-and-shortcut rounds (Shiloach & Vishkin 1982; Zhang, Azad &
+    Hu 2020) over a parent forest whose parents only ever decrease: each
+    node finds the smallest grandparent among its neighbours, hooks its
+    parent and itself onto it, and jumps to its own grandparent.  The rounds
+    stop when no grandparent changes; then, since a parent never exceeds its
+    node, every tree is a star, every arc lies within one star, and each
+    star's root is its component's smallest id.
+    """
+    parent = np.arange(n, dtype=np.int64)
+    # rows without arcs would break reduceat's segments; they keep their id
+    rows = np.flatnonzero(indptr[1:] > indptr[:-1])
+    if not rows.size:
+        return parent
+    starts = indptr[rows]
+    grand = parent.copy()
+    while True:
+        # each row's smallest neighbouring grandparent hooks the row's parent
+        # (one scatter per node, not per arc) and the row itself; then every
+        # node jumps to its grandparent
+        least = np.minimum.reduceat(grand[indices], starts)
+        hooked = parent.copy()
+        np.minimum.at(hooked, parent[rows], least)
+        hooked[rows] = np.minimum(hooked[rows], least)
+        np.minimum(hooked, grand, out=hooked)
+        parent = hooked
+        jumped = parent[parent]
+        if np.array_equal(jumped, grand):
+            return parent
+        grand = jumped
 
 
 def component_reach(indptr: np.ndarray, indices: np.ndarray, n: int, sources: np.ndarray) -> np.ndarray:
     """Size of each source's connected component on a symmetric CSR: the
     number of nodes a BFS from it reaches, itself included."""
-    _, labels = csgraph.connected_components(adjacency(indptr, indices, n), directed=False)
+    labels = component_labels(indptr, indices, n)
     return np.bincount(labels)[labels[sources]]
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from . import _csr
 from .errors import ComputeError, ParameterError, ParseError
@@ -298,15 +297,13 @@ def save_edge_list(g: Graph, target) -> None:
 def connected_components(g: Graph) -> list[list[int]]:
     """Partition of the present nodes, ordered by smallest member id, each
     component's members ascending."""
-    indptr, indices = g.csr()
-    _, labels = csgraph.connected_components(
-        _csr.adjacency(indptr, indices, g.id_space), directed=False
-    )
+    labels = _csr.component_labels(*g.csr(), g.id_space)
     present = np.flatnonzero(g._present)
-    order = np.argsort(labels[present], kind="stable")
-    members = present[order]
+    # a label is its component's smallest member, so label order is the
+    # order of the components
+    members = present[np.argsort(labels[present], kind="stable")]
     cuts = np.flatnonzero(np.diff(labels[members])) + 1
-    return sorted((c.tolist() for c in np.split(members, cuts) if c.size), key=lambda c: c[0])
+    return [c.tolist() for c in np.split(members, cuts) if c.size]
 
 
 def betweenness(g: Graph) -> np.ndarray:

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from . import _csr
 from .errors import ComputeError, GraphSizeError, ParameterError
@@ -252,6 +250,15 @@ def throughput_dijkstra_heterogeneous(
 # -- concurrent-flow optimization ----------------------------------------------
 
 
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call: the LP is the
+    only part of netelast that needs scipy, so `import netelast` loads
+    numpy alone and HiGHS loads on the first solve."""
+    from scipy.optimize import linprog as highs
+
+    return highs(*args, **kwargs)
+
+
 def _solve_concurrent_lp(indptr, indices, residual, sources, reached):
     """One round of the optimization on the residual CSR (arc capacities
     `residual`): maximize the uniform rate to every pair (sources[i], t) with
@@ -261,6 +268,8 @@ def _solve_concurrent_lp(indptr, indices, residual, sources, reached):
     Returns (rate, utilization per arc, per-commodity flows) where flows
     maps source -> (arc positions, flow values).
     """
+    from scipy import sparse
+
     tails = _csr.arc_tails(indptr)
     heads = indices
     na = indices.size

@@ -1,0 +1,54 @@
+"""The pair summary of tools/bench_pairs.py: bound check, gain rule and run health."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+SPECS = [
+    {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "evals_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+]
+
+
+def _runs(parent, change, broken=None):
+    """Ten pairs with the given (run_s, evals_per_s) per side; `broken`
+    marks one change run incorrect with one failed operation."""
+    runs = []
+    for i in range(10):
+        for side, (run_s, evals) in (("parent", parent), ("change", change)):
+            runs.append({
+                "pair": i, "side": side, "correct": True, "failed": 0,
+                "metrics": {"run_s": {"value": run_s + 0.01 * i}, "evals_per_s": {"value": evals + 0.01 * i}},
+            })
+    if broken is not None:
+        runs[2 * broken + 1].update(correct=False, failed=1)
+    return runs
+
+
+def test_clear_gain_is_shown_and_not_regressed():
+    summary = bench_pairs._summary(_runs((4.0, 5.0), (2.0, 10.0)), SPECS)
+    assert [summary[m]["gain_shown"] for m in ("run_s", "evals_per_s")] == [True, True]
+    assert not summary["run_s"]["regressed"] and not summary["evals_per_s"]["regressed"]
+
+
+@pytest.mark.parametrize("change, regressed", [((4.9, 4.1), False), ((5.2, 3.6), True)])
+def test_regressed_past_the_bound(change, regressed):
+    summary = bench_pairs._summary(_runs((4.0, 5.0), change), SPECS)
+    assert summary["run_s"]["regressed"] is regressed
+    assert summary["evals_per_s"]["regressed"] is regressed
+
+
+def test_an_incorrect_run_hides_the_gain():
+    runs = _runs((4.0, 5.0), (2.0, 10.0), broken=3)
+    summary = bench_pairs._summary(runs, SPECS)
+    assert not summary["run_s"]["gain_shown"] and not summary["evals_per_s"]["gain_shown"]
+    assert bench_pairs._health(runs) == {
+        "parent": {"all_correct": True, "failed": 0},
+        "change": {"all_correct": False, "failed": 1},
+    }

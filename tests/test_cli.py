@@ -143,6 +143,23 @@ class TestRun:
         assert main(["run", "--config", str(tmp_path / "grid.ini")]) == 0
         assert (tmp_path / "out" / "ranking.csv").exists()
 
+    def test_rejected_tradeoff_row_is_nan_and_exit_0(self, tmp_path, capsys):
+        # the barbell of test_experiment: two K5 joined through node 10,
+        # every elasticity above 1
+        bridge = [(4, 10), (10, 5)]
+        edges = [(u, v) for k in (0, 5) for u in range(k, k + 5) for v in range(u + 1, k + 5)]
+        save_edge_list(ne.Graph.from_edges(11, edges + bridge), tmp_path / "barbell.edges")
+        (tmp_path / "grid.ini").write_text(
+            "[experiment]\noutput_dir = out\n[topology:barbell]\npath = barbell.edges\n"
+        )
+        assert main(["run", "--config", str(tmp_path / "grid.ini")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error tradeoff/barbell: ") and "outside [0, 1]" in err[0]
+        log = (tmp_path / "out" / "run.log").read_text().splitlines()
+        assert any(line.startswith("tradeoff barbell: NaN (") for line in log)
+        row = (tmp_path / "out" / "tradeoff.csv").read_text().splitlines()[2].split(",")
+        assert row[0] == "barbell" and row[-1] == "NaN" and "NaN" not in row[:-1]
+
     def test_repeated_attack_is_3(self, tmp_path, capsys):
         (tmp_path / "grid.ini").write_text(
             "[experiment]\nattacks = highest_degree, highest_degree\n"

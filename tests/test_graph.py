@@ -6,6 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph, csr_matrix
 
 import netelast as ne
 from netelast import _csr
@@ -202,6 +203,37 @@ class TestGraph:
             g.csr()[1][0] = 1
 
 
+def _gilbert_with_removed_ids(n, p, seed):
+    g = ne.gen_gilbert(n, p, seed=seed)
+    for v in np.random.default_rng(seed).choice(n, size=n // 4, replace=False):
+        g.remove_node(int(v))
+    return g
+
+
+def _shuffled_forest(n, cycles):
+    """Paths (or cycles) over a random permutation of n ids, cut at random."""
+    rng = np.random.default_rng(n)
+    edges = []
+    for part in np.split(rng.permutation(n), np.sort(rng.choice(np.arange(3, n - 3), 5, replace=False))):
+        edges += zip(part[:-1].tolist(), part[1:].tolist())
+        if cycles and part.size > 2:
+            edges.append((int(part[-1]), int(part[0])))
+    return ne.Graph.from_edges(n, edges)
+
+
+# graphs whose component labels are checked against scipy's traversal
+COMPONENT_CASES = {
+    **{f"gilbert_removed_{n}_{p}_{seed}": (lambda n=n, p=p, seed=seed: _gilbert_with_removed_ids(n, p, seed))
+       for n, p, seed in [(60, 0.02, 1), (60, 0.05, 2), (200, 0.01, 3), (200, 0.03, 4), (500, 0.004, 5)]},
+    "edgeless": lambda: ne.Graph(6),
+    "single_node": lambda: ne.Graph(1),
+    "isolated_nodes": lambda: graph_from_edges(9, [(1, 5), (5, 7), (3, 8)]),
+    "mesh_40": lambda: ne.gen_mesh(40),
+    "path_forest_10k": lambda: _shuffled_forest(10_000, cycles=False),
+    "cycle_forest_10k": lambda: _shuffled_forest(10_000, cycles=True),
+}
+
+
 class TestComponents:
     def test_single_component(self):
         assert ne.connected_components(path_graph(3)) == [[0, 1, 2]]
@@ -217,6 +249,21 @@ class TestComponents:
         g = graph_from_edges(5, [(1, 3), (0, 4)])
         comps = ne.connected_components(g)
         assert comps == [[0, 4], [1, 3], [2]]
+
+    @pytest.mark.parametrize("case", sorted(COMPONENT_CASES))
+    def test_labels_match_scipy(self, case):
+        g = COMPONENT_CASES[case]()
+        indptr, indices = g.csr()
+        n = g.id_space
+        _, scipy_labels = csgraph.connected_components(
+            csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n)), directed=False
+        )
+        smallest = np.full(n, n)
+        np.minimum.at(smallest, scipy_labels, np.arange(n))
+        assert np.array_equal(_csr.component_labels(indptr, indices, n), smallest[scipy_labels])
+        present = np.flatnonzero(g._present)
+        comps = [present[scipy_labels[present] == c].tolist() for c in np.unique(scipy_labels[present])]
+        assert ne.connected_components(g) == sorted(comps)
 
 
 class TestMetrics:

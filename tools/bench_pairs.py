@@ -3,16 +3,21 @@
 
     python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 --out BENCH.json
 
-Extracts the `--parent` commit with `git archive` into a temporary directory
-and runs `netelast_bench/run.py` (`--trace 0`) there and in this checkout's
-working tree, alternately, `--pairs` times per workload: pair i uses seed
-`--seed` + i, and the parent runs first in even pairs, the change in odd
-ones.  Every run is one fresh process, one after the other.  The output file
-holds every run's metrics, and per end-to-end metric of BENCHMARK.json each
-side's median and quartiles, the change's wins over its pairs, and whether a
-gain is shown: the change wins at least nine pairs in ten and the medians
-differ by more than the parent's interquartile range.  It also records the
-host's core count, the python/numpy/scipy versions and both commits.
+Extracts the `--parent` commit (default HEAD) with `git archive` into a
+temporary directory and runs `netelast_bench/run.py` (`--trace 0`) there and
+in this checkout's working tree, alternately, `--pairs` times per workload:
+pair i uses seed `--seed` + i, and the parent runs first in even pairs, the
+change in odd ones.  Every run is one fresh process, one after the other.  The output file
+holds every run's metrics; per workload and side, whether every run passed
+its output checks (`all_correct`) and the total of failed operations; and
+per end-to-end metric of BENCHMARK.json each side's median and quartiles,
+the change's wins over its pairs, whether it regressed (its median is worse
+than the parent's by more than the metric's bound), and whether a gain is
+shown: every run of both sides is correct with no failed operation, the
+change wins at least nine pairs in ten, and the medians differ by more than
+the parent's interquartile range.  A run that fails its checks is reported
+on stderr as it finishes.  The file also records the host's core count, the
+python/numpy/scipy versions and both commits.
 """
 
 from __future__ import annotations
@@ -63,10 +68,26 @@ def _spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def _sound(run: dict) -> bool:
+    """The run's outputs passed their checks and no operation failed."""
+    return run["correct"] and run["failed"] == 0
+
+
+def _health(runs: list[dict]) -> dict:
+    """Per side: whether every run was correct, and the failed operations of all runs."""
+    out = {}
+    for side in ("parent", "change"):
+        mine = [r for r in runs if r["side"] == side]
+        out[side] = {"all_correct": all(r["correct"] for r in mine), "failed": sum(r["failed"] for r in mine)}
+    return out
+
+
 def _summary(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per end-to-end metric: both sides' spread, the change's pair wins and the gain rule."""
+    """Per end-to-end metric: both sides' spread, the change's pair wins, the
+    bound check and the gain rule."""
     pairs = sorted({r["pair"] for r in runs})
     value = {(r["pair"], r["side"]): r["metrics"] for r in runs}
+    sound = all(_sound(r) for r in runs)
     out = {}
     for spec in metrics:
         name, sign = spec["name"], (1.0 if spec["better"] == "lower" else -1.0)
@@ -75,6 +96,7 @@ def _summary(runs: list[dict], metrics: list[dict]) -> dict:
         diffs = [sign * (p - c) for p, c in zip(side["parent"], side["change"])]
         wins, ties = sum(d > 0 for d in diffs), sum(d == 0 for d in diffs)
         iqr = parent["q3"] - parent["q1"]
+        worse_pct = sign * 100.0 * (change["median"] - parent["median"]) / parent["median"]
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -86,7 +108,8 @@ def _summary(runs: list[dict], metrics: list[dict]) -> dict:
             "ties": ties,
             "pairs": len(pairs),
             "parent_iqr": iqr,
-            "gain_shown": wins >= 0.9 * len(pairs) and sign * (parent["median"] - change["median"]) > iqr,
+            "regressed": worse_pct > 100.0 * spec["bound"],
+            "gain_shown": sound and wins >= 0.9 * len(pairs) and sign * (parent["median"] - change["median"]) > iqr,
         }
     return out
 
@@ -101,7 +124,7 @@ def _versions() -> dict:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--parent", required=True, help="git revision of the parent side")
+    p.add_argument("--parent", default="HEAD", help="git revision of the parent side (default HEAD)")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=None, help="run length (default: BENCHMARK.json's)")
     p.add_argument("--seed", type=int, default=1, help="seed of the first pair")
@@ -132,7 +155,12 @@ def main(argv=None) -> int:
                     runs.append({"pair": i, "seed": args.seed + i, "side": side, "order": order, **result})
                     print(f"{workload} pair {i} {side}: run_s {result['metrics']['run_s']['value']:.4f}",
                           flush=True)
-            report["workloads"][workload] = {"summary": _summary(runs, bench["end_to_end"]), "runs": runs}
+                    if not _sound(result):
+                        print(f"{workload} pair {i} {side}: correct {result['correct']}, "
+                              f"failed {result['failed']}", file=sys.stderr, flush=True)
+            report["workloads"][workload] = {
+                "health": _health(runs), "summary": _summary(runs, bench["end_to_end"]), "runs": runs,
+            }
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
