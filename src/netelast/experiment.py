@@ -4,7 +4,8 @@ The config is an INI file with one [experiment] section and one
 [topology:<name>] section per topology (either generator parameters or a
 `path` to an edge list).  All randomness is derived from the global seed and
 the topology name, so adding a topology never perturbs the other rows and a
-rerun of the same config is byte-identical.
+rerun of the same config is byte-identical, whatever the number of worker
+processes that evaluate its topologies.
 """
 
 from __future__ import annotations
@@ -12,8 +13,11 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from pathlib import Path
 from typing import get_type_hints
 
@@ -224,13 +228,67 @@ def _pearson(xs: list[float], ys: list[float]) -> float:
     return float(np.corrcoef(x, y)[0, 1])
 
 
+def _pool_size(tasks: int) -> int:
+    """Worker processes for `tasks` topologies: one per CPU this process may
+    run on, at most one per task.  It is 1 in a daemonic process, which may
+    not start any, and where `os.sched_getaffinity` is missing (macOS and
+    Windows, where fork is unsafe or absent)."""
+    import multiprocessing
+
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None or multiprocessing.current_process().daemon:
+        return 1
+    return min(len(affinity(0)), tasks)
+
+
+@contextmanager
+def _topology_map(tasks: int):
+    """The `map` that evaluates `tasks` topologies, results in task order:
+    a pool of `_pool_size` worker processes fed one task at a time, or the
+    builtin `map` in this process when that size is 1.  Leaving the block
+    shuts the pool down and joins its workers; on an error, including an
+    interrupt, it first stops the evaluations still running, as an error in
+    this process would."""
+    workers = _pool_size(tasks)
+    if workers <= 1:
+        yield map
+        return
+    # imported here, so that `import netelast` does not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork: a worker starts from this process's memory, netelast imported;
+    # spawn would import it again in every worker
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        try:
+            yield pool.map
+        except BaseException:
+            # shutdown would wait for every task already queued to a worker
+            # (as Python 3.14's `terminate_workers` does)
+            for worker in list(pool._processes.values()):
+                worker.terminate()
+            raise
+
+
+def _evaluate_topology(
+    g: Graph, strategies: list[AttackStrategy], model: ThroughputModel, stop_fraction: float
+) -> tuple[list[ElasticityCurve | NetelastError], MetricsReport]:
+    """One topology's attack cells (each a curve or the error that ended it)
+    and its metrics, which read the distances of the intact evaluation."""
+    profile = np.full((2, g.id_space), -1)
+    cells = _curves(g, strategies, model, stop_fraction, profile)
+    return cells, metrics(g, profile)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every (topology, attack) cell and write the report bundle.
 
     A failing cell, or a topology that cannot be built or measured, is
     logged and surfaces as NaN in the tables; the rest of the grid still runs.
     Each metrics row reads its distances from the traversal of the
-    topology's intact evaluation.
+    topology's intact evaluation.  The graphs are built here; their
+    evaluations run in parallel worker processes (see `_pool_size`), and
+    every file is written here, in config order.
     """
     out = Path(config.output_dir)
     curves_dir = out / "curves"
@@ -254,18 +312,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     curves: dict[tuple[str, str], ElasticityCurve] = {}
     reports: dict[str, MetricsReport] = {}
-    for name, g in graphs.items():
-        strategies = [_attack_strategy(config, name, kind) for kind in config.attacks]
-        profile = np.full((2, g.id_space), -1)
-        for kind, curve in zip(config.attacks, _curves(g, strategies, config.model, config.stop_fraction, profile)):
-            if not isinstance(curve, ElasticityCurve):
-                errors[f"{name}/{kind}"] = str(curve)
-                log_lines.append(f"cell {name}/{kind}: ERROR {curve}")
-                continue
-            curves[(name, kind)] = curve
-            curve.write_csv(curves_dir / f"{name}_{kind}.csv")
-            log_lines.append(f"cell {name}/{kind}: elasticity={fmt(curve.elasticity)}")
-        reports[name] = metrics(g, profile)
+    strategies = [[_attack_strategy(config, name, kind) for kind in config.attacks] for name in graphs]
+    with _topology_map(len(graphs)) as run:
+        evaluated = run(
+            _evaluate_topology, graphs.values(), strategies, repeat(config.model), repeat(config.stop_fraction)
+        )
+        for name, (cells, report) in zip(graphs, evaluated):
+            for kind, curve in zip(config.attacks, cells):
+                if not isinstance(curve, ElasticityCurve):
+                    errors[f"{name}/{kind}"] = str(curve)
+                    log_lines.append(f"cell {name}/{kind}: ERROR {curve}")
+                    continue
+                curves[(name, kind)] = curve
+                curve.write_csv(curves_dir / f"{name}_{kind}.csv")
+                log_lines.append(f"cell {name}/{kind}: elasticity={fmt(curve.elasticity)}")
+            reports[name] = report
 
     rows: list[RankingRow] = []
     for decl in config.topologies:

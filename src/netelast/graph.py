@@ -152,6 +152,14 @@ class Graph:
         g._present = self._present.copy()
         return g
 
+    def __getstate__(self):
+        return self._present, np.diff(self._indptr), self._indices
+
+    def __setstate__(self, state) -> None:
+        """Unpickled and deep-copied arrays are writeable: make them read-only."""
+        self._present, counts, indices = state
+        self._set_arcs(counts, indices)
+
     def _set_arcs(self, counts: np.ndarray, indices: np.ndarray) -> None:
         """Rebind the read-only CSR from per-row arc counts and row-sorted heads."""
         indptr = np.concatenate(([0], np.cumsum(counts)))

@@ -52,3 +52,21 @@ def test_an_incorrect_run_hides_the_gain():
         "parent": {"all_correct": True, "failed": 0},
         "change": {"all_correct": False, "failed": 1},
     }
+
+
+# A benchmark stand-in whose child peaks 48 MB above the stand-in's own peak,
+# and exits before the stand-in reports.  The own peak is relative because a
+# process started by vfork and exec inherits its parent's peak (here pytest's).
+_FAKE_RUN = """
+import json, resource, subprocess, sys
+own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+subprocess.run([sys.executable, "-c", f"x = b'x' * ({int(own) + 48} << 20)"], check=True)
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {"peak_rss_mb": {"value": own}}}))
+"""
+
+
+def test_tree_peak_counts_the_workers(tmp_path):
+    (tmp_path / "netelast_bench").mkdir()
+    (tmp_path / "netelast_bench" / "run.py").write_text(_FAKE_RUN)
+    result = bench_pairs._run(tmp_path, "paper_grid", 1, 1.0)
+    assert result["tree_peak_rss_mb"] > result["metrics"]["peak_rss_mb"]["value"] + 40

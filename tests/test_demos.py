@@ -22,3 +22,15 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, script], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_paper_grid_config_loads():
+    from netelast.experiment import load_config
+
+    config = load_config(ROOT / "demos" / "paper_grid.ini")
+    assert [t.name for t in config.topologies] == ["gilbert", "pa", "ws", "grid"]
+    assert [t.spec.family for t in config.topologies] == [
+        "gilbert", "preferential_attachment", "watts_strogatz", "near_regular"
+    ]
+    assert (config.global_seed, config.batch, config.recompute, config.stop_fraction) == (1, 10, True, 1.0)
+    assert config.output_dir == ROOT / "demos" / "paper_grid_results"

@@ -3,6 +3,9 @@
 import hashlib
 import io
 import math
+import multiprocessing
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -87,6 +90,14 @@ def config_dir(tmp_path):
     (tmp_path / "het.ini").write_text(HET_CONFIG)
     save_edge_list(star_graph(10), tmp_path / "star10.edges")
     return tmp_path
+
+
+def _save_barbell(path):
+    """Two K5 (0-4 and 5-9) joined through node 10: every elasticity under
+    the homogeneous engine is above 1, so its tradeoff score is NaN."""
+    bridge = [(4, 10), (10, 5)]
+    edges = [(u, v) for k in (0, 5) for u in range(k, k + 5) for v in range(u + 1, k + 5)]
+    save_edge_list(ne.Graph.from_edges(11, edges + bridge), path)
 
 
 class TestFmt:
@@ -354,11 +365,7 @@ class TestRunExperiment:
             assert (report.output_dir / f"curves/ws_{kind}.csv").read_text() == want.getvalue()
 
     def test_rejected_tradeoff_is_reported(self, tmp_path):
-        # two K5 (0-4 and 5-9) joined through node 10: every elasticity is
-        # above 1, so the tradeoff score is NaN
-        bridge = [(4, 10), (10, 5)]
-        edges = [(u, v) for k in (0, 5) for u in range(k, k + 5) for v in range(u + 1, k + 5)]
-        save_edge_list(ne.Graph.from_edges(11, edges + bridge), tmp_path / "barbell.edges")
+        _save_barbell(tmp_path / "barbell.edges")
         (tmp_path / "grid.ini").write_text(
             "[experiment]\noutput_dir = out\n[topology:barbell]\npath = barbell.edges\n"
         )
@@ -405,6 +412,8 @@ class TestSharedIntactEvaluation:
             standalone.append(g)
             return real_betweenness(g)
 
+        # the spies count in this process, so the topologies must be evaluated here
+        monkeypatch.setattr(experiment, "_pool_size", lambda tasks: 1)
         monkeypatch.setattr(robustness, "_evaluate", evaluate)
         monkeypatch.setattr(robustness, "betweenness", betweenness)
         report = run_experiment(load_config(config_dir / "grid.ini"))
@@ -426,6 +435,7 @@ class TestSharedIntactEvaluation:
             measured.append(g)
             return real_metrics(g, profile)
 
+        monkeypatch.setattr(experiment, "_pool_size", lambda tasks: 1)
         monkeypatch.setattr(_csr, "bfs", bfs)
         monkeypatch.setattr(experiment, "metrics", metrics)
         run_experiment(load_config(config_dir / "grid.ini"))
@@ -479,6 +489,103 @@ class TestSharedIntactEvaluation:
             *(f"cell {name}/{kind}: ERROR {text}" for name, text in texts.items() for kind in kinds),
             *(f"cell small/{kind}: elasticity=0.3" for kind in kinds),
         ]
+
+
+# one grid per engine, each with a refused or failing topology, a NaN row
+# and a heterogeneous (preferential attachment) topology
+POOL_ENGINES = {
+    "homogeneous_random_tie": "model = dijkstra_homogeneous\ntie_break = random\ntie_seed = 5\nbatch = 2\n",
+    "heterogeneous": "model = dijkstra_heterogeneous\nrecompute = false\nbatch = 3\nstop_fraction = 0.5\n",
+    "lp": "model = lp_optimization\nbatch = 3\nstop_fraction = 0.3\n",
+}
+POOL_TOPOLOGIES = (
+    "[topology:big]\nfamily = gilbert\nn = 40\np = 0.3\n"
+    "[topology:ghost]\npath = nowhere.edges\n"
+    "[topology:barbell]\npath = barbell.edges\n"
+    "[topology:pa]\nfamily = preferential_attachment\nn = 24\nm = 2\n"
+)
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this process if the block runs past `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("engine", sorted(POOL_ENGINES))
+    def test_outputs_identical_at_pool_sizes_1_and_2(self, tmp_path, monkeypatch, engine):
+        _save_barbell(tmp_path / "barbell.edges")
+        for size in (1, 2):
+            text = f"[experiment]\noutput_dir = out{size}\nglobal_seed = 3\n{POOL_ENGINES[engine]}{POOL_TOPOLOGIES}"
+            (tmp_path / f"pool{size}.ini").write_text(text)
+        real_curves, calls = experiment._curves, []
+
+        def curves(*args):
+            calls.append(args[0])
+            return real_curves(*args)
+
+        monkeypatch.setattr(experiment, "_curves", curves)
+        reports, parent_calls = [], []
+        for size in (1, 2):
+            calls.clear()
+            monkeypatch.setattr(experiment, "_pool_size", lambda tasks, size=size: size)
+            with _deadline(120):
+                reports.append(run_experiment(load_config(tmp_path / f"pool{size}.ini")))
+            parent_calls.append(len(calls))
+        one, two = reports
+        # three topologies are evaluated, here at size 1 and in the workers at size 2
+        assert parent_calls == [3, 0]
+        assert "ghost" in one.errors
+        assert ("big/random" in one.errors) == (engine == "lp")
+        assert ("tradeoff/barbell" in one.errors) == (engine == "homogeneous_random_tie")
+        assert list(one.errors.items()) == list(two.errors.items())
+
+        def csv_bytes(report):
+            out = report.output_dir
+            return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*.csv"))}
+
+        def log(report):
+            lines = (report.output_dir / "run.log").read_text().splitlines()
+            return [line for line in lines if not line.startswith("elapsed ")]
+
+        assert csv_bytes(one) == csv_bytes(two)
+        assert log(one) == log(two)
+        assert list(one.curves) == list(two.curves)
+        for key, curve in one.curves.items():
+            other = two.curves[key]
+            assert curve.fractions.tobytes() == other.fractions.tobytes()
+            assert curve.normalized.tobytes() == other.normalized.tobytes()
+            assert (curve.elasticity, curve.alpha) == (other.elasticity, other.alpha)
+        assert repr(one.metrics) == repr(two.metrics)
+
+    def test_no_worker_outlives_the_run(self, config_dir, monkeypatch):
+        monkeypatch.setattr(experiment, "_pool_size", lambda tasks: 2)
+        with _deadline(120):
+            report = run_experiment(load_config(config_dir / "grid.ini"))
+        assert len(report.curves) == 9
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_propagates_without_orphans(self, config_dir, monkeypatch):
+        # an error that is not a NetelastError ends the run, as it does in process
+        def evaluate(*args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(experiment, "_pool_size", lambda tasks: 2)
+        monkeypatch.setattr(robustness, "_evaluate", evaluate)
+        with _deadline(120), pytest.raises(RuntimeError, match="injected"):
+            run_experiment(load_config(config_dir / "grid.ini"))
+        assert multiprocessing.active_children() == []
 
 
 class TestGoldenBundle:

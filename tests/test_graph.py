@@ -2,6 +2,7 @@
 
 import io
 import math
+import pickle
 from itertools import combinations
 
 import numpy as np
@@ -137,6 +138,17 @@ class TestGraph:
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
                     assert not a.flags.writeable
                 assert not h.has_node(v) and h.number_of_nodes == g.number_of_nodes - 1
+
+    def test_pickle_round_trip_stays_read_only(self):
+        removed = ne.gen_mesh(4)
+        removed.remove_node(2)
+        for g in (ne.gen_mesh(4), removed):
+            h = pickle.loads(pickle.dumps(g))
+            assert h.edges() == g.edges()
+            assert h._present.tobytes() == g._present.tobytes()
+            for a, b in zip(h.csr(), g.csr()):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
 
     def test_remove_nodes_rejects_bad_ids_before_removing(self):
         g = path_graph(4)

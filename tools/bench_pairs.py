@@ -8,7 +8,9 @@ temporary directory and runs `netelast_bench/run.py` (`--trace 0`) there and
 in this checkout's working tree, alternately, `--pairs` times per workload:
 pair i uses seed `--seed` + i, and the parent runs first in even pairs, the
 change in odd ones.  Every run is one fresh process, one after the other.  The output file
-holds every run's metrics; per workload and side, whether every run passed
+holds every run's metrics, wall time and `tree_peak_rss_mb` (the peak resident
+set of the run's largest process, worker processes included, with each side's
+median and quartiles); per workload and side, whether every run passed
 its output checks (`all_correct`) and the total of failed operations; and
 per end-to-end metric of BENCHMARK.json each side's median and quartiles,
 the change's wins over its pairs, whether it regressed (its median is worse
@@ -49,17 +51,28 @@ def _extract(rev: str, into: Path) -> None:
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark process in `tree`; its closing JSON line, plus its wall time."""
+    """One benchmark process in `tree`: its closing JSON line, its wall time,
+    and `tree_peak_rss_mb`, the largest peak resident set of the process and
+    the descendants it waited for (the kernel reports their maximum, not
+    their sum), which the process's own `peak_rss_mb` does not see."""
     started = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "netelast_bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(f"{tree} {workload} seed {seed} exited {proc.returncode}:\n{proc.stderr}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    # output goes to files: reading pipes would need `wait`, which reaps the
+    # process before `wait4` can read its resource usage
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "netelast_bench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=tree, stdout=out, stderr=err, text=True,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait again
+        out.seek(0)
+        err.seek(0)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{tree} {workload} seed {seed} exited {proc.returncode}:\n{err.read()}")
+        result = json.loads(out.read().strip().splitlines()[-1])
     result["wall_s"] = time.perf_counter() - started
+    result["tree_peak_rss_mb"] = usage.ru_maxrss / 1024.0
     return result
 
 
@@ -159,7 +172,10 @@ def main(argv=None) -> int:
                         print(f"{workload} pair {i} {side}: correct {result['correct']}, "
                               f"failed {result['failed']}", file=sys.stderr, flush=True)
             report["workloads"][workload] = {
-                "health": _health(runs), "summary": _summary(runs, bench["end_to_end"]), "runs": runs,
+                "health": _health(runs), "summary": _summary(runs, bench["end_to_end"]),
+                "tree_peak_rss_mb": {side: _spread([r["tree_peak_rss_mb"] for r in runs if r["side"] == side])
+                                     for side in ("parent", "change")},
+                "runs": runs,
             }
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
