@@ -15,6 +15,7 @@ delivered across all ordered node pairs?
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,26 +251,69 @@ def throughput_dijkstra_heterogeneous(
 # -- concurrent-flow optimization ----------------------------------------------
 
 
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first call: the LP is the
-    only part of netelast that needs scipy, so `import netelast` loads
-    numpy alone and HiGHS loads on the first solve."""
-    from scipy.optimize import linprog as highs
+@dataclass
+class LPResult:
+    """One HiGHS solve: `status` is scipy.optimize.linprog's code (0 optimal,
+    1 limit reached, 2 infeasible, 3 unbounded, 4 other), and `x` is None
+    unless the solve is optimal."""
 
-    return highs(*args, **kwargs)
+    x: np.ndarray | None
+    status: int
+    message: str
+    nit: int
+
+
+# HiGHS model status -> linprog's status code; every other status is 4
+_LINPROG_STATUS = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1, "kInfeasible": 2, "kUnbounded": 3}
+
+
+@functools.cache
+def _highs():
+    """scipy's HiGHS binding and the options that
+    scipy.optimize.linprog(method="highs") sets, every other option at its
+    HiGHS default.  Imported on the first call: the LP is the only part of
+    netelast that needs scipy, so `import netelast` loads numpy alone."""
+    from scipy.optimize._highspy import _core
+
+    options = _core.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = _FEAS_TOL
+    options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = options.log_to_console = False
+    return _core, options
+
+
+def linprog(lp) -> LPResult:
+    """One cold solve of the HighsLp `lp` (minimize col_cost_ @ x subject to
+    row and column bounds), as scipy.optimize.linprog(method="highs") makes
+    it: a fresh solver, so nothing carries over from an earlier solve."""
+    core, options = _highs()
+    highs = core._Highs()
+    highs.passOptions(options)
+    highs.passModel(lp)
+    highs.run()
+    model_status = highs.getModelStatus()
+    status = _LINPROG_STATUS.get(model_status.name, 4)
+    info = highs.getInfo()
+    return LPResult(
+        np.array(highs.getSolution().col_value) if status == 0 else None,
+        status,
+        f"HiGHS model status {int(model_status)}: {highs.modelStatusToString(model_status)}",
+        info.simplex_iteration_count or info.ipm_iteration_count,
+    )
 
 
 def _solve_concurrent_lp(indptr, indices, residual, sources, reached):
     """One round of the optimization on the residual CSR (arc capacities
     `residual`): maximize the uniform rate to every pair (sources[i], t) with
     reached[i, t], then (at that optimum) minimize total flow so the round
-    does not waste capacity on degenerate routings.
+    does not waste capacity on degenerate routings.  Both phases solve one
+    model cold; phase 2 changes only the costs and the rate's bounds.
 
     Returns (rate, utilization per arc, per-commodity flows) where flows
     maps source -> (arc positions, flow values).
     """
-    from scipy import sparse
-
     tails = _csr.arc_tails(indptr)
     heads = indices
     na = indices.size
@@ -291,7 +335,6 @@ def _solve_concurrent_lp(indptr, indices, residual, sources, reached):
     # in the commodity, commodity-major and arcs ascending
     comm, arc = np.nonzero(noderow[:, tails] >= 0)
     nvars = comm.size + 1
-    cols = np.arange(1, nvars)
     tail_row = noderow[comm, tails[arc]]
     head_row = noderow[comm, heads[arc]]
     # the source row counts outflow at +1; a destination row counts outflow
@@ -300,44 +343,49 @@ def _solve_concurrent_lp(indptr, indices, residual, sources, reached):
     into = head_row > src_rows[comm]
     rate_vals = np.full(nrows, -1.0)
     rate_vals[src_rows] = -ndest
-    a_eq = sparse.coo_matrix(
-        (
-            np.concatenate([rate_vals, np.where(tail_row == src_rows[comm], 1.0, -1.0), np.ones(into.sum())]),
-            (
-                np.concatenate([np.arange(nrows), tail_row, head_row[into]]),
-                np.concatenate([np.zeros(nrows, dtype=np.int64), cols, cols[into]]),
-            ),
-        ),
-        shape=(nrows, nvars),
-    ).tocsr()
-    # an arc's position in the residual CSR is its capacity row
-    a_ub = sparse.coo_matrix((np.ones(arc.size), (arc, cols)), shape=(na, nvars)).tocsr()
+    tail_vals = np.where(tail_row == src_rows[comm], 1.0, -1.0)
 
-    options = {
-        "primal_feasibility_tolerance": _FEAS_TOL,
-        "dual_feasibility_tolerance": _FEAS_TOL,
-    }
-    bounds = [(0.0, None)] * nvars
+    # the constraint matrix in CSC, rows ascending within each column: the
+    # capacity rows (an arc's position in the residual CSR) come first, then
+    # the conservation rows.  Column 0 is the rate, with one entry per
+    # conservation row; a flow column has its arc's capacity row, then its
+    # tail's and (unless the head is the source) its head's rows in order.
+    swap = into & (head_row < tail_row)
+    rows = np.stack([arc, na + np.where(swap, head_row, tail_row), na + np.where(swap, tail_row, head_row)], axis=1)
+    vals = np.stack([np.ones(arc.size), np.where(swap, 1.0, tail_vals), np.where(swap, tail_vals, 1.0)], axis=1)
+    entries = np.ones(rows.shape, dtype=bool)
+    entries[:, 2] = into
+    core, _ = _highs()
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = nvars
+    lp.num_row_ = lp.a_matrix_.num_row_ = na + nrows
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate([[0, nrows], nrows + np.cumsum(2 + into)]).astype(np.int32)
+    lp.a_matrix_.index_ = np.concatenate([na + np.arange(nrows), rows[entries]]).astype(np.int32)
+    lp.a_matrix_.value_ = np.concatenate([rate_vals, vals[entries]])
+    lp.row_lower_ = np.concatenate([np.full(na, -np.inf), np.zeros(nrows)])
+    lp.row_upper_ = np.concatenate([residual, np.zeros(nrows)])
+    upper = np.full(nvars, np.inf)
 
-    def solve(c, bounds):
-        res = linprog(
-            c, A_ub=a_ub, b_ub=residual, A_eq=a_eq, b_eq=np.zeros(nrows),
-            bounds=bounds, method="highs", options=options,
-        )
+    def solve(c, lower):
+        lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, lower, upper
+        res = linprog(lp)
         if res.status != 0:
             raise ComputeError(f"concurrent-flow optimization failed: {res.message}")
         return res.x
 
     c = np.zeros(nvars)
     c[0] = -1.0
-    x = solve(c, bounds)
+    x = solve(c, np.zeros(nvars))
     if x[0] > 0:
         # second phase: same rate, least total flow (phase 1's solution stays
         # feasible, so pinning the rate exactly should not fail)
         rate = float(x[0])
         c = np.ones(nvars)
         c[0] = 0.0
-        x = solve(c, [(rate, rate)] + bounds[1:])
+        lower = np.zeros(nvars)
+        lower[0] = upper[0] = rate
+        x = solve(c, lower)
     rate = float(x[0])
 
     util = np.zeros(na)

@@ -276,6 +276,60 @@ class TestConcurrentFlowLP:
         assert sum(r.per_pair_delivered.values()) == pytest.approx(r.raw_throughput)
 
 
+def binding_graphs():
+    rng = np.random.default_rng(1515)
+    graphs = [random_connected_graph(rng, int(rng.integers(2, 11))) for _ in range(20)]
+    return graphs + [ne.gen_watts_strogatz(30, 4, 0.3, seed=1)]
+
+
+class TestHighsBinding:
+    """throughput.linprog drives scipy's private HiGHS binding; it must solve
+    the LP's models exactly as the public scipy.optimize.linprog does, so a
+    scipy release that changes the binding fails here instead of quietly
+    moving outputs."""
+
+    @staticmethod
+    def first_round_solves(g, monkeypatch):
+        """(model arrays, result) of each solve in g's first residual round,
+        the arrays copied before the next phase changes the model."""
+        real = throughput.linprog
+        solves = []
+
+        def record(lp):
+            a = lp.a_matrix_
+            model = [np.array(v) for v in (
+                lp.col_cost_, lp.col_lower_, lp.col_upper_, lp.row_lower_, lp.row_upper_, a.value_, a.index_, a.start_
+            )]
+            res = real(lp)
+            solves.append((model, res))
+            return res
+
+        monkeypatch.setattr(throughput, "linprog", record)
+        ne.throughput_lp(g)
+        return solves[:2]
+
+    @pytest.mark.parametrize("g", binding_graphs(), ids=[f"random{i}" for i in range(20)] + ["ws30"])
+    def test_same_solves_as_public_linprog(self, g, monkeypatch):
+        from scipy import sparse
+        from scipy.optimize import linprog as public_linprog
+
+        solves = self.first_round_solves(g, monkeypatch)
+        # phase 1 finds a positive rate on a connected graph, so phase 2 runs
+        assert len(solves) == 2
+        for (c, lower, upper, row_lower, row_upper, value, index, start), res in solves:
+            a = sparse.csc_array((value, index, start), shape=(row_lower.size, c.size))
+            na = int(np.isinf(row_lower).sum())  # the capacity rows come first
+            assert np.array_equal(row_lower[na:], row_upper[na:])
+            ref = public_linprog(
+                c, A_ub=a[:na], b_ub=row_upper[:na], A_eq=a[na:], b_eq=row_upper[na:],
+                bounds=np.column_stack([lower, upper]), method="highs",
+                options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
+            )
+            assert res.status == ref.status == 0
+            assert res.nit == ref.nit
+            assert res.x.tobytes() == ref.x.tobytes()
+
+
 def pa25_without_0_5_11():
     g = ne.gen_preferential_attachment(25, 2, seed=2)
     for v in (0, 5, 11):
@@ -337,6 +391,22 @@ class TestResidualEnginePins:
             == "449ebdaba618b2633b58a9ae5e11d000ec2305e698193090841d2e047602ce90"
         )
         assert r.raw_throughput == pytest.approx(33.858730158730204, abs=1e-9)
+
+    def test_lp_rate_phase_failure_raises(self, monkeypatch):
+        real = throughput.linprog
+        calls = []
+
+        def fail_first(*args, **kwargs):
+            res = real(*args, **kwargs)
+            calls.append(res.status)
+            res.status, res.message = 2, "the problem is infeasible"
+            return res
+
+        monkeypatch.setattr(throughput, "linprog", fail_first)
+        with pytest.raises(ne.ComputeError, match="the problem is infeasible"):
+            ne.throughput_lp(path_graph(3))
+        # the rate phase failed, so no least-flow phase ran
+        assert calls == [0]
 
     def test_lp_least_flow_phase_failure_raises(self, monkeypatch):
         real = throughput.linprog
