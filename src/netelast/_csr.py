@@ -5,11 +5,12 @@ serves the undirected structural graph and the directed residual graphs of
 the routing engines (keep_arcs masks the arcs that still have capacity).
 The level-edge kernels are level-synchronous: each BFS level is expanded
 with a handful of numpy calls, which keeps per-node Python overhead out of
-the n = 1000 attack simulations.  Routing, and with it the residual
-engines' reachability, goes through bfs, and one bfs result feeds the
-betweenness (brandes) and the hop-distance sums of `metrics` (hop_profile)
-as well.  Connected components come from hook-and-shortcut rounds over the
-same arrays (component_labels), so the module needs numpy only.
+the n = 1000 attack simulations.  Every traversal from many sources runs
+through sweep, the one loop over blocks of sources; routing (with the
+residual engines' reachability), betweenness (brandes) and the hop-distance
+sums of `metrics` (hop_profile) all read its bfs results.  Connected
+components come from hook-and-shortcut rounds over the same arrays
+(component_labels), so the module needs numpy only.
 """
 
 from __future__ import annotations
@@ -108,6 +109,15 @@ def source_blocks(count: int, n: int, arcs: int) -> list[slice]:
     once)."""
     size = max(1, min(_BLOCK_NODES // max(n, 1), _BLOCK_ARCS // max(arcs, 1)))
     return [slice(start, start + size) for start in range(0, count, size)]
+
+
+def sweep(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, n: int, reach=None):
+    """Batched bfs over `sources` in consecutive blocks (source_blocks),
+    yielding (part, traversal) per block: the slice of `sources` it covers
+    and its bfs result.  `reach`, when given, holds each source's reach (see
+    bfs).  This is the only loop over source blocks."""
+    for part in source_blocks(len(sources), n, indices.size):
+        yield part, bfs(indptr, indices, sources[part], n, None if reach is None else reach[part])
 
 
 def gather_rows(

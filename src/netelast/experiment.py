@@ -15,9 +15,7 @@ import hashlib
 import math
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 from pathlib import Path
 from typing import get_type_hints
 
@@ -241,18 +239,15 @@ def _pool_size(tasks: int) -> int:
     return min(len(affinity(0)), tasks)
 
 
-@contextmanager
-def _topology_map(tasks: int):
-    """The `map` that evaluates `tasks` topologies, results in task order:
-    a pool of `_pool_size` worker processes fed one task at a time, or the
-    builtin `map` in this process when that size is 1.  Leaving the block
-    shuts the pool down and joins its workers; on an error, including an
-    interrupt, it first stops the evaluations still running, as an error in
-    this process would."""
-    workers = _pool_size(tasks)
+def _evaluate_all(tasks: list[tuple]) -> list:
+    """`_evaluate_topology(*task)` for every task, in task order: in a pool of
+    `_pool_size` worker processes fed one task at a time, or in this process
+    when that size is 1.  On an error, including an interrupt, the
+    evaluations still running are stopped, as an error in this process would
+    stop them."""
+    workers = _pool_size(len(tasks))
     if workers <= 1:
-        yield map
-        return
+        return [_evaluate_topology(*task) for task in tasks]
     # imported here, so that `import netelast` does not pay for them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -261,7 +256,7 @@ def _topology_map(tasks: int):
     # spawn would import it again in every worker
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         try:
-            yield pool.map
+            return list(pool.map(_evaluate_topology, *zip(*tasks)))
         except BaseException:
             # shutdown would wait for every task already queued to a worker
             # (as Python 3.14's `terminate_workers` does)
@@ -313,20 +308,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     curves: dict[tuple[str, str], ElasticityCurve] = {}
     reports: dict[str, MetricsReport] = {}
     strategies = [[_attack_strategy(config, name, kind) for kind in config.attacks] for name in graphs]
-    with _topology_map(len(graphs)) as run:
-        evaluated = run(
-            _evaluate_topology, graphs.values(), strategies, repeat(config.model), repeat(config.stop_fraction)
-        )
-        for name, (cells, report) in zip(graphs, evaluated):
-            for kind, curve in zip(config.attacks, cells):
-                if not isinstance(curve, ElasticityCurve):
-                    errors[f"{name}/{kind}"] = str(curve)
-                    log_lines.append(f"cell {name}/{kind}: ERROR {curve}")
-                    continue
-                curves[(name, kind)] = curve
-                curve.write_csv(curves_dir / f"{name}_{kind}.csv")
-                log_lines.append(f"cell {name}/{kind}: elasticity={fmt(curve.elasticity)}")
-            reports[name] = report
+    tasks = [(g, cells, config.model, config.stop_fraction) for g, cells in zip(graphs.values(), strategies)]
+    for name, (cells, report) in zip(graphs, _evaluate_all(tasks)):
+        for kind, curve in zip(config.attacks, cells):
+            if not isinstance(curve, ElasticityCurve):
+                errors[f"{name}/{kind}"] = str(curve)
+                log_lines.append(f"cell {name}/{kind}: ERROR {curve}")
+                continue
+            curves[(name, kind)] = curve
+            curve.write_csv(curves_dir / f"{name}_{kind}.csv")
+            log_lines.append(f"cell {name}/{kind}: elasticity={fmt(curve.elasticity)}")
+        reports[name] = report
 
     rows: list[RankingRow] = []
     for decl in config.topologies:

@@ -126,8 +126,9 @@ class Graph:
     def remove_nodes(self, vs) -> None:
         """Delete the nodes `vs` and their incident edges in one filter over
         the arcs, which keeps their order; the ids stay allocated but inert.
-        Every id must be present and appear once.
+        Every id must be present and appear once; `vs` is read once.
         """
+        vs = list(vs)
         gone = np.zeros(self._present.size, dtype=bool)
         for v in vs:
             self._check_node(v)
@@ -135,7 +136,7 @@ class Graph:
                 raise ParameterError(f"node {v} given twice")
             gone[v] = True
         # one node: a compare is cheaper than a gather per arc
-        keep = self._indices != next(iter(vs)) if len(vs) == 1 else ~gone[self._indices]
+        keep = self._indices != vs[0] if len(vs) == 1 else ~gone[self._indices]
         counts = np.diff(self._indptr)
         for v in vs:
             lo, hi = self._indptr[v], self._indptr[v + 1]
@@ -326,8 +327,8 @@ def betweenness(g: Graph) -> np.ndarray:
     accum = np.zeros(n)
     sources = np.flatnonzero(g._present)
     reach = _csr.component_reach(indptr, indices, n, sources)
-    for part in _csr.source_blocks(sources.size, n, indices.size):
-        _csr.brandes(_csr.bfs(indptr, indices, sources[part], n, reach[part]), n, accum)
+    for _, traversal in _csr.sweep(indptr, indices, sources, n, reach):
+        _csr.brandes(traversal, n, accum)
     return accum / 2.0
 
 
@@ -371,8 +372,8 @@ def metrics(g: Graph, profile: np.ndarray | None = None) -> MetricsReport:
     Diameter and asp are read from the hop-distance profile
     (_csr.hop_profile) of the largest component's members.  `profile` is a
     (2, id_space) int array that a routing traversal of `g` filled, -1 in
-    the columns it did not reach (see raw_throughput); when it is absent or
-    does not cover that component, metrics makes its own bfs pass over it.
+    the columns it did not reach (see robustness._evaluate); when it is
+    absent or does not cover that component, metrics sweeps it itself.
     """
     n = _require_pairs(g)
     m = g.number_of_edges
@@ -393,11 +394,9 @@ def metrics(g: Graph, profile: np.ndarray | None = None) -> MetricsReport:
         asp = math.nan
     else:
         if profile is None or (profile[1, comp] < 0).any():
-            indptr, indices = g.csr()
             profile = np.full((2, g.id_space), -1)
-            reach = np.full(k, k)
-            for part in _csr.source_blocks(k, g.id_space, indices.size):
-                _csr.hop_profile(_csr.bfs(indptr, indices, comp[part], g.id_space, reach[part]), g.id_space, profile)
+            for _, traversal in _csr.sweep(*g.csr(), comp, g.id_space, np.full(k, k)):
+                _csr.hop_profile(traversal, g.id_space, profile)
         sums, ecc = profile[:, comp]
         diameter = float(ecc.max())
         # every unordered pair counted twice in the per-source sums

@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import _csr
 from .errors import ComputeError, NetelastError, ParameterError
 from .graph import Graph, betweenness, fmt, seeded_rng, write_lines
 from .throughput import ThroughputModel, raw_throughput
@@ -71,12 +72,20 @@ def _evaluate(g: Graph, model: ThroughputModel | None, rank: bool, profile=None)
     """(raw throughput of `g` under `model`, None without a model; the
     betweenness of `g` when `rank` is set, else None).  With a model, both
     come from the engine's one routing traversal of `g`, which also writes
-    the hop-distance profile of `g` into `profile` when one is given (see
-    raw_throughput)."""
+    the hop-distance profile of `g` (_csr.hop_profile) into `profile` when
+    one is given: this is the only code that knows what its `visit` does."""
     if model is None:
         return None, betweenness(g) if rank else None
-    accum = np.zeros(g.id_space) if rank else None
-    return raw_throughput(g, model, accum, profile), accum / 2.0 if rank else None
+    accum = np.zeros(g.id_space)
+
+    def visit(traversal):
+        if rank:
+            _csr.brandes(traversal, g.id_space, accum)
+        if profile is not None:
+            _csr.hop_profile(traversal, g.id_space, profile)
+
+    raw = raw_throughput(g, model, visit if rank or profile is not None else None)
+    return raw, accum / 2.0 if rank else None
 
 
 def _attack(g: Graph, strategy: AttackStrategy, limit: int, model: ThroughputModel | None, scores):

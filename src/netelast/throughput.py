@@ -105,37 +105,32 @@ def shortest_path_tree(
     return dist, pred
 
 
-def _route_all(indptr, indices, sources, n, rng, reach=None, accum=None, profile=None):
+def _route_all(indptr, indices, sources, n, rng, reach=None, visit=None):
     """Single-path routing from every source over the CSR arcs, one batched
-    bfs per block of sources.
+    bfs per block of sources (_csr.sweep, `reach` passed on).
 
     Returns (loads, reached): per arc (aligned with `indices`) the number of
     source->dest paths crossing it, i.e. the size of the destination subtree
     below the arc; and a bool matrix whose row i marks the nodes that
-    sources[i] routes to.  `reach` is passed on to bfs.  With `accum`, each
-    block's traversal also adds its Brandes dependencies into it, in the
-    blocks and source order that graph.betweenness uses; with `profile`, it
-    also writes its sources' hop-distance profile (_csr.hop_profile) there.
+    sources[i] routes to.  `visit`, when given, is called with every block's
+    bfs result before it is routed, in the blocks and source order of
+    graph.betweenness: the hook through which robustness._evaluate reads
+    betweenness and hop distances from this traversal.
     """
     loads = np.zeros(indices.size)
     reached = np.zeros((len(sources), n), dtype=bool)
-    for part in _csr.source_blocks(len(sources), n, indices.size):
-        block = sources[part]
-        traversal = _csr.bfs(indptr, indices, block, n, None if reach is None else reach[part])
-        if accum is not None:
-            _csr.brandes(traversal, n, accum)
-        if profile is not None:
-            _csr.hop_profile(traversal, n, profile)
-        _, frontiers, level_edges = traversal
-        size = block.size * n
-        pred, via = _csr.pick_predecessors(level_edges, size, n, rng)
+    for part, traversal in _csr.sweep(indptr, indices, sources, n, reach):
+        if visit is not None:
+            visit(traversal)
+        dist, frontiers, level_edges = traversal
+        pred, via = _csr.pick_predecessors(level_edges, dist.size, n, rng)
         dests = np.flatnonzero(pred >= 0)
-        cnt = np.zeros(size)
+        cnt = np.zeros(dist.size)
         cnt[dests] = 1.0
         for fr in reversed(frontiers[1:]):
-            cnt += np.bincount(pred[fr], weights=cnt[fr], minlength=size)
+            cnt += np.bincount(pred[fr], weights=cnt[fr], minlength=dist.size)
         np.add.at(loads, via[dests], cnt[dests])
-        reached[part] = (pred >= 0).reshape(block.size, n)
+        reached[part] = (pred >= 0).reshape(-1, n)
     return loads, reached
 
 
@@ -161,16 +156,14 @@ def _per_pair(sources: np.ndarray, reached: np.ndarray, rate) -> dict[tuple[int,
     return dict(zip(pairs, rate[rows, dests].tolist()))
 
 
-def _raw_homogeneous(g: Graph, model: ThroughputModel, accum=None, profile=None) -> tuple[float, float, np.ndarray]:
+def _raw_homogeneous(g: Graph, model: ThroughputModel, visit=None) -> tuple[float, float, np.ndarray]:
     """(raw_throughput, uniform per-pair rate, reached matrix over the present
     sources) of the homogeneous model; the per-pair map is left to the caller
-    that needs it.  With `accum`, the routing traversal also adds twice the
-    betweenness of every node id into it; with `profile`, it writes every
-    present node's hop-distance profile there (_csr.hop_profile)."""
+    that needs it.  `visit` sees the routing traversal (see _route_all)."""
     indptr, indices = g.csr()
     sources = np.flatnonzero(g._present)
     reach = _csr.component_reach(indptr, indices, g.id_space, sources)
-    util, reached = _route_all(indptr, indices, sources, g.id_space, _tie_rng(model), reach, accum, profile)
+    util, reached = _route_all(indptr, indices, sources, g.id_space, _tie_rng(model), reach, visit)
     max_util = util.max() if util.size else 0.0
     delta = 1.0 / max_util if max_util > 0 else 1.0
     return delta * np.count_nonzero(reached), delta, reached
@@ -179,13 +172,14 @@ def _raw_homogeneous(g: Graph, model: ThroughputModel, accum=None, profile=None)
 # -- residual filling ------------------------------------------------------------
 
 
-def _fill_residual(g: Graph, fill, rounds_per_arc: int, failure: str) -> ThroughputResult:
+def _fill_residual(g: Graph, fill, rng, visit, rounds_per_arc: int, failure: str) -> ThroughputResult:
     """The residual loop shared by the heterogeneous and LP engines.
 
-    Each arc of g.csr() starts with unit capacity.  Each round,
-    `fill(indptr, indices, residual, present)` routes on the CSR of the arcs
-    that still have capacity, whose residual capacities are `residual`, and
-    returns (rate, utilization over those arcs, reached): every pair
+    Each arc of g.csr() starts with unit capacity.  Each round routes the
+    present nodes (_route_all with `rng`) on the CSR of the arcs that still
+    have capacity (`residual`); only the first round, on g.csr() itself,
+    passes on `visit`.  `fill(indptr, indices, residual, present, loads,
+    reached)` returns (rate, utilization over those arcs): every pair
     (present[i], t) with reached[i, t] receives `rate`.  The loop subtracts
     the utilization and stops when no arc is left, the rate is not positive
     or nothing is reached; it raises ComputeError(failure) after
@@ -203,7 +197,10 @@ def _fill_residual(g: Graph, fill, rounds_per_arc: int, failure: str) -> Through
         alive = capacity > _RESIDUAL_EPS
         if not alive.any():
             break
-        rate, util, reached = fill(*_csr.keep_arcs(indptr, indices, alive), capacity[alive], present)
+        arcs = _csr.keep_arcs(indptr, indices, alive)
+        loads, reached = _route_all(*arcs, present, g.id_space, rng, visit=visit)
+        visit = None
+        rate, util = fill(*arcs, capacity[alive], present, loads, reached)
         if rate <= 0 or not reached.any():
             break
         demand[reached] += rate
@@ -221,31 +218,25 @@ def _fill_residual(g: Graph, fill, rounds_per_arc: int, failure: str) -> Through
 
 
 def throughput_dijkstra_heterogeneous(
-    g: Graph, model: ThroughputModel | None = None, *, accum=None, profile=None
+    g: Graph, model: ThroughputModel | None = None, *, visit=None
 ) -> ThroughputResult:
     """Residual filling.
 
     Each round recomputes single shortest paths on the arcs that still have
     residual capacity, pushes the largest uniform rate that violates no
     residual, and saturates at least one arc, so the loop ends after at most
-    one round per arc.  With `accum`, the first round (on g.csr() itself)
-    also adds twice the betweenness of every node id into it; with
-    `profile`, that round writes every present node's hop-distance profile
-    there (_csr.hop_profile).  A graph without edges routes no round and
-    leaves both untouched.
+    one round per arc.  `visit` sees the traversal of the first round, which
+    routes g.csr() itself; a graph without edges routes no round.
     """
     rng = _tie_rng(model or ThroughputModel(kind="dijkstra_heterogeneous"))
 
-    def fill(indptr, indices, residual, present):
-        nonlocal accum, profile
+    def fill(indptr, indices, residual, present, loads, reached):
         # an alive arc's tail reaches its head, so some load is positive
-        loads, reached = _route_all(indptr, indices, present, indptr.size - 1, rng, accum=accum, profile=profile)
-        accum = profile = None
         used = loads > 0
         eps = float((residual[used] / loads[used]).min())
-        return eps, eps * loads, reached
+        return eps, eps * loads
 
-    return _fill_residual(g, fill, 2, "residual filling failed to converge")
+    return _fill_residual(g, fill, rng, visit, 2, "residual filling failed to converge")
 
 
 # -- concurrent-flow optimization ----------------------------------------------
@@ -395,27 +386,23 @@ def _solve_concurrent_lp(indptr, indices, residual, sources, reached):
     return rate, util, flows
 
 
-def throughput_lp(g: Graph, model: ThroughputModel | None = None, *, accum=None, profile=None) -> ThroughputResult:
-    """Concurrent-flow optimization per residual round; `accum` and `profile`
-    as in throughput_dijkstra_heterogeneous.  A graph over LP_MAX_NODES is
-    refused before any routing."""
+def throughput_lp(g: Graph, model: ThroughputModel | None = None, *, visit=None) -> ThroughputResult:
+    """Concurrent-flow optimization per residual round, over the pairs its
+    routing reaches; `visit` as in throughput_dijkstra_heterogeneous.  A
+    graph over LP_MAX_NODES is refused before any routing."""
     n_present = g.number_of_nodes
     if n_present > LP_MAX_NODES:
         raise GraphSizeError(
             f"optimization model limited to {LP_MAX_NODES} nodes, got {n_present}"
         )
 
-    def fill(indptr, indices, residual, present):
-        nonlocal accum, profile
+    def fill(indptr, indices, residual, present, loads, reached):
         if residual.sum() < _RATE_EPS:
-            return 0.0, None, None
-        # one routing pass finds the reachable pairs; its loads go unused
-        _, reached = _route_all(indptr, indices, present, indptr.size - 1, None, accum=accum, profile=profile)
-        accum = profile = None
+            return 0.0, None
         rate, util, _ = _solve_concurrent_lp(indptr, indices, residual, present, reached)
-        return (rate if rate > _RATE_EPS else 0.0), util, reached
+        return (rate if rate > _RATE_EPS else 0.0), util
 
-    return _fill_residual(g, fill, 4, "optimization loop failed to converge")
+    return _fill_residual(g, fill, None, visit, 4, "optimization loop failed to converge")
 
 
 # -- dispatch -------------------------------------------------------------------
@@ -429,15 +416,15 @@ def evaluate_throughput(g: Graph, model: ThroughputModel) -> ThroughputResult:
     return throughput_lp(g, model)
 
 
-def raw_throughput(g: Graph, model: ThroughputModel, accum=None, profile=None) -> float:
-    """raw_throughput only (no homogeneous per-pair map); `accum`, if given,
-    gains twice the betweenness of `g` from the engine's routing traversal,
-    and `profile`, if given and the engine routes `g`, the hop-distance
-    profile of its present nodes (_csr.hop_profile)."""
+def raw_throughput(g: Graph, model: ThroughputModel, visit=None) -> float:
+    """raw_throughput only (no homogeneous per-pair map); `visit`, if given,
+    sees every block of the engine's routing traversal of `g` itself (see
+    _route_all), which the LP's size refusal and an edgeless graph under a
+    residual engine never reach."""
     if model.kind == "dijkstra_homogeneous":
-        return _raw_homogeneous(g, model, accum, profile)[0]
+        return _raw_homogeneous(g, model, visit)[0]
     engine = throughput_lp if model.kind == "lp_optimization" else throughput_dijkstra_heterogeneous
-    return engine(g, model, accum=accum, profile=profile).raw_throughput
+    return engine(g, model, visit=visit).raw_throughput
 
 
 def compare_models(g: Graph, tie_break: str = "sequential", seed: int | None = None) -> ModelComparison:

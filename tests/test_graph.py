@@ -150,6 +150,17 @@ class TestGraph:
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
                 assert not a.flags.writeable
 
+    @pytest.mark.parametrize("ids", [[2], [1, 4, 5]], ids=["one", "three"])
+    def test_remove_nodes_reads_any_iterable_once(self, ids):
+        want = ne.gen_preferential_attachment(12, 2, seed=1)
+        want.remove_nodes(list(ids))
+        for vs in ((v for v in ids), np.array(ids), iter(ids)):
+            g = ne.gen_preferential_attachment(12, 2, seed=1)
+            g.remove_nodes(vs)
+            assert g._present.tobytes() == want._present.tobytes()
+            for a, b in zip(g.csr(), want.csr()):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_remove_nodes_rejects_bad_ids_before_removing(self):
         g = path_graph(4)
         g.remove_node(3)

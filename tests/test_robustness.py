@@ -272,7 +272,7 @@ class TestFusedPass:
         if block is not None:
             monkeypatch.setattr(_csr, "_BLOCK_NODES", block)
         accum = np.zeros(g.id_space)
-        fed = engine(g, model, accum=accum)
+        fed = engine(g, model, visit=lambda traversal: _csr.brandes(traversal, g.id_space, accum))
         assert repr((fed.raw_throughput, list(fed.per_pair_delivered.items()))) == repr(
             (plain.raw_throughput, list(plain.per_pair_delivered.items()))
         )

@@ -213,12 +213,12 @@ class TestHeterogeneous:
         rounds = []
 
         def spy(g, fill, *args):
-            def checked(indptr, indices, residual, present):
-                rate, util, reached = fill(indptr, indices, residual, present)
+            def checked(indptr, indices, residual, *routed):
+                rate, util = fill(indptr, indices, residual, *routed)
                 if rate > 0:
                     rounds.append(rate)
                     assert np.all(util <= residual + 1e-9)
-                return rate, util, reached
+                return rate, util
 
             return real(g, checked, *args)
 
