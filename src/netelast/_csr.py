@@ -20,7 +20,7 @@ import numpy as np
 # one batched bfs holds at most _BLOCK_NODES flat ids (sources x id space)
 # and gathers at most _BLOCK_ARCS arcs per level
 _BLOCK_NODES = 1 << 16
-_BLOCK_ARCS = 1 << 17
+_BLOCK_ARCS = 1 << 18
 
 
 def build_csr(

@@ -5,7 +5,7 @@ The config is an INI file with one [experiment] section and one
 `path` to an edge list).  All randomness is derived from the global seed and
 the topology name, so adding a topology never perturbs the other rows and a
 rerun of the same config is byte-identical, whatever the number of worker
-processes that evaluate its topologies.
+processes that evaluate its graph states.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-import os
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -24,7 +23,7 @@ import numpy as np
 from .errors import NetelastError, ParameterError, ParseError
 from .generators import FAMILIES, GeneratorSpec, check_params
 from .graph import METRICS_CSV_HEADER, Graph, MetricsReport, _require_pairs, fmt, load_edge_list, metrics, write_lines
-from .robustness import ATTACK_KINDS, AttackStrategy, ElasticityCurve, TradeoffParams, _curves, tradeoff_re
+from .robustness import ATTACK_KINDS, AttackStrategy, ElasticityCurve, TradeoffParams, _Plan, _run_plans, tradeoff_re
 from .throughput import ThroughputModel
 
 __all__ = [
@@ -226,64 +225,16 @@ def _pearson(xs: list[float], ys: list[float]) -> float:
     return float(np.corrcoef(x, y)[0, 1])
 
 
-def _pool_size(tasks: int) -> int:
-    """Worker processes for `tasks` topologies: one per CPU this process may
-    run on, at most one per task.  It is 1 in a daemonic process, which may
-    not start any, and where `os.sched_getaffinity` is missing (macOS and
-    Windows, where fork is unsafe or absent)."""
-    import multiprocessing
-
-    affinity = getattr(os, "sched_getaffinity", None)
-    if affinity is None or multiprocessing.current_process().daemon:
-        return 1
-    return min(len(affinity(0)), tasks)
-
-
-def _evaluate_all(tasks: list[tuple]) -> list:
-    """`_evaluate_topology(*task)` for every task, in task order: in a pool of
-    `_pool_size` worker processes fed one task at a time, or in this process
-    when that size is 1.  On an error, including an interrupt, the
-    evaluations still running are stopped, as an error in this process would
-    stop them."""
-    workers = _pool_size(len(tasks))
-    if workers <= 1:
-        return [_evaluate_topology(*task) for task in tasks]
-    # imported here, so that `import netelast` does not pay for them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork: a worker starts from this process's memory, netelast imported;
-    # spawn would import it again in every worker
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        try:
-            return list(pool.map(_evaluate_topology, *zip(*tasks)))
-        except BaseException:
-            # shutdown would wait for every task already queued to a worker
-            # (as Python 3.14's `terminate_workers` does)
-            for worker in list(pool._processes.values()):
-                worker.terminate()
-            raise
-
-
-def _evaluate_topology(
-    g: Graph, strategies: list[AttackStrategy], model: ThroughputModel, stop_fraction: float
-) -> tuple[list[ElasticityCurve | NetelastError], MetricsReport]:
-    """One topology's attack cells (each a curve or the error that ended it)
-    and its metrics, which read the distances of the intact evaluation."""
-    profile = np.full((2, g.id_space), -1)
-    cells = _curves(g, strategies, model, stop_fraction, profile)
-    return cells, metrics(g, profile)
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every (topology, attack) cell and write the report bundle.
 
     A failing cell, or a topology that cannot be built or measured, is
     logged and surfaces as NaN in the tables; the rest of the grid still runs.
     Each metrics row reads its distances from the traversal of the
-    topology's intact evaluation.  The graphs are built here; their
-    evaluations run in parallel worker processes (see `_pool_size`), and
-    every file is written here, in config order.
+    topology's intact evaluation.  The graphs are built here; every
+    topology's evaluations are tasks of one pool of worker processes, heads
+    first (see robustness._Plan and _pool_size), and the curves, metrics
+    rows and files are made here, in config order.
     """
     out = Path(config.output_dir)
     curves_dir = out / "curves"
@@ -307,9 +258,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     curves: dict[tuple[str, str], ElasticityCurve] = {}
     reports: dict[str, MetricsReport] = {}
-    strategies = [[_attack_strategy(config, name, kind) for kind in config.attacks] for name in graphs]
-    tasks = [(g, cells, config.model, config.stop_fraction) for g, cells in zip(graphs.values(), strategies)]
-    for name, (cells, report) in zip(graphs, _evaluate_all(tasks)):
+    strategies = {name: [_attack_strategy(config, name, kind) for kind in config.attacks] for name in graphs}
+    plans = [_Plan(g, strategies[name], config.model, config.stop_fraction, profile=True) for name, g in graphs.items()]
+    outputs, workers = _run_plans(plans)
+    for (name, g), (cells, profile) in zip(graphs.items(), outputs):
         for kind, curve in zip(config.attacks, cells):
             if not isinstance(curve, ElasticityCurve):
                 errors[f"{name}/{kind}"] = str(curve)
@@ -318,7 +270,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             curves[(name, kind)] = curve
             curve.write_csv(curves_dir / f"{name}_{kind}.csv")
             log_lines.append(f"cell {name}/{kind}: elasticity={fmt(curve.elasticity)}")
-        reports[name] = report
+        reports[name] = metrics(g, profile)
 
     rows: list[RankingRow] = []
     for decl in config.topologies:
@@ -340,7 +292,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     _write_tradeoff_csv(out / "tradeoff.csv", rows, config.tradeoff)
     correlations = _write_correlations_csv(out / "correlations.csv", rows, reports)
 
-    log_lines.append(f"elapsed {time.monotonic() - started:.1f}s")
+    pool = f"{workers} worker processes" if workers > 1 else "no worker processes"
+    log_lines.append(f"elapsed {time.monotonic() - started:.1f}s, {pool}")
     write_lines(out / "run.log", log_lines)
 
     return ExperimentReport(

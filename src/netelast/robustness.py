@@ -10,7 +10,9 @@ the natural reference point for every other topology.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -18,7 +20,7 @@ import numpy as np
 from . import _csr
 from .errors import ComputeError, NetelastError, ParameterError
 from .graph import Graph, betweenness, fmt, seeded_rng, write_lines
-from .throughput import ThroughputModel, raw_throughput
+from .throughput import ThroughputModel, check_size, raw_throughput
 
 __all__ = [
     "AttackStrategy",
@@ -88,6 +90,15 @@ def _evaluate(g: Graph, model: ThroughputModel | None, rank: bool, profile=None)
     return raw, accum / 2.0 if rank else None
 
 
+def _order(g: Graph, strategy: AttackStrategy, scores) -> list[int] | None:
+    """The removal order of a random or static attack, fixed on the intact
+    graph `g` (a betweenness ranking reads `scores`); None when the attack
+    re-ranks before every batch."""
+    if strategy.kind == "random":
+        return [int(v) for v in seeded_rng(strategy.seed).permutation(g.nodes)]
+    return None if strategy.recompute else _rank(g, strategy.kind, scores)
+
+
 def _attack(g: Graph, strategy: AttackStrategy, limit: int, model: ThroughputModel | None, scores):
     """Remove the first `limit` nodes of the attack from a working copy of `g`,
     one batch of `strategy.batch` at a time, yielding (batch, raw throughput
@@ -98,22 +109,29 @@ def _attack(g: Graph, strategy: AttackStrategy, limit: int, model: ThroughputMod
     ranking reads `scores` on the intact graph and, after a batch, the
     betweenness that the copy's evaluation returned.
     """
-    if strategy.kind == "random":
-        order = [int(v) for v in seeded_rng(strategy.seed).permutation(g.nodes)]
-    elif not strategy.recompute:
-        order = _rank(g, strategy.kind, scores)
-    else:
-        order = None
+    order = _order(g, strategy, scores)
     rerank = order is None and strategy.kind == "highest_betweenness"
     work = g.copy()
-    removed = 0
+    removed, raw = 0, None
     while removed < limit:
         step = min(strategy.batch, limit - removed)
         batch = _rank(work, strategy.kind, scores)[:step] if order is None else order[removed : removed + step]
         work.remove_nodes(batch)
         removed += step
-        raw, scores = _evaluate(work, model, rerank and removed < limit)
+        rank = rerank and removed < limit
+        if model is not None or rank:
+            raw, scores = _evaluate(work, model, rank)
         yield batch, raw
+
+
+def _batches(g: Graph, strategy: AttackStrategy, limit: int, scores=None) -> list[list[int]]:
+    """The batches of the first `limit` removals of the attack on `g`, with
+    no throughput evaluated; an adaptive betweenness ranking computes
+    standalone betweenness."""
+    order = _order(g, strategy, scores)
+    if order is None:
+        return [batch for batch, _ in _attack(g, strategy, limit, None, scores)]
+    return [order[removed : min(removed + strategy.batch, limit)] for removed in range(0, limit, strategy.batch)]
 
 
 def attack_sequence(g: Graph, strategy: AttackStrategy) -> list[int]:
@@ -123,7 +141,7 @@ def attack_sequence(g: Graph, strategy: AttackStrategy) -> list[int]:
     refreshed once per batch of `strategy.batch` removals.
     """
     scores = _evaluate(g, None, strategy.kind == "highest_betweenness")[1]
-    return [v for batch, _ in _attack(g, strategy, g.number_of_nodes, None, scores) for v in batch]
+    return [v for batch in _batches(g, strategy, g.number_of_nodes, scores) for v in batch]
 
 
 @dataclass
@@ -177,6 +195,9 @@ def elasticity(
     Throughput is evaluated on the intact graph (alpha) and after every
     batch of removals until ceil(stop_fraction * N) nodes are gone; batches
     wider than one node are linearly interpolated by the trapezoid rule.
+    The states of a random or degree attack are evaluated in parallel
+    worker processes when the curve is large enough to pay for them (see
+    _Plan and _pool_size).
     """
     (curve,) = _curves(g, [strategy], model or ThroughputModel(), stop_fraction)
     if isinstance(curve, NetelastError):
@@ -185,35 +206,258 @@ def elasticity(
 
 
 def _curves(
-    g: Graph, strategies: list[AttackStrategy], model: ThroughputModel, stop_fraction: float, profile=None
+    g: Graph, strategies: list[AttackStrategy], model: ThroughputModel, stop_fraction: float
 ) -> list[ElasticityCurve | NetelastError]:
     """elasticity() of `g` under each of `strategies`, or the error that ended
-    that curve.  The intact graph is evaluated once for all of them, ranked
-    by betweenness only if some strategy needs it, and writing its
-    hop-distance profile into `profile` if one is given; if that evaluation
-    fails, every entry is its error."""
-    n = g.number_of_nodes
+    that curve: one _Plan, run by _run_plans."""
+    ((cells, _),), _ = _run_plans([_Plan(g, strategies, model, stop_fraction)])
+    return cells
+
+
+# rough seconds of one evaluation, fitted to 25 curves of the three engines
+# on a 2-core x86 host: routing every source costs _ROUTE_BASE + _ROUTE_UNIT
+# * (present nodes) * (id space), since a bfs block scans a row of the id
+# space per source and level; the heterogeneous engine routes at most one
+# residual round per arc; the LP's HiGHS solves grow as _LP_UNIT * (present
+# nodes)^2 * arcs
+_ROUTE_BASE = 5e-5
+_ROUTE_UNIT = 1.5e-7
+_LP_UNIT = 3e-6
+# estimated seconds below which the evaluations run in this process: a pool
+# costs 10-20 ms to fork, feed and join, and in the same fit it saved
+# nothing below this
+_POOL_BREAK_EVEN = 0.05
+
+
+def _evaluation_seconds(present: int, id_space: int, arcs: float, kind: str) -> float:
+    """Estimated seconds of evaluating a graph state of `present` nodes and
+    `arcs` arcs in an id space of `id_space` under engine `kind`."""
+    if kind == "lp_optimization":
+        return _LP_UNIT * present * present * arcs
+    route = _ROUTE_BASE + _ROUTE_UNIT * present * id_space
+    return route if kind == "dijkstra_homogeneous" else route * (arcs + 1)
+
+
+def _steps(limit: int, batch: int) -> list[int]:
+    """The number of nodes each batch of an attack removes."""
+    return [min(batch, limit - removed) for removed in range(0, limit, batch)]
+
+
+class _Plan:
+    """The attack curves of one graph as independent tasks plus a pure
+    assembler.
+
+    The head task evaluates the intact graph once for every curve: alpha,
+    the betweenness ranking if a curve needs it, and the hop-distance profile
+    when `profile` is set.  It then runs the betweenness curves, whose states
+    depend on an evaluation.  The batches of every other curve (random, or
+    static or adaptive degree) are fixed here, as attack_sequence fixes them,
+    so its states are independent evaluations: tasks(w) splits them over
+    strided lanes, lane j evaluating states j, j + w, j + 2w, ... on its own
+    copy.  Each state is evaluated by the same code on the same arrays
+    however they are split, so the curves are byte-identical at every w.
+    """
+
+    def __init__(
+        self, g: Graph, strategies: list[AttackStrategy], model: ThroughputModel, stop_fraction: float, profile=False
+    ):
+        self.g, self.strategies, self.model, self.profile = g, strategies, model, profile
+        n = g.number_of_nodes
+        # `refused` ends every curve before any task; otherwise each cell is
+        # its own error, the batches of a lane curve, or None for a head curve
+        self.refused, self.cells = None, []
+        try:
+            if not 0.0 < stop_fraction <= 1.0:
+                raise ParameterError(f"stop_fraction must be in (0, 1], got {stop_fraction}")
+            if n == 0:
+                raise ComputeError("cannot attack an empty graph")
+            check_size(g, model.kind)
+        except NetelastError as exc:
+            self.refused = exc
+            return
+        self.limit = math.ceil(stop_fraction * n)
+        for strategy in strategies:
+            try:
+                fixed = strategy.kind != "highest_betweenness"
+                self.cells.append(_batches(g, strategy, self.limit) if fixed else None)
+            except NetelastError as exc:
+                self.cells.append(exc)
+
+    def most_tasks(self) -> int:
+        """The tasks of tasks(w) at the largest w that gives them work."""
+        return 0 if self.refused else 1 + sum(len(c) for c in self.cells if isinstance(c, list))
+
+    def work(self) -> float:
+        """Estimated seconds of every evaluation of the plan in one process,
+        from sizes known before any: the states, the nodes left in each,
+        the intact graph's arcs (thinned as removals do at random) and the
+        engine."""
+        if self.refused:
+            return 0.0
+        n, arcs = self.g.number_of_nodes, self.g.csr()[1].size
+        left = [n]
+        for strategy, cell in zip(self.strategies, self.cells):
+            if not isinstance(cell, NetelastError):
+                left.extend(n - removed for removed in itertools.accumulate(_steps(self.limit, strategy.batch)))
+        return sum(_evaluation_seconds(k, self.g.id_space, arcs * (k / n) ** 2, self.model.kind) for k in left)
+
+    def tasks(self, lanes: int) -> list[tuple]:
+        """[head task, then each lane curve's min(lanes, states) lanes], as
+        (function, *arguments); none if the graph is refused."""
+        if self.refused:
+            return []
+        g, model = self.g, self.model
+        ranked = [s for s, cell in zip(self.strategies, self.cells) if cell is None]
+        tasks = [(_head, g, model, ranked, self.limit, self.profile)]
+        for cell in self.cells:
+            if isinstance(cell, list):
+                w = min(lanes, len(cell))
+                tasks.extend((_lane, g, model, cell, j, w) for j in range(w))
+        return tasks
+
+    def assemble(self, results: list, lanes: int) -> tuple[list[ElasticityCurve | NetelastError], np.ndarray | None]:
+        """(per strategy its curve or the error that ended it, the intact
+        graph's hop profile or None) from the results of tasks(lanes), in
+        their order.  An error of the intact evaluation ends every curve."""
+        if self.refused:
+            return [self.refused] * len(self.strategies), None
+        (alpha, ranked, profile), *parts = results
+        if isinstance(alpha, NetelastError):
+            return [alpha] * len(self.strategies), profile
+        ranked, parts = iter(ranked), iter(parts)
+        n, cells = self.g.number_of_nodes, []
+        for strategy, cell in zip(self.strategies, self.cells):
+            if cell is None:
+                cell = next(ranked)
+            elif isinstance(cell, list):
+                cell = _interleave([next(parts) for _ in range(min(lanes, len(cell)))], len(cell))
+            if isinstance(cell, NetelastError):
+                cells.append(cell)
+                continue
+            fr = np.cumsum([0] + _steps(self.limit, strategy.batch)) / n
+            tp = np.array([1.0] + [raw / alpha for raw in cell])
+            cells.append(
+                ElasticityCurve(fr, tp, _trapezoid(fr, tp), alpha, strategy.kind, self.model.kind, strategy.seed)
+            )
+        return cells, profile
+
+
+def _head(g: Graph, model: ThroughputModel, strategies: list[AttackStrategy], limit: int, profile: bool):
+    """The head task of a _Plan: (alpha, or the error that ended the intact
+    evaluation; per strategy of `strategies`, which rank by betweenness, the
+    raw throughput after each batch or the error that ended the curve; the
+    hop profile of the intact evaluation, or None without `profile`)."""
+    hops = np.full((2, g.id_space), -1) if profile else None
     try:
-        if not 0.0 < stop_fraction <= 1.0:
-            raise ParameterError(f"stop_fraction must be in (0, 1], got {stop_fraction}")
-        if n == 0:
-            raise ComputeError("cannot attack an empty graph")
-        alpha, scores = _evaluate(g, model, any(s.kind == "highest_betweenness" for s in strategies), profile)
+        alpha, scores = _evaluate(g, model, bool(strategies), hops)
         if alpha <= 0.0:
             raise ComputeError("elasticity undefined: initial throughput is 0")
     except NetelastError as exc:
-        return [exc] * len(strategies)
-    curves, limit = [], math.ceil(stop_fraction * n)
+        return exc, [], hops
+    curves = []
     for strategy in strategies:
         try:
-            steps = [(len(batch), raw) for batch, raw in _attack(g, strategy, limit, model, scores)]
+            curves.append([raw for _, raw in _attack(g, strategy, limit, model, scores)])
         except NetelastError as exc:
             curves.append(exc)
-            continue
-        fr = np.cumsum([0] + [size for size, _ in steps]) / n
-        tp = np.array([1.0] + [raw / alpha for _, raw in steps])
-        curves.append(ElasticityCurve(fr, tp, _trapezoid(fr, tp), alpha, strategy.kind, model.kind, strategy.seed))
-    return curves
+    return alpha, curves, hops
+
+
+def _lane(g: Graph, model: ThroughputModel, batches: list[list[int]], j: int, w: int) -> list:
+    """A lane task of a _Plan: the raw throughput of `g` under `model` after
+    batches[:j + 1], batches[:j + 1 + w], ..., the states j, j + w, ... of a
+    fixed-order attack, walked on one copy.  The list ends at the first
+    error, which it holds."""
+    work, done, raws = g.copy(), 0, []
+    for i in range(j, len(batches), w):
+        work.remove_nodes([v for batch in batches[done : i + 1] for v in batch])
+        done = i + 1
+        try:
+            raws.append(_evaluate(work, model, False)[0])
+        except NetelastError as exc:
+            raws.append(exc)
+            break
+    return raws
+
+
+def _interleave(lanes: list[list], states: int) -> list[float] | NetelastError:
+    """The raw throughputs of `states` states from their strided lanes, or
+    the error of the first state that failed."""
+    raws = []
+    for i in range(states):
+        raw = lanes[i % len(lanes)][i // len(lanes)]
+        if isinstance(raw, NetelastError):
+            return raw
+        raws.append(raw)
+    return raws
+
+
+def _pool_size(tasks: int, work: float) -> int:
+    """Worker processes for `tasks` independent tasks that take about `work`
+    seconds in one process: one per CPU this process may run on, at most one
+    per task.  It is 1, so that the tasks run in this process, when `work` is
+    below _POOL_BREAK_EVEN; in a daemonic process, which may not start any;
+    and where `os.sched_getaffinity` is missing (macOS and Windows, where
+    fork is unsafe or absent)."""
+    if work < _POOL_BREAK_EVEN:
+        return 1
+    import multiprocessing
+
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None or multiprocessing.current_process().daemon:
+        return 1
+    return min(len(affinity(0)), tasks)
+
+
+def _run_plans(plans: list[_Plan]) -> tuple[list[tuple], int]:
+    """(every plan's assemble(), the number of worker processes or 1): the
+    tasks of all plans go through one _map, every head before any lane, at
+    _pool_size lanes per curve."""
+    width = _pool_size(sum(p.most_tasks() for p in plans), sum(p.work() for p in plans))
+    split = [p.tasks(width) for p in plans]
+    heads = [tasks[0] for tasks in split if tasks]
+    lanes = [task for tasks in split for task in tasks[1:]]
+    workers = min(width, len(heads) + len(lanes)) or 1
+    results = _map(heads + lanes, workers)
+    done_heads, done_lanes = iter(results[: len(heads)]), iter(results[len(heads) :])
+    outputs = []
+    for plan, tasks in zip(plans, split):
+        got = [next(done_heads)] + [next(done_lanes) for _ in tasks[1:]] if tasks else []
+        outputs.append(plan.assemble(got, width))
+    return outputs, workers
+
+
+def _call(task: tuple):
+    fn, *args = task
+    return fn(*args)
+
+
+def _map(tasks: list[tuple], workers: int) -> list:
+    """`fn(*args)` for every task (fn, *args), in task order: in a pool of
+    `workers` forked processes fed one task at a time, or in this process
+    when `workers` is 1.  No worker outlives the call: on an error,
+    including an interrupt, the tasks still running are stopped, as an
+    error in this process would stop them."""
+    if workers <= 1:
+        return [_call(task) for task in tasks]
+    # imported here, so that `import netelast` does not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork: a worker starts from this process's memory, netelast imported;
+    # spawn would import it again in every worker
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        # submit, not map: map cancels the pending futures on an error, and
+        # Python 3.11's pool then fails to mark them broken in its own thread
+        futures = [pool.submit(_call, task) for task in tasks]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            # shutdown would wait for every task already queued to a worker
+            # (as Python 3.14's `terminate_workers` does)
+            for worker in list(pool._processes.values()):
+                worker.terminate()
+            raise
 
 
 # -- analytic mesh bounds -------------------------------------------------------

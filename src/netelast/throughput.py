@@ -390,11 +390,7 @@ def throughput_lp(g: Graph, model: ThroughputModel | None = None, *, visit=None)
     """Concurrent-flow optimization per residual round, over the pairs its
     routing reaches; `visit` as in throughput_dijkstra_heterogeneous.  A
     graph over LP_MAX_NODES is refused before any routing."""
-    n_present = g.number_of_nodes
-    if n_present > LP_MAX_NODES:
-        raise GraphSizeError(
-            f"optimization model limited to {LP_MAX_NODES} nodes, got {n_present}"
-        )
+    check_size(g, "lp_optimization")
 
     def fill(indptr, indices, residual, present, loads, reached):
         if residual.sum() < _RATE_EPS:
@@ -406,6 +402,14 @@ def throughput_lp(g: Graph, model: ThroughputModel | None = None, *, visit=None)
 
 
 # -- dispatch -------------------------------------------------------------------
+
+
+def check_size(g: Graph, kind: str) -> None:
+    """Raise GraphSizeError if engine `kind` refuses `g`: the LP takes at
+    most LP_MAX_NODES present nodes."""
+    n_present = g.number_of_nodes
+    if kind == "lp_optimization" and n_present > LP_MAX_NODES:
+        raise GraphSizeError(f"optimization model limited to {LP_MAX_NODES} nodes, got {n_present}")
 
 
 def evaluate_throughput(g: Graph, model: ThroughputModel) -> ThroughputResult:

@@ -5,7 +5,9 @@ BFS and explicit path enumeration, so they can argue with the real
 implementations.
 """
 
+import signal
 from collections import deque
+from contextlib import contextmanager
 from itertools import combinations, permutations
 
 import numpy as np
@@ -70,6 +72,22 @@ def fixed_test_networks():
         "wheel": wheel_graph(7),
         "star": star_graph(7),
     }
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in this process if the block runs past `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- oracles ------------------------------------------------------------------

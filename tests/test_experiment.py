@@ -4,8 +4,6 @@ import hashlib
 import io
 import math
 import multiprocessing
-import signal
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -15,7 +13,7 @@ from netelast import _csr, experiment, robustness
 from netelast.experiment import derive_seed, fmt, load_config, run_experiment
 from netelast.graph import save_edge_list
 
-from conftest import star_graph
+from conftest import deadline, star_graph
 
 CONFIG = """
 [experiment]
@@ -413,7 +411,7 @@ class TestSharedIntactEvaluation:
             return real_betweenness(g)
 
         # the spies count in this process, so the topologies must be evaluated here
-        monkeypatch.setattr(experiment, "_pool_size", lambda tasks: 1)
+        monkeypatch.setattr(robustness, "_pool_size", lambda tasks, work: 1)
         monkeypatch.setattr(robustness, "_evaluate", evaluate)
         monkeypatch.setattr(robustness, "betweenness", betweenness)
         report = run_experiment(load_config(config_dir / "grid.ini"))
@@ -435,7 +433,7 @@ class TestSharedIntactEvaluation:
             measured.append(g)
             return real_metrics(g, profile)
 
-        monkeypatch.setattr(experiment, "_pool_size", lambda tasks: 1)
+        monkeypatch.setattr(robustness, "_pool_size", lambda tasks, work: 1)
         monkeypatch.setattr(_csr, "bfs", bfs)
         monkeypatch.setattr(experiment, "metrics", metrics)
         run_experiment(load_config(config_dir / "grid.ini"))
@@ -506,22 +504,6 @@ POOL_TOPOLOGIES = (
 )
 
 
-@contextmanager
-def _deadline(seconds):
-    """Raise TimeoutError in this process if the block runs past `seconds`."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 class TestWorkerPool:
     @pytest.mark.parametrize("engine", sorted(POOL_ENGINES))
     def test_outputs_identical_at_pool_sizes_1_and_2(self, tmp_path, monkeypatch, engine):
@@ -529,23 +511,28 @@ class TestWorkerPool:
         for size in (1, 2):
             text = f"[experiment]\noutput_dir = out{size}\nglobal_seed = 3\n{POOL_ENGINES[engine]}{POOL_TOPOLOGIES}"
             (tmp_path / f"pool{size}.ini").write_text(text)
-        real_curves, calls = experiment._curves, []
+        real_raw, calls = robustness.raw_throughput, []
 
-        def curves(*args):
+        def raw_throughput(*args, **kwargs):
             calls.append(args[0])
-            return real_curves(*args)
+            return real_raw(*args, **kwargs)
 
-        monkeypatch.setattr(experiment, "_curves", curves)
+        monkeypatch.setattr(robustness, "raw_throughput", raw_throughput)
         reports, parent_calls = [], []
         for size in (1, 2):
             calls.clear()
-            monkeypatch.setattr(experiment, "_pool_size", lambda tasks, size=size: size)
-            with _deadline(120):
+            monkeypatch.setattr(robustness, "_pool_size", lambda tasks, work, size=size: size)
+            with deadline(120):
                 reports.append(run_experiment(load_config(tmp_path / f"pool{size}.ini")))
             parent_calls.append(len(calls))
         one, two = reports
-        # three topologies are evaluated, here at size 1 and in the workers at size 2
-        assert parent_calls == [3, 0]
+        # every state of three topologies (each intact graph, then every
+        # sample after it) is evaluated, here at size 1 and in the workers at
+        # size 2; the LP refuses `big` before it evaluates any
+        topologies = {name for name, _ in one.curves}
+        evaluations = len(topologies) + sum(len(c.normalized) - 1 for c in one.curves.values())
+        assert len(topologies) == (2 if engine == "lp" else 3)
+        assert parent_calls == [evaluations, 0]
         assert "ghost" in one.errors
         assert ("big/random" in one.errors) == (engine == "lp")
         assert ("tradeoff/barbell" in one.errors) == (engine == "homogeneous_random_tie")
@@ -570,8 +557,8 @@ class TestWorkerPool:
         assert repr(one.metrics) == repr(two.metrics)
 
     def test_no_worker_outlives_the_run(self, config_dir, monkeypatch):
-        monkeypatch.setattr(experiment, "_pool_size", lambda tasks: 2)
-        with _deadline(120):
+        monkeypatch.setattr(robustness, "_pool_size", lambda tasks, work: 2)
+        with deadline(120):
             report = run_experiment(load_config(config_dir / "grid.ini"))
         assert len(report.curves) == 9
         assert multiprocessing.active_children() == []
@@ -581,9 +568,9 @@ class TestWorkerPool:
         def evaluate(*args):
             raise RuntimeError("injected")
 
-        monkeypatch.setattr(experiment, "_pool_size", lambda tasks: 2)
+        monkeypatch.setattr(robustness, "_pool_size", lambda tasks, work: 2)
         monkeypatch.setattr(robustness, "_evaluate", evaluate)
-        with _deadline(120), pytest.raises(RuntimeError, match="injected"):
+        with deadline(120), pytest.raises(RuntimeError, match="injected"):
             run_experiment(load_config(config_dir / "grid.ini"))
         assert multiprocessing.active_children() == []
 

@@ -21,11 +21,12 @@ def test_every_all_entry_resolves():
 
 
 def test_import_loads_no_scipy_until_the_first_lp_solve():
-    # scipy (HiGHS) is the LP's alone; every other path runs on numpy
+    # scipy (HiGHS) is the LP's alone; every other path runs on numpy, and
+    # the worker pool's modules load when a pool is first sized
     script = (
         "import sys\n"
         "import netelast, netelast.cli\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'concurrent', 'multiprocessing'))))\n"
         "print(netelast.throughput_lp(netelast.gen_mesh(3)).raw_throughput)\n"
         "print('scipy.optimize' in sys.modules)\n"
     )

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import math
+import multiprocessing
 import re
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from netelast.throughput import raw_throughput
 from conftest import (
     bfs_distances,
     canonical_relabel,
+    deadline,
     path_graph,
     random_connected_graph,
     star_graph,
@@ -229,6 +231,129 @@ class TestElasticity:
         assert "# alpha = 12" in text
         assert "# strategy = highest_degree" in text
         assert "# model = dijkstra_homogeneous" in text
+
+
+# one model per engine and tie-break, and the five attack forms: random,
+# static and adaptive degree, static and adaptive betweenness
+POOL_MODELS = [
+    ThroughputModel(kind, tie_break, 4 if tie_break == "random" else None)
+    for kind in ("dijkstra_homogeneous", "dijkstra_heterogeneous", "lp_optimization")
+    for tie_break in ("sequential", "random")
+]
+POOL_FORMS = [("random", True), ("highest_degree", False), ("highest_degree", True),
+              ("highest_betweenness", False), ("highest_betweenness", True)]
+
+
+def _pool(monkeypatch, size):
+    monkeypatch.setattr(robustness, "_pool_size", lambda tasks, work: size)
+
+
+def _state(c):
+    return c.fractions.tobytes(), c.normalized.tobytes(), c.elasticity, c.alpha, c.strategy, c.model, c.seed
+
+
+class TestStatePool:
+    """The states of every curve are tasks of one pool: the same curves at
+    every pool size."""
+
+    @pytest.mark.parametrize("model", POOL_MODELS, ids=lambda m: f"{m.kind}-{m.tie_break}")
+    def test_curves_identical_at_pool_sizes_1_and_2(self, model, monkeypatch):
+        # falls apart into several components before it is emptied
+        g = ne.gen_watts_strogatz(13, 4, 0.3, seed=5)
+        real_raw, parent = robustness.raw_throughput, []
+        monkeypatch.setattr(robustness, "raw_throughput", lambda *a, **k: parent.append(1) or real_raw(*a, **k))
+        for batch in (1, 3):
+            strategies = [
+                AttackStrategy(kind, seed=7 if kind == "random" else None, recompute=recompute, batch=batch)
+                for kind, recompute in POOL_FORMS
+            ]
+            runs, calls = [], []
+            for size in (1, 2):
+                _pool(monkeypatch, size)
+                parent.clear()
+                with deadline(120):
+                    runs.append(robustness._curves(g, strategies, model, 1.0))
+                    runs.append([ne.elasticity(g, strategies[0], model)])
+                calls.append(len(parent))
+            one, one_alone, two, two_alone = runs
+            assert [type(c) for c in one] == [ne.ElasticityCurve] * 5
+            assert [_state(c) for c in one] == [_state(c) for c in two]
+            assert _state(one_alone[0]) == _state(two_alone[0]) == _state(one[0])
+            # every state evaluated once: in this process at size 1, in the workers at size 2
+            states = sum(len(c.normalized) - 1 for c in one) + 1
+            assert calls == [states + len(one_alone[0].normalized), 0]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_failed_order_keeps_its_error(self, size, monkeypatch):
+        # the random cell fails on its seed before any task; its sibling runs
+        g = ne.gen_preferential_attachment(30, 2, seed=3)
+        bad, good = AttackStrategy("random", seed=-1), AttackStrategy("highest_degree")
+        want = ne.elasticity(g, good)
+        _pool(monkeypatch, size)
+        with deadline(120):
+            cells = robustness._curves(g, [bad, good], ThroughputModel(), 1.0)
+        assert [type(c) for c in cells] == [ne.ParameterError, ne.ElasticityCurve]
+        assert str(cells[0]) == "seed must be >= 0, got -1"
+        assert _state(cells[1]) == _state(want)
+
+    def test_oversized_lp_graph_submits_no_task(self, monkeypatch):
+        g = ne.gen_gilbert(40, 0.3, seed=1)
+        submitted, real_map = [], robustness._map
+
+        def spy(tasks, workers):
+            submitted.append(tasks)
+            return real_map(tasks, workers)
+
+        monkeypatch.setattr(robustness, "_map", spy)
+        monkeypatch.setattr(robustness, "raw_throughput", None)
+        _pool(monkeypatch, 1)
+        strategies = [AttackStrategy(kind, seed=7 if kind == "random" else None, recompute=recompute)
+                      for kind, recompute in POOL_FORMS]
+        cells = robustness._curves(g, strategies, ThroughputModel("lp_optimization"), 1.0)
+        assert [(type(c), str(c)) for c in cells] == [
+            (ne.GraphSizeError, "optimization model limited to 30 nodes, got 40")
+        ] * 5
+        assert submitted == [[]]
+
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("model", POOL_MODELS[::2], ids=lambda m: m.kind)
+    def test_edgeless_graph_has_zero_alpha(self, model, size, monkeypatch):
+        _pool(monkeypatch, size)
+        strategies = [AttackStrategy("random", seed=1), AttackStrategy("highest_betweenness")]
+        with deadline(120):
+            cells = robustness._curves(ne.Graph(5), strategies, model, 1.0)
+        assert [(type(c), str(c)) for c in cells] == [
+            (ne.ComputeError, "elasticity undefined: initial throughput is 0")
+        ] * 2
+
+    def test_lane_error_propagates_without_orphans(self, monkeypatch):
+        # an error that is not a NetelastError ends the call, as it does in process
+        real_evaluate = robustness._evaluate
+
+        def evaluate(g, model, rank, profile=None):
+            if g.number_of_nodes < g.id_space:
+                raise RuntimeError("injected")
+            return real_evaluate(g, model, rank, profile)
+
+        _pool(monkeypatch, 2)
+        monkeypatch.setattr(robustness, "_evaluate", evaluate)
+        with deadline(120), pytest.raises(RuntimeError, match="injected"):
+            ne.elasticity(ne.gen_mesh(40), AttackStrategy("random", seed=1))
+        assert multiprocessing.active_children() == []
+
+    def test_small_curves_run_in_process(self):
+        # forking a pool costs more than a small curve's evaluations
+        def work(g, strategy, model=ThroughputModel()):
+            return robustness._Plan(g, [strategy], model, 1.0).work()
+
+        degree = AttackStrategy("highest_degree")
+        for g in (ne.gen_mesh(7), star_graph(7)):
+            for model in POOL_MODELS[::2]:
+                assert work(g, degree, model) < robustness._POOL_BREAK_EVEN
+        assert work(ne.gen_mesh(40), degree) < robustness._POOL_BREAK_EVEN
+        assert robustness._pool_size(8, 0.0) == 1
+        assert work(ne.gen_mesh(150), AttackStrategy("random", seed=1)) > robustness._POOL_BREAK_EVEN
 
 
 class TestFusedPass:
