@@ -78,11 +78,17 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         """Graph on ids 0..n-1 from a (k, 2) array or an iterable of pairs,
-        built in one CSR pass.  Rejects what add_edge rejects: ids out of
-        range, self-loops, and an edge given twice in either orientation.
+        built in one CSR pass.  Rejects what add_edge rejects: ids that are
+        not integers or out of range, self-loops, and an edge given twice in
+        either orientation.
         """
         g = cls(n)
-        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        given = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if given.dtype.kind == "f":
+            bad = given[~np.isfinite(given) | (given != np.floor(given))]
+            if bad.size:
+                raise ParameterError(f"node id {bad[0]} is not an integer")
+        e = given.astype(np.int64, copy=False)
         e = e.reshape(0, 2) if e.size == 0 else e
         if e.ndim != 2 or e.shape[1] != 2:
             raise ParameterError(f"edges must be node id pairs, got shape {e.shape}")

@@ -99,39 +99,32 @@ def _order(g: Graph, strategy: AttackStrategy, scores) -> list[int] | None:
     return None if strategy.recompute else _rank(g, strategy.kind, scores)
 
 
-def _attack(g: Graph, strategy: AttackStrategy, limit: int, model: ThroughputModel | None, scores):
+def _attack(g: Graph, strategy: AttackStrategy, limit: int, model: ThroughputModel | None, scores, lane=0, lanes=1):
     """Remove the first `limit` nodes of the attack from a working copy of `g`,
     one batch of `strategy.batch` at a time, yielding (batch, raw throughput
-    of the copy under `model`) after each.
+    of the copy under `model`, or None) after each.  Only the states i with
+    i % lanes == lane are evaluated, and none without a model.
 
-    Random and static orders are fixed on the intact graph; adaptive
-    rankings are recomputed on the copy before every batch.  A betweenness
-    ranking reads `scores` on the intact graph and, after a batch, the
-    betweenness that the copy's evaluation returned.
+    Random and static orders are fixed on the intact graph, and the copy
+    catches up on their removals at the next state it evaluates.  Adaptive
+    rankings are recomputed on the copy before every batch, so every batch
+    is removed.  A betweenness ranking reads `scores` on the intact graph
+    and, after a batch, the betweenness that the copy's evaluation returned.
     """
     order = _order(g, strategy, scores)
     rerank = order is None and strategy.kind == "highest_betweenness"
-    work = g.copy()
-    removed, raw = 0, None
-    while removed < limit:
-        step = min(strategy.batch, limit - removed)
-        batch = _rank(work, strategy.kind, scores)[:step] if order is None else order[removed : removed + step]
-        work.remove_nodes(batch)
-        removed += step
-        rank = rerank and removed < limit
-        if model is not None or rank:
+    work, done = g.copy(), 0
+    for i, removed in enumerate(range(0, limit, strategy.batch)):
+        end = min(removed + strategy.batch, limit)
+        evaluate = model is not None and i % lanes == lane
+        batch = _rank(work, strategy.kind, scores)[: end - removed] if order is None else order[removed:end]
+        if order is None or evaluate:
+            work.remove_nodes(batch if order is None else order[done:end])
+            done = end
+        raw, rank = None, rerank and end < limit
+        if evaluate or rank:
             raw, scores = _evaluate(work, model, rank)
         yield batch, raw
-
-
-def _batches(g: Graph, strategy: AttackStrategy, limit: int, scores=None) -> list[list[int]]:
-    """The batches of the first `limit` removals of the attack on `g`, with
-    no throughput evaluated; an adaptive betweenness ranking computes
-    standalone betweenness."""
-    order = _order(g, strategy, scores)
-    if order is None:
-        return [batch for batch, _ in _attack(g, strategy, limit, None, scores)]
-    return [order[removed : min(removed + strategy.batch, limit)] for removed in range(0, limit, strategy.batch)]
 
 
 def attack_sequence(g: Graph, strategy: AttackStrategy) -> list[int]:
@@ -141,7 +134,7 @@ def attack_sequence(g: Graph, strategy: AttackStrategy) -> list[int]:
     refreshed once per batch of `strategy.batch` removals.
     """
     scores = _evaluate(g, None, strategy.kind == "highest_betweenness")[1]
-    return [v for batch in _batches(g, strategy, g.number_of_nodes, scores) for v in batch]
+    return [v for batch, _ in _attack(g, strategy, g.number_of_nodes, None, scores) for v in batch]
 
 
 @dataclass
@@ -238,11 +231,6 @@ def _evaluation_seconds(present: int, id_space: int, arcs: float, kind: str) -> 
     return route if kind == "dijkstra_homogeneous" else route * (arcs + 1)
 
 
-def _steps(limit: int, batch: int) -> list[int]:
-    """The number of nodes each batch of an attack removes."""
-    return [min(batch, limit - removed) for removed in range(0, limit, batch)]
-
-
 class _Plan:
     """The attack curves of one graph as independent tasks plus a pure
     assembler.
@@ -250,12 +238,12 @@ class _Plan:
     The head task evaluates the intact graph once for every curve: alpha,
     the betweenness ranking if a curve needs it, and the hop-distance profile
     when `profile` is set.  It then runs the betweenness curves, whose states
-    depend on an evaluation.  The batches of every other curve (random, or
-    static or adaptive degree) are fixed here, as attack_sequence fixes them,
-    so its states are independent evaluations: tasks(w) splits them over
-    strided lanes, lane j evaluating states j, j + w, j + 2w, ... on its own
-    copy.  Each state is evaluated by the same code on the same arrays
-    however they are split, so the curves are byte-identical at every w.
+    depend on an evaluation.  The states of every other curve (random, or
+    static or adaptive degree) need none, so tasks(w) splits each such curve
+    over strided lanes: lane j walks the attack on its own copy and evaluates
+    states j, j + w, j + 2w, ... (see _attack).  Each state is evaluated by
+    the same code on the same arrays however they are split, so the curves
+    are byte-identical at every w.
     """
 
     def __init__(
@@ -263,9 +251,8 @@ class _Plan:
     ):
         self.g, self.strategies, self.model, self.profile = g, strategies, model, profile
         n = g.number_of_nodes
-        # `refused` ends every curve before any task; otherwise each cell is
-        # its own error, the batches of a lane curve, or None for a head curve
-        self.refused, self.cells = None, []
+        # `refused` ends every curve before any task
+        self.refused = None
         try:
             if not 0.0 < stop_fraction <= 1.0:
                 raise ParameterError(f"stop_fraction must be in (0, 1], got {stop_fraction}")
@@ -276,16 +263,8 @@ class _Plan:
             self.refused = exc
             return
         self.limit = math.ceil(stop_fraction * n)
-        for strategy in strategies:
-            try:
-                fixed = strategy.kind != "highest_betweenness"
-                self.cells.append(_batches(g, strategy, self.limit) if fixed else None)
-            except NetelastError as exc:
-                self.cells.append(exc)
-
-    def most_tasks(self) -> int:
-        """The tasks of tasks(w) at the largest w that gives them work."""
-        return 0 if self.refused else 1 + sum(len(c) for c in self.cells if isinstance(c, list))
+        # the nodes that each batch of each curve removes
+        self.steps = [[min(s.batch, self.limit - r) for r in range(0, self.limit, s.batch)] for s in strategies]
 
     def work(self) -> float:
         """Estimated seconds of every evaluation of the plan in one process,
@@ -295,10 +274,7 @@ class _Plan:
         if self.refused:
             return 0.0
         n, arcs = self.g.number_of_nodes, self.g.csr()[1].size
-        left = [n]
-        for strategy, cell in zip(self.strategies, self.cells):
-            if not isinstance(cell, NetelastError):
-                left.extend(n - removed for removed in itertools.accumulate(_steps(self.limit, strategy.batch)))
+        left = [n] + [n - removed for steps in self.steps for removed in itertools.accumulate(steps)]
         return sum(_evaluation_seconds(k, self.g.id_space, arcs * (k / n) ** 2, self.model.kind) for k in left)
 
     def tasks(self, lanes: int) -> list[tuple]:
@@ -306,13 +282,13 @@ class _Plan:
         (function, *arguments); none if the graph is refused."""
         if self.refused:
             return []
-        g, model = self.g, self.model
-        ranked = [s for s, cell in zip(self.strategies, self.cells) if cell is None]
-        tasks = [(_head, g, model, ranked, self.limit, self.profile)]
-        for cell in self.cells:
-            if isinstance(cell, list):
-                w = min(lanes, len(cell))
-                tasks.extend((_lane, g, model, cell, j, w) for j in range(w))
+        g, model, limit = self.g, self.model, self.limit
+        ranked = [s for s in self.strategies if s.kind == "highest_betweenness"]
+        tasks = [(_head, g, model, ranked, limit, self.profile)]
+        for strategy, steps in zip(self.strategies, self.steps):
+            if strategy.kind != "highest_betweenness":
+                w = min(lanes, len(steps))
+                tasks.extend((_lane, g, model, strategy, limit, None, j, w) for j in range(w))
         return tasks
 
     def assemble(self, results: list, lanes: int) -> tuple[list[ElasticityCurve | NetelastError], np.ndarray | None]:
@@ -326,16 +302,20 @@ class _Plan:
             return [alpha] * len(self.strategies), profile
         ranked, parts = iter(ranked), iter(parts)
         n, cells = self.g.number_of_nodes, []
-        for strategy, cell in zip(self.strategies, self.cells):
-            if cell is None:
-                cell = next(ranked)
-            elif isinstance(cell, list):
-                cell = _interleave([next(parts) for _ in range(min(lanes, len(cell)))], len(cell))
-            if isinstance(cell, NetelastError):
-                cells.append(cell)
+        for strategy, steps in zip(self.strategies, self.steps):
+            if strategy.kind == "highest_betweenness":
+                curve = [next(ranked)]
+            else:
+                curve = [next(parts) for _ in range(min(lanes, len(steps)))]
+            # state i is the (i // w)-th of lane i % w; a lane ends at its
+            # first error, so the first error in state order ends the curve
+            raws = [raw for row in itertools.zip_longest(*curve) for raw in row if raw is not None]
+            error = next((raw for raw in raws if isinstance(raw, NetelastError)), None)
+            if error is not None:
+                cells.append(error)
                 continue
-            fr = np.cumsum([0] + _steps(self.limit, strategy.batch)) / n
-            tp = np.array([1.0] + [raw / alpha for raw in cell])
+            fr = np.cumsum([0] + steps) / n
+            tp = np.array([1.0] + [raw / alpha for raw in raws])
             cells.append(
                 ElasticityCurve(fr, tp, _trapezoid(fr, tp), alpha, strategy.kind, self.model.kind, strategy.seed)
             )
@@ -344,9 +324,9 @@ class _Plan:
 
 def _head(g: Graph, model: ThroughputModel, strategies: list[AttackStrategy], limit: int, profile: bool):
     """The head task of a _Plan: (alpha, or the error that ended the intact
-    evaluation; per strategy of `strategies`, which rank by betweenness, the
-    raw throughput after each batch or the error that ended the curve; the
-    hop profile of the intact evaluation, or None without `profile`)."""
+    evaluation; per strategy of `strategies`, which rank by betweenness,
+    its _lane; the hop profile of the intact evaluation, or None without
+    `profile`)."""
     hops = np.full((2, g.id_space), -1) if profile else None
     try:
         alpha, scores = _evaluate(g, model, bool(strategies), hops)
@@ -354,48 +334,26 @@ def _head(g: Graph, model: ThroughputModel, strategies: list[AttackStrategy], li
             raise ComputeError("elasticity undefined: initial throughput is 0")
     except NetelastError as exc:
         return exc, [], hops
-    curves = []
-    for strategy in strategies:
-        try:
-            curves.append([raw for _, raw in _attack(g, strategy, limit, model, scores)])
-        except NetelastError as exc:
-            curves.append(exc)
-    return alpha, curves, hops
+    return alpha, [_lane(g, model, strategy, limit, scores) for strategy in strategies], hops
 
 
-def _lane(g: Graph, model: ThroughputModel, batches: list[list[int]], j: int, w: int) -> list:
-    """A lane task of a _Plan: the raw throughput of `g` under `model` after
-    batches[:j + 1], batches[:j + 1 + w], ..., the states j, j + w, ... of a
-    fixed-order attack, walked on one copy.  The list ends at the first
-    error, which it holds."""
-    work, done, raws = g.copy(), 0, []
-    for i in range(j, len(batches), w):
-        work.remove_nodes([v for batch in batches[done : i + 1] for v in batch])
-        done = i + 1
-        try:
-            raws.append(_evaluate(work, model, False)[0])
-        except NetelastError as exc:
-            raws.append(exc)
-            break
-    return raws
-
-
-def _interleave(lanes: list[list], states: int) -> list[float] | NetelastError:
-    """The raw throughputs of `states` states from their strided lanes, or
-    the error of the first state that failed."""
+def _lane(g: Graph, model: ThroughputModel, strategy: AttackStrategy, limit: int, scores, lane=0, lanes=1) -> list:
+    """A lane of an attack curve: the raw throughput of the states lane,
+    lane + lanes, ... of _attack, walked on one copy.  The list ends at the
+    first error, which it holds."""
     raws = []
-    for i in range(states):
-        raw = lanes[i % len(lanes)][i // len(lanes)]
-        if isinstance(raw, NetelastError):
-            return raw
-        raws.append(raw)
+    try:
+        for _, raw in itertools.islice(_attack(g, strategy, limit, model, scores, lane, lanes), lane, None, lanes):
+            raws.append(raw)
+    except NetelastError as exc:
+        raws.append(exc)
     return raws
 
 
-def _pool_size(tasks: int, work: float) -> int:
-    """Worker processes for `tasks` independent tasks that take about `work`
-    seconds in one process: one per CPU this process may run on, at most one
-    per task.  It is 1, so that the tasks run in this process, when `work` is
+def _pool_size(work: float) -> int:
+    """Lanes per curve, and the most worker processes, for tasks that take
+    about `work` seconds in one process: one per CPU this process may run
+    on.  It is 1, so that the tasks run in this process, when `work` is
     below _POOL_BREAK_EVEN; in a daemonic process, which may not start any;
     and where `os.sched_getaffinity` is missing (macOS and Windows, where
     fork is unsafe or absent)."""
@@ -406,14 +364,14 @@ def _pool_size(tasks: int, work: float) -> int:
     affinity = getattr(os, "sched_getaffinity", None)
     if affinity is None or multiprocessing.current_process().daemon:
         return 1
-    return min(len(affinity(0)), tasks)
+    return len(affinity(0))
 
 
 def _run_plans(plans: list[_Plan]) -> tuple[list[tuple], int]:
     """(every plan's assemble(), the number of worker processes or 1): the
     tasks of all plans go through one _map, every head before any lane, at
-    _pool_size lanes per curve."""
-    width = _pool_size(sum(p.most_tasks() for p in plans), sum(p.work() for p in plans))
+    _pool_size lanes per curve and at most one worker per task."""
+    width = _pool_size(sum(p.work() for p in plans))
     split = [p.tasks(width) for p in plans]
     heads = [tasks[0] for tasks in split if tasks]
     lanes = [task for tasks in split for task in tasks[1:]]
@@ -440,24 +398,15 @@ def _map(tasks: list[tuple], workers: int) -> list:
     error in this process would stop them."""
     if workers <= 1:
         return [_call(task) for task in tasks]
-    # imported here, so that `import netelast` does not pay for them
+    # imported here, so that `import netelast` does not pay for it
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
     # fork: a worker starts from this process's memory, netelast imported;
-    # spawn would import it again in every worker
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        # submit, not map: map cancels the pending futures on an error, and
-        # Python 3.11's pool then fails to mark them broken in its own thread
-        futures = [pool.submit(_call, task) for task in tasks]
-        try:
-            return [future.result() for future in futures]
-        except BaseException:
-            # shutdown would wait for every task already queued to a worker
-            # (as Python 3.14's `terminate_workers` does)
-            for worker in list(pool._processes.values()):
-                worker.terminate()
-            raise
+    # spawn would import it again in every worker.  imap, not map, raises
+    # at the first failing task without waiting for the rest, and leaving
+    # the block terminates the workers
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        return list(pool.imap(_call, tasks))
 
 
 # -- analytic mesh bounds -------------------------------------------------------

@@ -70,3 +70,13 @@ def test_tree_peak_counts_the_workers(tmp_path):
     (tmp_path / "netelast_bench" / "run.py").write_text(_FAKE_RUN)
     result = bench_pairs._run(tmp_path, "paper_grid", 1, 1.0)
     assert result["tree_peak_rss_mb"] > result["metrics"]["peak_rss_mb"]["value"] + 40
+
+
+def test_src_lines_counts_the_library_modules(tmp_path):
+    package = tmp_path / "src" / "netelast"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("import os\n\nx = 1\n")
+    (package / "b.py").write_text("y = 2\nz = 3")
+    (package / "notes.txt").write_text("not counted\n")
+    (tmp_path / "tools.py").write_text("not counted\n")
+    assert bench_pairs._src_lines(tmp_path) == 5

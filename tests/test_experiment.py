@@ -411,7 +411,7 @@ class TestSharedIntactEvaluation:
             return real_betweenness(g)
 
         # the spies count in this process, so the topologies must be evaluated here
-        monkeypatch.setattr(robustness, "_pool_size", lambda tasks, work: 1)
+        monkeypatch.setattr(robustness, "_pool_size", lambda work: 1)
         monkeypatch.setattr(robustness, "_evaluate", evaluate)
         monkeypatch.setattr(robustness, "betweenness", betweenness)
         report = run_experiment(load_config(config_dir / "grid.ini"))
@@ -433,7 +433,7 @@ class TestSharedIntactEvaluation:
             measured.append(g)
             return real_metrics(g, profile)
 
-        monkeypatch.setattr(robustness, "_pool_size", lambda tasks, work: 1)
+        monkeypatch.setattr(robustness, "_pool_size", lambda work: 1)
         monkeypatch.setattr(_csr, "bfs", bfs)
         monkeypatch.setattr(experiment, "metrics", metrics)
         run_experiment(load_config(config_dir / "grid.ini"))
@@ -521,7 +521,7 @@ class TestWorkerPool:
         reports, parent_calls = [], []
         for size in (1, 2):
             calls.clear()
-            monkeypatch.setattr(robustness, "_pool_size", lambda tasks, work, size=size: size)
+            monkeypatch.setattr(robustness, "_pool_size", lambda work, size=size: size)
             with deadline(120):
                 reports.append(run_experiment(load_config(tmp_path / f"pool{size}.ini")))
             parent_calls.append(len(calls))
@@ -557,7 +557,7 @@ class TestWorkerPool:
         assert repr(one.metrics) == repr(two.metrics)
 
     def test_no_worker_outlives_the_run(self, config_dir, monkeypatch):
-        monkeypatch.setattr(robustness, "_pool_size", lambda tasks, work: 2)
+        monkeypatch.setattr(robustness, "_pool_size", lambda work: 2)
         with deadline(120):
             report = run_experiment(load_config(config_dir / "grid.ini"))
         assert len(report.curves) == 9
@@ -568,7 +568,7 @@ class TestWorkerPool:
         def evaluate(*args):
             raise RuntimeError("injected")
 
-        monkeypatch.setattr(robustness, "_pool_size", lambda tasks, work: 2)
+        monkeypatch.setattr(robustness, "_pool_size", lambda work: 2)
         monkeypatch.setattr(robustness, "_evaluate", evaluate)
         with deadline(120), pytest.raises(RuntimeError, match="injected"):
             run_experiment(load_config(config_dir / "grid.ini"))

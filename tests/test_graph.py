@@ -211,6 +211,11 @@ class TestGraph:
         for edges in ([(0, 1), (1, 0)], [(2, 2)], [(0, 5)], [(0, 1, 2)]):
             with pytest.raises(ne.ParameterError):
                 ne.Graph.from_edges(3, edges)
+        # a fractional id is not truncated to an existing one
+        for edges in ([(0, 1.5), (1, 2)], np.array([[0.0, 1.0], [1.0, np.nan]]), [(0, np.inf)]):
+            with pytest.raises(ne.ParameterError, match="is not an integer"):
+                ne.Graph.from_edges(3, edges)
+        assert ne.Graph.from_edges(3, np.array([[0.0, 1.0], [1.0, 2.0]])).edges() == [(0, 1), (1, 2)]
 
     def test_copy_is_independent(self):
         g = path_graph(3)

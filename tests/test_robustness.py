@@ -5,6 +5,7 @@ import io
 import math
 import multiprocessing
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -245,7 +246,7 @@ POOL_FORMS = [("random", True), ("highest_degree", False), ("highest_degree", Tr
 
 
 def _pool(monkeypatch, size):
-    monkeypatch.setattr(robustness, "_pool_size", lambda tasks, work: size)
+    monkeypatch.setattr(robustness, "_pool_size", lambda work: size)
 
 
 def _state(c):
@@ -342,6 +343,34 @@ class TestStatePool:
             ne.elasticity(ne.gen_mesh(40), AttackStrategy("random", seed=1))
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_error_mid_curve_ends_only_that_curve(self, size, monkeypatch):
+        # the states with 16 and 12 nodes left fail; each curve holds the
+        # first of its errors, whichever task evaluates each state
+        g = ne.gen_watts_strogatz(20, 4, 0.3, seed=2)
+        real_evaluate = robustness._evaluate
+
+        def evaluate(g, model, rank, profile=None):
+            if g.number_of_nodes in (16, 12):
+                raise ne.ComputeError(f"injected at {g.number_of_nodes} nodes")
+            return real_evaluate(g, model, rank, profile)
+
+        _pool(monkeypatch, size)
+        monkeypatch.setattr(robustness, "_evaluate", evaluate)
+        strategies = [AttackStrategy("random", seed=3), AttackStrategy("highest_betweenness"),
+                      AttackStrategy("highest_degree", batch=2)]
+        with deadline(120):
+            cells = robustness._curves(g, strategies, ThroughputModel(), 1.0)
+        assert [(type(c), str(c)) for c in cells] == [(ne.ComputeError, "injected at 16 nodes")] * 3
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_the_parent_stops_the_workers(self):
+        started = time.monotonic()
+        with pytest.raises(TimeoutError), deadline(1):
+            robustness._map([(time.sleep, 30)] * 3, 2)
+        assert time.monotonic() - started < 10
+        assert multiprocessing.active_children() == []
+
     def test_small_curves_run_in_process(self):
         # forking a pool costs more than a small curve's evaluations
         def work(g, strategy, model=ThroughputModel()):
@@ -352,7 +381,7 @@ class TestStatePool:
             for model in POOL_MODELS[::2]:
                 assert work(g, degree, model) < robustness._POOL_BREAK_EVEN
         assert work(ne.gen_mesh(40), degree) < robustness._POOL_BREAK_EVEN
-        assert robustness._pool_size(8, 0.0) == 1
+        assert robustness._pool_size(0.0) == 1
         assert work(ne.gen_mesh(150), AttackStrategy("random", seed=1)) > robustness._POOL_BREAK_EVEN
 
 

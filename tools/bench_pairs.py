@@ -19,7 +19,8 @@ shown: every run of both sides is correct with no failed operation, the
 change wins at least nine pairs in ten, and the medians differ by more than
 the parent's interquartile range.  A run that fails its checks is reported
 on stderr as it finishes.  The file also records the host's core count, the
-python/numpy/scipy versions and both commits.
+python/numpy/scipy versions, both commits and each side's `src_lines`, the
+line count of `src/netelast/*.py` in its tree.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ def _extract(rev: str, into: Path) -> None:
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into, filter="data")
+
+
+def _src_lines(tree: Path) -> int:
+    """Lines of the library's modules, src/netelast/*.py, in `tree`."""
+    return sum(len(path.read_text().splitlines()) for path in (tree / "src" / "netelast").glob("*.py"))
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -152,13 +158,15 @@ def main(argv=None) -> int:
     report = {
         "parent": {"commit": parent_commit},
         # the change side is the working tree, which may hold uncommitted edits
-        "change": {"commit": _git("rev-parse", "HEAD"), "uncommitted": bool(_git("status", "--porcelain"))},
+        "change": {"commit": _git("rev-parse", "HEAD"), "uncommitted": bool(_git("status", "--porcelain")),
+                   "src_lines": _src_lines(ROOT)},
         "host": _versions(),
         "settings": {"pairs": args.pairs, "seconds": seconds, "seeds": [args.seed + i for i in range(args.pairs)]},
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench_parent_") as tmp:
         _extract(parent_commit, Path(tmp))
+        report["parent"]["src_lines"] = _src_lines(Path(tmp))
         trees = {"parent": Path(tmp), "change": ROOT}
         for workload in workloads:
             runs = []
