@@ -213,16 +213,19 @@ def _attack_strategy(config: ExperimentConfig, topo: str, kind: str) -> AttackSt
     return AttackStrategy(kind=kind, seed=seed, recompute=config.recompute, batch=config.batch)
 
 
-def _pearson(xs: list[float], ys: list[float]) -> float:
+def _pearson(xs: list[float], ys: list[float], names: tuple[str, str]) -> tuple[float, str]:
+    """(Pearson r over the rows where both columns are finite, "") or, where
+    it is undefined, (NaN, why): `names` are the columns' names."""
     x = np.asarray(xs)
     y = np.asarray(ys)
     ok = np.isfinite(x) & np.isfinite(y)
     if ok.sum() < 2:
-        return math.nan
+        return math.nan, "fewer than 2 rows with both values"
     x, y = x[ok], y[ok]
-    if x.std() == 0 or y.std() == 0:
-        return math.nan
-    return float(np.corrcoef(x, y)[0, 1])
+    for values, name in zip((x, y), names):
+        if values.std() == 0:
+            return math.nan, f"zero variance in {name}"
+    return float(np.corrcoef(x, y)[0, 1]), ""
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -259,7 +262,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     curves: dict[tuple[str, str], ElasticityCurve] = {}
     reports: dict[str, MetricsReport] = {}
     strategies = {name: [_attack_strategy(config, name, kind) for kind in config.attacks] for name in graphs}
-    plans = [_Plan(g, strategies[name], config.model, config.stop_fraction, profile=True) for name, g in graphs.items()]
+    plans = [_Plan(g, strategies[name], config.model, config.stop_fraction) for name, g in graphs.items()]
     outputs, workers = _run_plans(plans)
     for (name, g), (cells, profile) in zip(graphs.items(), outputs):
         for kind, curve in zip(config.attacks, cells):
@@ -290,7 +293,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     _write_metrics_csv(out / "metrics.csv", config, reports)
     _write_ranking_csv(out / "ranking.csv", rows)
     _write_tradeoff_csv(out / "tradeoff.csv", rows, config.tradeoff)
-    correlations = _write_correlations_csv(out / "correlations.csv", rows, reports)
+    correlations = _write_correlations_csv(out / "correlations.csv", rows, reports, log_lines)
 
     pool = f"{workers} worker processes" if workers > 1 else "no worker processes"
     log_lines.append(f"elapsed {time.monotonic() - started:.1f}s, {pool}")
@@ -348,15 +351,18 @@ def _write_tradeoff_csv(path: Path, rows: list[RankingRow], params: TradeoffPara
 
 
 def _write_correlations_csv(
-    path: Path, rows: list[RankingRow], reports: dict[str, MetricsReport]
+    path: Path, rows: list[RankingRow], reports: dict[str, MetricsReport], log_lines: list[str]
 ) -> dict[tuple[str, str], float]:
+    """Write the table and return its values; append to `log_lines` why each NaN value is NaN."""
     out: dict[tuple[str, str], float] = {}
     lines = ["metric,attack,pearson_r"]
     for metric in ("links", "heterogeneity", "asp"):
         xs = [float(getattr(reports[r.name], metric)) if r.name in reports else math.nan for r in rows]
         for kind, col in _ELAS.items():
-            r = _pearson(xs, [getattr(row, col) for row in rows])
+            r, why = _pearson(xs, [getattr(row, col) for row in rows], (metric, col))
             out[(metric, kind)] = r
+            if why:
+                log_lines.append(f"correlation {metric}/{kind}: NaN ({why})")
             lines.append(f"{metric},{kind},{fmt(r)}")
     write_lines(path, lines)
     return out

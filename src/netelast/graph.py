@@ -84,17 +84,20 @@ class Graph:
         """
         g = cls(n)
         given = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if given.dtype.kind not in "iuf":
+            raise ParameterError(f"node ids must be integers, got dtype {given.dtype}")
         if given.dtype.kind == "f":
             bad = given[~np.isfinite(given) | (given != np.floor(given))]
             if bad.size:
                 raise ParameterError(f"node id {bad[0]} is not an integer")
+        # before the cast, which would wrap an id past the int64 range
+        bad = given[(given < 0) | (given >= n)]
+        if bad.size:
+            raise ParameterError(f"node id {int(bad[0])} out of range [0, {n})")
         e = given.astype(np.int64, copy=False)
         e = e.reshape(0, 2) if e.size == 0 else e
         if e.ndim != 2 or e.shape[1] != 2:
             raise ParameterError(f"edges must be node id pairs, got shape {e.shape}")
-        bad = e[(e < 0) | (e >= n)]
-        if bad.size:
-            raise ParameterError(f"node id {bad[0]} out of range [0, {n})")
         loops = e[e[:, 0] == e[:, 1]]
         if loops.size:
             raise ParameterError(f"self-loop {loops[0, 0]}-{loops[0, 1]} not allowed")

@@ -102,21 +102,23 @@ def _order(g: Graph, strategy: AttackStrategy, scores) -> list[int] | None:
 def _attack(g: Graph, strategy: AttackStrategy, limit: int, model: ThroughputModel | None, scores, lane=0, lanes=1):
     """Remove the first `limit` nodes of the attack from a working copy of `g`,
     one batch of `strategy.batch` at a time, yielding (batch, raw throughput
-    of the copy under `model`, or None) after each.  Only the states i with
-    i % lanes == lane are evaluated, and none without a model.
+    of the copy under `model`, or None) after each state i of this lane,
+    those with i % lanes == lane.
 
     Random and static orders are fixed on the intact graph, and the copy
-    catches up on their removals at the next state it evaluates.  Adaptive
-    rankings are recomputed on the copy before every batch, so every batch
-    is removed.  A betweenness ranking reads `scores` on the intact graph
-    and, after a batch, the betweenness that the copy's evaluation returned.
+    catches up on their removals only before a state it evaluates, so
+    without a model it removes none.  Adaptive rankings are recomputed on
+    the copy before every batch, so every batch is removed.  A betweenness
+    ranking reads `scores` on the intact graph and, after a batch, the
+    betweenness that the copy's evaluation returned.
     """
     order = _order(g, strategy, scores)
     rerank = order is None and strategy.kind == "highest_betweenness"
     work, done = g.copy(), 0
     for i, removed in enumerate(range(0, limit, strategy.batch)):
         end = min(removed + strategy.batch, limit)
-        evaluate = model is not None and i % lanes == lane
+        own = i % lanes == lane
+        evaluate = own and model is not None
         batch = _rank(work, strategy.kind, scores)[: end - removed] if order is None else order[removed:end]
         if order is None or evaluate:
             work.remove_nodes(batch if order is None else order[done:end])
@@ -124,7 +126,8 @@ def _attack(g: Graph, strategy: AttackStrategy, limit: int, model: ThroughputMod
         raw, rank = None, rerank and end < limit
         if evaluate or rank:
             raw, scores = _evaluate(work, model, rank)
-        yield batch, raw
+        if own:
+            yield batch, raw
 
 
 def attack_sequence(g: Graph, strategy: AttackStrategy) -> list[int]:
@@ -222,34 +225,23 @@ _LP_UNIT = 3e-6
 _POOL_BREAK_EVEN = 0.05
 
 
-def _evaluation_seconds(present: int, id_space: int, arcs: float, kind: str) -> float:
-    """Estimated seconds of evaluating a graph state of `present` nodes and
-    `arcs` arcs in an id space of `id_space` under engine `kind`."""
-    if kind == "lp_optimization":
-        return _LP_UNIT * present * present * arcs
-    route = _ROUTE_BASE + _ROUTE_UNIT * present * id_space
-    return route if kind == "dijkstra_homogeneous" else route * (arcs + 1)
-
-
 class _Plan:
     """The attack curves of one graph as independent tasks plus a pure
     assembler.
 
     The head task evaluates the intact graph once for every curve: alpha,
     the betweenness ranking if a curve needs it, and the hop-distance profile
-    when `profile` is set.  It then runs the betweenness curves, whose states
+    of its metrics row.  It then runs the betweenness curves, whose states
     depend on an evaluation.  The states of every other curve (random, or
-    static or adaptive degree) need none, so tasks(w) splits each such curve
-    over strided lanes: lane j walks the attack on its own copy and evaluates
-    states j, j + w, j + 2w, ... (see _attack).  Each state is evaluated by
-    the same code on the same arrays however they are split, so the curves
-    are byte-identical at every w.
+    static or adaptive degree) need none, so tasks(width) fixes for each
+    such curve w = min(width, states) strided lanes: lane j walks the attack
+    on its own copy and evaluates states j, j + w, j + 2w, ... (see _attack).
+    Each state is evaluated by the same code on the same arrays however they
+    are split, so the curves are byte-identical at every width.
     """
 
-    def __init__(
-        self, g: Graph, strategies: list[AttackStrategy], model: ThroughputModel, stop_fraction: float, profile=False
-    ):
-        self.g, self.strategies, self.model, self.profile = g, strategies, model, profile
+    def __init__(self, g: Graph, strategies: list[AttackStrategy], model: ThroughputModel, stop_fraction: float):
+        self.g, self.strategies, self.model = g, strategies, model
         n = g.number_of_nodes
         # `refused` ends every curve before any task
         self.refused = None
@@ -268,45 +260,45 @@ class _Plan:
 
     def work(self) -> float:
         """Estimated seconds of every evaluation of the plan in one process,
-        from sizes known before any: the states, the nodes left in each,
-        the intact graph's arcs (thinned as removals do at random) and the
+        from sizes known before any: per state, the nodes k left in it, the
+        intact graph's arcs (thinned as removals do at random) and the
         engine."""
         if self.refused:
             return 0.0
-        n, arcs = self.g.number_of_nodes, self.g.csr()[1].size
-        left = [n] + [n - removed for steps in self.steps for removed in itertools.accumulate(steps)]
-        return sum(_evaluation_seconds(k, self.g.id_space, arcs * (k / n) ** 2, self.model.kind) for k in left)
+        n, intact, kind, total = self.g.number_of_nodes, self.g.csr()[1].size, self.model.kind, 0.0
+        for k in [n] + [n - removed for steps in self.steps for removed in itertools.accumulate(steps)]:
+            arcs = intact * (k / n) ** 2
+            route = _ROUTE_BASE + _ROUTE_UNIT * k * self.g.id_space
+            route = route if kind == "dijkstra_homogeneous" else route * (arcs + 1)
+            total += _LP_UNIT * k * k * arcs if kind == "lp_optimization" else route
+        return total
 
-    def tasks(self, lanes: int) -> list[tuple]:
-        """[head task, then each lane curve's min(lanes, states) lanes], as
-        (function, *arguments); none if the graph is refused."""
+    def tasks(self, width: int) -> tuple[list[tuple], list[tuple]]:
+        """([the head task], the lane tasks), each as (function, *arguments),
+        at most `width` lanes per curve; none if the graph is refused.  Sets
+        `lanes`: per curve its lane count, 0 for one that runs in the head."""
         if self.refused:
-            return []
-        g, model, limit = self.g, self.model, self.limit
-        ranked = [s for s in self.strategies if s.kind == "highest_betweenness"]
-        tasks = [(_head, g, model, ranked, limit, self.profile)]
-        for strategy, steps in zip(self.strategies, self.steps):
-            if strategy.kind != "highest_betweenness":
-                w = min(lanes, len(steps))
-                tasks.extend((_lane, g, model, strategy, limit, None, j, w) for j in range(w))
-        return tasks
+            return [], []
+        g, model, limit, strategies = self.g, self.model, self.limit, self.strategies
+        curves = zip(strategies, self.steps)
+        self.lanes = [0 if s.kind == "highest_betweenness" else min(width, len(steps)) for s, steps in curves]
+        ranked = [s for s, w in zip(strategies, self.lanes) if not w]
+        lanes = [(_lane, g, model, s, limit, None, j, w) for s, w in zip(strategies, self.lanes) for j in range(w)]
+        return [(_head, g, model, ranked, limit)], lanes
 
-    def assemble(self, results: list, lanes: int) -> tuple[list[ElasticityCurve | NetelastError], np.ndarray | None]:
+    def assemble(self, heads: list, lanes: list) -> tuple[list[ElasticityCurve | NetelastError], np.ndarray | None]:
         """(per strategy its curve or the error that ended it, the intact
-        graph's hop profile or None) from the results of tasks(lanes), in
-        their order.  An error of the intact evaluation ends every curve."""
+        graph's hop profile or None) from the results of tasks(), in their
+        order.  An error of the intact evaluation ends every curve."""
         if self.refused:
             return [self.refused] * len(self.strategies), None
-        (alpha, ranked, profile), *parts = results
+        ((alpha, ranked, profile),) = heads
         if isinstance(alpha, NetelastError):
             return [alpha] * len(self.strategies), profile
-        ranked, parts = iter(ranked), iter(parts)
+        ranked, lanes = iter(ranked), iter(lanes)
         n, cells = self.g.number_of_nodes, []
-        for strategy, steps in zip(self.strategies, self.steps):
-            if strategy.kind == "highest_betweenness":
-                curve = [next(ranked)]
-            else:
-                curve = [next(parts) for _ in range(min(lanes, len(steps)))]
+        for strategy, steps, w in zip(self.strategies, self.steps, self.lanes):
+            curve = [next(lanes) for _ in range(w)] if w else [next(ranked)]
             # state i is the (i // w)-th of lane i % w; a lane ends at its
             # first error, so the first error in state order ends the curve
             raws = [raw for row in itertools.zip_longest(*curve) for raw in row if raw is not None]
@@ -322,12 +314,11 @@ class _Plan:
         return cells, profile
 
 
-def _head(g: Graph, model: ThroughputModel, strategies: list[AttackStrategy], limit: int, profile: bool):
+def _head(g: Graph, model: ThroughputModel, strategies: list[AttackStrategy], limit: int):
     """The head task of a _Plan: (alpha, or the error that ended the intact
     evaluation; per strategy of `strategies`, which rank by betweenness,
-    its _lane; the hop profile of the intact evaluation, or None without
-    `profile`)."""
-    hops = np.full((2, g.id_space), -1) if profile else None
+    its _lane; the hop profile that the intact evaluation wrote)."""
+    hops = np.full((2, g.id_space), -1)
     try:
         alpha, scores = _evaluate(g, model, bool(strategies), hops)
         if alpha <= 0.0:
@@ -343,7 +334,7 @@ def _lane(g: Graph, model: ThroughputModel, strategy: AttackStrategy, limit: int
     first error, which it holds."""
     raws = []
     try:
-        for _, raw in itertools.islice(_attack(g, strategy, limit, model, scores, lane, lanes), lane, None, lanes):
+        for _, raw in _attack(g, strategy, limit, model, scores, lane, lanes):
             raws.append(raw)
     except NetelastError as exc:
         raws.append(exc)
@@ -368,21 +359,17 @@ def _pool_size(work: float) -> int:
 
 
 def _run_plans(plans: list[_Plan]) -> tuple[list[tuple], int]:
-    """(every plan's assemble(), the number of worker processes or 1): the
-    tasks of all plans go through one _map, every head before any lane, at
-    _pool_size lanes per curve and at most one worker per task."""
+    """(every plan's assemble(), the number of worker processes or 1): every
+    plan's heads, then every plan's lanes, go through one _map at _pool_size
+    lanes per curve and at most one worker per task."""
     width = _pool_size(sum(p.work() for p in plans))
     split = [p.tasks(width) for p in plans]
-    heads = [tasks[0] for tasks in split if tasks]
-    lanes = [task for tasks in split for task in tasks[1:]]
-    workers = min(width, len(heads) + len(lanes)) or 1
-    results = _map(heads + lanes, workers)
-    done_heads, done_lanes = iter(results[: len(heads)]), iter(results[len(heads) :])
-    outputs = []
-    for plan, tasks in zip(plans, split):
-        got = [next(done_heads)] + [next(done_lanes) for _ in tasks[1:]] if tasks else []
-        outputs.append(plan.assemble(got, width))
-    return outputs, workers
+    groups = [heads for heads, _ in split] + [lanes for _, lanes in split]
+    tasks = [task for group in groups for task in group]
+    workers = min(width, len(tasks)) or 1
+    done = iter(_map(tasks, workers))
+    got = [list(itertools.islice(done, len(group))) for group in groups]
+    return [plan.assemble(heads, lanes) for plan, heads, lanes in zip(plans, got, got[len(plans) :])], workers
 
 
 def _call(task: tuple):

@@ -373,6 +373,24 @@ class TestRunExperiment:
         assert "outside [0, 1]" in report.errors["tradeoff/barbell"]
         assert "tradeoff barbell: NaN" in (report.output_dir / "run.log").read_text()
 
+    def test_nan_correlations_are_logged(self, tmp_path):
+        # K5 and K6 share heterogeneity (0) and asp (1); K5 alone is one row
+        k5, k6 = (f"[topology:k{n}]\nfamily = mesh\nn = {n}\n" for n in (5, 6))
+        kinds = ne.robustness.ATTACK_KINDS
+        for grid, metrics, why in (
+            (k5 + k6, ("heterogeneity", "asp"), "zero variance in {}"),
+            (k5, ("links", "heterogeneity", "asp"), "fewer than 2 rows with both values"),
+        ):
+            (tmp_path / "grid.ini").write_text(f"[experiment]\noutput_dir = out\n{grid}")
+            report = run_experiment(load_config(tmp_path / "grid.ini"))
+            lines = [f"correlation {m}/{k}: NaN ({why.format(m)})" for m in metrics for k in kinds]
+            log = (report.output_dir / "run.log").read_text().splitlines()
+            # after every cell and tradeoff line, before the closing one
+            assert log[-len(lines) - 1 : -1] == lines
+            assert sum(line.startswith("correlation ") for line in log) == len(lines)
+            assert report.errors == {}
+            assert sum(map(math.isnan, report.correlations.values())) == len(lines)
+
     def test_metrics_failure_yields_nan_row_and_run_continues(self, tmp_path):
         save_edge_list(ne.gen_mesh(4), tmp_path / "k4.edges")
         (tmp_path / "one.edges").write_text("# nodes 1\n")

@@ -3,6 +3,8 @@
 import io
 import math
 import pickle
+import re
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -216,6 +218,17 @@ class TestGraph:
             with pytest.raises(ne.ParameterError, match="is not an integer"):
                 ne.Graph.from_edges(3, edges)
         assert ne.Graph.from_edges(3, np.array([[0.0, 1.0], [1.0, 2.0]])).edges() == [(0, 1), (1, 2)]
+
+    def test_from_edges_reads_ids_as_given(self):
+        # a string id is not parsed into an integer
+        with pytest.raises(ne.ParameterError, match="node ids must be integers, got dtype <U1"):
+            ne.Graph.from_edges(3, [("0", "1"), ("1", "2")])
+        # an id past the int64 range is reported as given, not wrapped by a cast
+        message = re.escape("node id 9223372036854775808 out of range [0, 3)")
+        for edges in ([(0, 2**63)], np.array([[0, 2**63]], dtype=np.uint64)):
+            with warnings.catch_warnings(), pytest.raises(ne.ParameterError, match=message):
+                warnings.simplefilter("error")
+                ne.Graph.from_edges(3, edges)
 
     def test_copy_is_independent(self):
         g = path_graph(3)

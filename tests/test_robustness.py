@@ -64,6 +64,22 @@ class TestAttackSequence:
         assert static[:2] == [0, 1]
         assert adaptive[:2] == [0, 2]
 
+    def test_fixed_orders_remove_nothing(self, monkeypatch):
+        # a random or static order is read off the intact graph; only an
+        # adaptive ranking needs the copy to lose every batch
+        g = ne.gen_watts_strogatz(40, 4, 0.2, seed=5)
+        real, calls = ne.Graph.remove_nodes, []
+        monkeypatch.setattr(ne.Graph, "remove_nodes", lambda self, vs: calls.append(vs) or real(self, vs))
+        for strategy, removals in (
+            (AttackStrategy("random", seed=1, batch=3), 0),
+            (AttackStrategy("highest_degree", recompute=False, batch=3), 0),
+            (AttackStrategy("highest_betweenness", recompute=False, batch=3), 0),
+            (AttackStrategy("highest_degree", batch=3), 14),
+        ):
+            calls.clear()
+            assert sorted(ne.attack_sequence(g, strategy)) == g.nodes
+            assert len(calls) == removals
+
     def test_does_not_mutate_input(self):
         g = star_graph(4)
         ne.attack_sequence(g, AttackStrategy("highest_degree"))
@@ -253,6 +269,13 @@ def _state(c):
     return c.fractions.tobytes(), c.normalized.tobytes(), c.elasticity, c.alpha, c.strategy, c.model, c.seed
 
 
+def _curve_in_worker():
+    """Run in a pool worker, a daemonic process: (the curve of a 150-node
+    mesh, the pool size there, the pids of the children it left)."""
+    curve = ne.elasticity(ne.gen_mesh(150), AttackStrategy("random", seed=1))
+    return _state(curve), robustness._pool_size(1.0), [p.pid for p in multiprocessing.active_children()]
+
+
 class TestStatePool:
     """The states of every curve are tasks of one pool: the same curves at
     every pool size."""
@@ -369,6 +392,17 @@ class TestStatePool:
         with pytest.raises(TimeoutError), deadline(1):
             robustness._map([(time.sleep, 30)] * 3, 2)
         assert time.monotonic() - started < 10
+        assert multiprocessing.active_children() == []
+
+    def test_curve_in_a_daemonic_process_runs_there(self):
+        # worth a pool, but a pool worker may not start one: the curve runs in the worker
+        g, strategy = ne.gen_mesh(150), AttackStrategy("random", seed=1)
+        assert robustness._Plan(g, [strategy], ThroughputModel(), 1.0).work() > robustness._POOL_BREAK_EVEN
+        want = _state(ne.elasticity(g, strategy))
+        with deadline(120), multiprocessing.get_context("fork").Pool(1) as pool:
+            got, size, children = pool.apply(_curve_in_worker)
+        assert got == want
+        assert (size, children) == (1, [])
         assert multiprocessing.active_children() == []
 
     def test_small_curves_run_in_process(self):
