@@ -6,11 +6,11 @@ the routing engines (keep_arcs masks the arcs that still have capacity).
 The level-edge kernels are level-synchronous: each BFS level is expanded
 with a handful of numpy calls, which keeps per-node Python overhead out of
 the n = 1000 attack simulations.  Every traversal from many sources runs
-through sweep, the one loop over blocks of sources; routing (with the
-residual engines' reachability), betweenness (brandes) and the hop-distance
-sums of `metrics` (hop_profile) all read its bfs results.  Connected
-components come from hook-and-shortcut rounds over the same arrays
-(component_labels), so the module needs numpy only.
+through sweep, the one loop over blocks of sources; routing (route, with
+the residual engines' reachability), betweenness (brandes) and the
+hop-distance sums of `metrics` (hop_profile) all read its bfs results.
+Connected components come from hook-and-shortcut rounds over the same
+arrays (component_labels), so the module needs numpy only.
 """
 
 from __future__ import annotations
@@ -27,11 +27,7 @@ def build_csr(
     tails: np.ndarray, heads: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """CSR (indptr, indices) for the directed arc list, one row per tail,
-    entries within a row sorted by head id.
-
-    Row-sorted entries make the concatenated arcs ascending under the key
-    tail * n + head (arc_keys), so a repeated arc sits next to its twin.
-    """
+    entries within a row sorted by head id."""
     order = np.lexsort((heads, tails))
     tails = tails[order]
     heads = heads[order]
@@ -53,11 +49,6 @@ def keep_arcs(
 def arc_tails(indptr: np.ndarray) -> np.ndarray:
     """Tail of every arc; positions match `indices`."""
     return np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
-
-
-def arc_keys(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
-    """Sorted key tail * n + head for every arc; positions match `indices`."""
-    return arc_tails(indptr) * n + indices
 
 
 def component_labels(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
@@ -218,6 +209,21 @@ def hop_profile(traversal, n: int, out: np.ndarray) -> None:
     dist, frontiers, _ = traversal
     rows = dist.reshape(-1, n)
     out[:, frontiers[0] % n] = np.maximum(rows, 0).sum(axis=1), rows.max(axis=1)
+
+
+def route(traversal, n: int, rng: np.random.Generator | None, loads: np.ndarray) -> np.ndarray:
+    """Route one bfs result `traversal` on pick_predecessors' trees (`rng` as
+    there): add to `loads` the paths over each arc of `indices`, the size of
+    the subtree below it, and return each source's row of reached nodes."""
+    dist, frontiers, level_edges = traversal
+    pred, via = pick_predecessors(level_edges, dist.size, n, rng)
+    dests = np.flatnonzero(pred >= 0)
+    cnt = np.zeros(dist.size)
+    cnt[dests] = 1.0
+    for fr in reversed(frontiers[1:]):
+        cnt += np.bincount(pred[fr], weights=cnt[fr], minlength=dist.size)
+    np.add.at(loads, via[dests], cnt[dests])
+    return (pred >= 0).reshape(-1, n)
 
 
 def pick_predecessors(

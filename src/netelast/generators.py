@@ -59,8 +59,6 @@ def gen_watts_strogatz(n: int, k: int, p: float, seed: int) -> Graph:
             j = (i + d) % n
             if rng.random() >= p:
                 continue
-            if pair(i, j) not in edges:
-                continue  # already rewired away by an earlier pass
             edges.remove(pair(i, j))
             target = None
             for _ in range(n):

@@ -57,6 +57,23 @@ def write_lines(target, lines) -> None:
         target.write(payload)
 
 
+def _first_bad_pair(n: int, pairs: np.ndarray) -> int | None:
+    """Row of the first of the (k, 2) integer-valued `pairs`, in input order,
+    with an id outside [0, n), a self-loop, or an edge that an earlier row
+    gave in either orientation; None when there is none."""
+    lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+    bad = (lo < 0) | (hi >= n) | (lo == hi)
+    if bad.any():  # rejected rows become (0, 0), which casts from any dtype and is no edge
+        lo, hi = np.where(bad, 0, lo), np.where(bad, 0, hi)
+    # one key per edge, below n^2: int64 holds it for n < 3e9, past what Graph(n) can allocate
+    key = lo.astype(np.int64) * n + hi.astype(np.int64)
+    if (np.diff(np.sort(key)) == 0).any():
+        # a stable sort keeps equal keys in input order: each repeat follows its first
+        order = np.argsort(key, kind="stable")
+        bad[order[1:][np.diff(key[order]) == 0]] = True
+    return int(np.argmax(bad)) if bad.any() else None
+
+
 class Graph:
     """Undirected simple graph: no self-loops, no parallel edges.
 
@@ -80,33 +97,35 @@ class Graph:
         """Graph on ids 0..n-1 from a (k, 2) array or an iterable of pairs,
         built in one CSR pass.  Rejects what add_edge rejects: ids that are
         not integers or out of range, self-loops, and an edge given twice in
-        either orientation.
+        either orientation.  The error names the first bad pair in input
+        order (_first_bad_pair) with its ids as given.
         """
         g = cls(n)
-        given = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
-        if given.dtype.kind not in "iuf":
+        listed = edges if isinstance(edges, np.ndarray) else list(edges)
+        given = np.asarray(listed)
+        # numpy rounds Python ints past the int64 range to float64, or boxes them
+        exact = np.array(listed, dtype=object) if given.dtype.kind in "fO" else given
+        if exact.dtype.kind == "O" and all(isinstance(x, int) for x in exact.flat):
+            given = exact
+        elif given.dtype.kind not in "iuf":
             raise ParameterError(f"node ids must be integers, got dtype {given.dtype}")
-        if given.dtype.kind == "f":
+        elif given.dtype.kind == "f":
             bad = given[~np.isfinite(given) | (given != np.floor(given))]
             if bad.size:
                 raise ParameterError(f"node id {bad[0]} is not an integer")
-        # before the cast, which would wrap an id past the int64 range
-        bad = given[(given < 0) | (given >= n)]
-        if bad.size:
-            raise ParameterError(f"node id {int(bad[0])} out of range [0, {n})")
+        given = given.reshape(0, 2) if given.size == 0 else given
+        if given.ndim != 2 or given.shape[1] != 2:
+            raise ParameterError(f"edges must be node id pairs, got shape {given.shape}")
+        row = _first_bad_pair(n, given)
+        if row is not None:
+            u, v = (int(x) for x in given[row])
+            outside = [x for x in (u, v) if not 0 <= x < n]
+            error = ParameterError(f"node id {outside[0]} out of range [0, {n})" if outside else
+                                   f"self-loop {u}-{v} not allowed" if u == v else f"duplicate edge {u}-{v}")
+            error.row = row  # load_edge_list names the row's line
+            raise error
         e = given.astype(np.int64, copy=False)
-        e = e.reshape(0, 2) if e.size == 0 else e
-        if e.ndim != 2 or e.shape[1] != 2:
-            raise ParameterError(f"edges must be node id pairs, got shape {e.shape}")
-        loops = e[e[:, 0] == e[:, 1]]
-        if loops.size:
-            raise ParameterError(f"self-loop {loops[0, 0]}-{loops[0, 1]} not allowed")
         indptr, indices = _csr.build_csr(*np.concatenate((e, e[:, ::-1])).T, n)
-        keys = _csr.arc_keys(indptr, indices, n)
-        dup = np.flatnonzero(keys[1:] == keys[:-1])
-        if dup.size:
-            u, v = divmod(int(keys[dup[0]]), n)
-            raise ParameterError(f"edge {u}-{v} already present")
         g._set_arcs(np.diff(indptr), indices)
         return g
 
@@ -135,25 +154,23 @@ class Graph:
     def remove_nodes(self, vs) -> None:
         """Delete the nodes `vs` and their incident edges in one filter over
         the arcs, which keeps their order; the ids stay allocated but inert.
-        Every id must be present and appear once; `vs` is read once.
+        Every id must be present and appear once; `vs` is read once, and a
+        rejected batch changes nothing.
         """
-        vs = list(vs)
         gone = np.zeros(self._present.size, dtype=bool)
         for v in vs:
             self._check_node(v)
             if gone[v]:
                 raise ParameterError(f"node {v} given twice")
             gone[v] = True
-        # one node: a compare is cheaper than a gather per arc
-        keep = self._indices != vs[0] if len(vs) == 1 else ~gone[self._indices]
         counts = np.diff(self._indptr)
-        for v in vs:
-            lo, hi = self._indptr[v], self._indptr[v + 1]
-            keep[lo:hi] = False
-            counts[self._indices[lo:hi]] -= 1
+        out = np.repeat(gone, counts)
+        # the CSR is symmetric: the heads of the arcs out of removed nodes
+        # are the rows that lose an arc into one
+        counts -= np.bincount(self._indices[out], minlength=counts.size)
         counts[gone] = 0
         self._present[gone] = False
-        self._set_arcs(counts, self._indices[keep])
+        self._set_arcs(counts, self._indices[~(out | gone[self._indices])])
 
     def copy(self) -> "Graph":
         g = Graph.__new__(Graph)
@@ -250,9 +267,9 @@ def load_edge_list(source) -> Graph:
 
     One `u v` pair per line, whitespace separated decimal ids.  Lines
     starting with `#` are comments; an optional `# nodes N` line declares
-    the node count (needed for trailing isolated nodes).  Duplicate edges
-    and self-loops are rejected so that data errors in ingested files
-    surface instead of being silently merged.
+    the node count (needed for trailing isolated nodes).  Graph.from_edges
+    rejects ids out of range, duplicate edges and self-loops, so that data
+    errors surface instead of being merged; every error names its line.
 
     `source` is a path (str or Path) or an open text file, as for
     save_edge_list.
@@ -274,30 +291,15 @@ def load_edge_list(source) -> Graph:
         if len(tokens) != 2:
             raise ParseError(f"expected two node ids, got {len(tokens)} tokens", line_no)
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            pairs.append((int(tokens[0]), int(tokens[1]), line_no))
         except ValueError:
             raise ParseError(f"non-integer node id in {tokens!r}", line_no) from None
-        if u < 0 or v < 0:
-            raise ParseError(f"negative node id in {tokens!r}", line_no)
-        if u == v:
-            raise ParseError(f"self-loop {u} {v}", line_no)
-        pairs.append((u, v, line_no))
 
-    max_id = max((max(u, v) for u, v, _ in pairs), default=-1)
-    if declared_n is not None:
-        if max_id >= declared_n:
-            raise ParseError(f"edge references id {max_id} but header declares {declared_n} nodes")
-        n = declared_n
-    else:
-        n = max_id + 1
-
-    seen: set[tuple[int, int]] = set()
-    for u, v, line_no in pairs:
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ParseError(f"duplicate edge {u} {v}", line_no)
-        seen.add(key)
-    return Graph.from_edges(n, [(u, v) for u, v, _ in pairs])
+    n = max([0, *(max(u, v) + 1 for u, v, _ in pairs)]) if declared_n is None else declared_n
+    try:
+        return Graph.from_edges(n, [(u, v) for u, v, _ in pairs])
+    except ParameterError as err:
+        raise ParseError(str(err), pairs[err.row][2]) from None
 
 
 def save_edge_list(g: Graph, target) -> None:
@@ -379,10 +381,10 @@ def metrics(g: Graph, profile: np.ndarray | None = None) -> MetricsReport:
     graph by convention).
 
     Diameter and asp are read from the hop-distance profile
-    (_csr.hop_profile) of the largest component's members.  `profile` is a
-    (2, id_space) int array that a routing traversal of `g` filled, -1 in
-    the columns it did not reach (see robustness._evaluate); when it is
-    absent or does not cover that component, metrics sweeps it itself.
+    (_csr.hop_profile) of the largest component's members (by
+    _csr.component_labels).  `profile` is a (2, id_space) int array that a
+    routing traversal of `g` filled, -1 in the columns it did not reach;
+    when it is absent or does not cover that component, metrics sweeps it.
     """
     n = _require_pairs(g)
     m = g.number_of_edges
@@ -396,7 +398,9 @@ def metrics(g: Graph, profile: np.ndarray | None = None) -> MetricsReport:
     for d in degs:
         hist[int(d)] = hist.get(int(d), 0) + 1
 
-    comp = np.array(max(connected_components(g), key=len))
+    labels = _csr.component_labels(*g.csr(), g.id_space)[g._present]
+    # a label is its component's smallest id: argmax breaks ties by it
+    comp = np.flatnonzero(g._present)[labels == np.argmax(np.bincount(labels))]
     k = comp.size
     if k < 2:
         diameter = math.nan

@@ -106,31 +106,22 @@ def shortest_path_tree(
 
 
 def _route_all(indptr, indices, sources, n, rng, reach=None, visit=None):
-    """Single-path routing from every source over the CSR arcs, one batched
-    bfs per block of sources (_csr.sweep, `reach` passed on).
+    """Single-path routing from every source over the CSR arcs: one batched
+    bfs per block of sources (_csr.sweep, `reach` passed on), routed by _csr.route.
 
     Returns (loads, reached): per arc (aligned with `indices`) the number of
-    source->dest paths crossing it, i.e. the size of the destination subtree
-    below the arc; and a bool matrix whose row i marks the nodes that
-    sources[i] routes to.  `visit`, when given, is called with every block's
-    bfs result before it is routed, in the blocks and source order of
-    graph.betweenness: the hook through which robustness._evaluate reads
-    betweenness and hop distances from this traversal.
+    source->dest paths crossing it; and a bool matrix whose row i marks the
+    nodes that sources[i] routes to.  `visit`, when given, is called with
+    every block's bfs result before it is routed, in the blocks and source
+    order of graph.betweenness: the hook through which robustness._evaluate
+    reads betweenness and hop distances from this traversal.
     """
     loads = np.zeros(indices.size)
     reached = np.zeros((len(sources), n), dtype=bool)
     for part, traversal in _csr.sweep(indptr, indices, sources, n, reach):
         if visit is not None:
             visit(traversal)
-        dist, frontiers, level_edges = traversal
-        pred, via = _csr.pick_predecessors(level_edges, dist.size, n, rng)
-        dests = np.flatnonzero(pred >= 0)
-        cnt = np.zeros(dist.size)
-        cnt[dests] = 1.0
-        for fr in reversed(frontiers[1:]):
-            cnt += np.bincount(pred[fr], weights=cnt[fr], minlength=dist.size)
-        np.add.at(loads, via[dests], cnt[dests])
-        reached[part] = (pred >= 0).reshape(-1, n)
+        reached[part] = _csr.route(traversal, n, rng, loads)
     return loads, reached
 
 

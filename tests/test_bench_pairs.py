@@ -80,3 +80,32 @@ def test_src_lines_counts_the_library_modules(tmp_path):
     (package / "notes.txt").write_text("not counted\n")
     (tmp_path / "tools.py").write_text("not counted\n")
     assert bench_pairs._src_lines(tmp_path) == 5
+
+
+_MODULE = '''"""Module docstring,
+over two lines."""
+
+# a comment
+x = (1,  # a trailing comment
+     2)
+
+def f():
+    """Function docstring."""
+    return """a string
+that is not a docstring"""
+
+class C:
+    "Class docstring."
+    y = 1
+'''
+
+
+def test_src_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
+    package = tmp_path / "src" / "netelast"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(_MODULE)
+    (package / "b.py").write_text("z = 3")
+    (tmp_path / "tools.py").write_text("not_counted = 1\n")
+    # x over two lines, def, return over two lines, class, y and z
+    assert bench_pairs._src_code_lines(tmp_path) == 8
+    assert bench_pairs._src_lines(tmp_path) == 16

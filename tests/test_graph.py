@@ -47,6 +47,21 @@ class TestEdgeList:
         with pytest.raises(ne.ParseError, match="line 3"):
             ne.load_edge_list(io.StringIO("0 1\n1 2\n2 2"))
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("# nodes 2\n0 1\n0 3\n", 3, "node id 3 out of range [0, 2)"),
+            ("0 1\n1 2\n1 0\n", 3, "duplicate edge 1-0"),
+            ("0 1\n-1 2\n", 2, "node id -1 out of range [0, 3)"),
+            # several errors: the first bad pair in file order, not the first self-loop
+            ("0 1\n1 0\n2 2\n", 2, "duplicate edge 1-0"),
+        ],
+    )
+    def test_structural_error_names_its_line(self, text, line, message):
+        with pytest.raises(ne.ParseError, match=re.escape(f"line {line}: {message}")) as info:
+            ne.load_edge_list(io.StringIO(text))
+        assert info.value.line == line
+
     def test_comments_and_blank_lines_ignored(self):
         g = ne.load_edge_list(io.StringIO("# a comment\n\n0 1\n# another\n1 2\n"))
         assert g.number_of_edges == 2
@@ -122,7 +137,7 @@ class TestGraph:
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_single_node_removal_matches_batch_filter(self):
-        # one id takes the compare path; the reference is the batch filter
+        # the reference is the batch filter, written out for one id
         for g in (ne.gen_mesh(30), ne.gen_preferential_attachment(60, 2, seed=3)):
             indptr, indices = g.csr()
             for v in g.nodes:
@@ -170,6 +185,35 @@ class TestGraph:
             with pytest.raises(ne.ParameterError):
                 g.remove_nodes(vs)
             assert g.nodes == [0, 1, 2] and g.number_of_edges == 2
+
+    def test_batches_match_one_node_at_a_time(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(2, 31))
+            g = ne.gen_gilbert(n, float(rng.random()), seed=int(rng.integers(1000)))
+            one = g.copy()
+            order = rng.permutation(n).tolist()
+            while order:
+                # batches of one to three nodes
+                batch = order[: int(rng.integers(1, 4))]
+                order = order[len(batch) :]
+                g.remove_nodes(batch)
+                for v in batch:
+                    one.remove_node(v)
+                rebuilt = ne.Graph.from_edges(n, one.edges())
+                assert g._present.tobytes() == one._present.tobytes()
+                for a, b, c in zip(g.csr(), one.csr(), rebuilt.csr()):
+                    assert a.dtype == b.dtype == c.dtype and a.tobytes() == b.tobytes() == c.tobytes()
+
+    def test_rejected_batch_changes_nothing(self):
+        g = ne.gen_preferential_attachment(12, 2, seed=1)
+        g.remove_node(5)
+        state = lambda: [g._present.tobytes(), *(a.tobytes() for a in g.csr())]
+        before = state()
+        for vs, message in (([3, 3], "node 3 given twice"), ([0, 12], "node id 12 out of range"),
+                            ([1, 5], "node 5 has been removed")):
+            with pytest.raises(ne.ParameterError, match=message):
+                g.remove_nodes(vs)
+            assert state() == before
 
     def test_keep_arcs_matches_rebuilt_csr(self, rng):
         removed = ne.gen_preferential_attachment(60, 2, seed=3)
@@ -229,6 +273,35 @@ class TestGraph:
             with warnings.catch_warnings(), pytest.raises(ne.ParameterError, match=message):
                 warnings.simplefilter("error")
                 ne.Graph.from_edges(3, edges)
+        # numpy reads these lists as float64 (rounded) and as objects
+        for big in (2**63 + 1, 2**64):
+            message = re.escape(f"node id {big} out of range [0, 3)")
+            with warnings.catch_warnings(), pytest.raises(ne.ParameterError, match=message):
+                warnings.simplefilter("error")
+                ne.Graph.from_edges(3, [(0, 1), (0, big)])
+
+    def test_from_edges_names_the_first_bad_pair(self, rng):
+        # the reference adds the pairs one at a time and stops at the first
+        # that add_edge rejects
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            pairs = rng.integers(-1, n + 1, size=(int(rng.integers(0, 8)), 2)).tolist()
+            want, row = ne.Graph(n), None
+            for i, (u, v) in enumerate(pairs):
+                try:
+                    want.add_edge(u, v)
+                except ne.ParameterError as err:
+                    row, reason = i, str(err)
+                    break
+            if row is None:
+                for a, b in zip(ne.Graph.from_edges(n, pairs).csr(), want.csr()):
+                    assert a.tobytes() == b.tobytes()
+                continue
+            with pytest.raises(ne.ParameterError) as info:
+                ne.Graph.from_edges(n, pairs)
+            assert info.value.row == row
+            if "already present" not in reason:
+                assert str(info.value) == reason
 
     def test_copy_is_independent(self):
         g = path_graph(3)

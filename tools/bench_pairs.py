@@ -20,12 +20,14 @@ change wins at least nine pairs in ten, and the medians differ by more than
 the parent's interquartile range.  A run that fails its checks is reported
 on stderr as it finishes.  The file also records the host's core count, the
 python/numpy/scipy versions, both commits and each side's `src_lines`, the
-line count of `src/netelast/*.py` in its tree.
+line count of `src/netelast/*.py` in its tree, and `src_code_lines`, the
+same count without blank lines, comments and docstrings.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import json
 import os
@@ -36,6 +38,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,6 +57,32 @@ def _extract(rev: str, into: Path) -> None:
 def _src_lines(tree: Path) -> int:
     """Lines of the library's modules, src/netelast/*.py, in `tree`."""
     return sum(len(path.read_text().splitlines()) for path in (tree / "src" / "netelast").glob("*.py"))
+
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+             tokenize.ENDMARKER}
+
+
+def _src_code_lines(tree: Path) -> int:
+    """Code lines of src/netelast/*.py in `tree`: the lines that hold a
+    token other than a comment or a docstring, so blank lines, comments and
+    docstrings do not count."""
+    total = 0
+    for path in (tree / "src" / "netelast").glob("*.py"):
+        source = path.read_text()
+        docstrings = {
+            (node.body[0].lineno, node.body[0].col_offset)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant) and isinstance(node.body[0].value.value, str)
+        }
+        lines = set()
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type not in _NOT_CODE and not (tok.type == tokenize.STRING and tok.start in docstrings):
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+        total += len(lines)
+    return total
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -159,7 +188,7 @@ def main(argv=None) -> int:
         "parent": {"commit": parent_commit},
         # the change side is the working tree, which may hold uncommitted edits
         "change": {"commit": _git("rev-parse", "HEAD"), "uncommitted": bool(_git("status", "--porcelain")),
-                   "src_lines": _src_lines(ROOT)},
+                   "src_lines": _src_lines(ROOT), "src_code_lines": _src_code_lines(ROOT)},
         "host": _versions(),
         "settings": {"pairs": args.pairs, "seconds": seconds, "seeds": [args.seed + i for i in range(args.pairs)]},
         "workloads": {},
@@ -167,6 +196,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_parent_") as tmp:
         _extract(parent_commit, Path(tmp))
         report["parent"]["src_lines"] = _src_lines(Path(tmp))
+        report["parent"]["src_code_lines"] = _src_code_lines(Path(tmp))
         trees = {"parent": Path(tmp), "change": ROOT}
         for workload in workloads:
             runs = []
