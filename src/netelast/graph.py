@@ -32,6 +32,10 @@ __all__ = [
 METRICS_CSV_HEADER = "name,nodes,links,density,diameter,asp,heterogeneity"
 
 _NODES_HEADER = re.compile(r"^#\s*nodes\s+(\d+)\s*$")
+# the largest id space an edge list may ask for, from a `# nodes N` header or
+# its largest id: far past the sizes the engines handle, and small enough
+# that Graph(n) allocates it
+EDGE_LIST_MAX_NODES = 10**7
 
 
 def fmt(x: float) -> str:
@@ -250,6 +254,8 @@ class Graph:
         return self._indptr, self._indices
 
     def _check_node(self, v: int) -> None:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ParameterError(f"node id must be an integer, got {v!r}")
         if not (0 <= v < self._present.size):
             raise ParameterError(f"node id {v} out of range [0, {self._present.size})")
         if not self._present[v]:
@@ -267,9 +273,11 @@ def load_edge_list(source) -> Graph:
 
     One `u v` pair per line, whitespace separated decimal ids.  Lines
     starting with `#` are comments; an optional `# nodes N` line declares
-    the node count (needed for trailing isolated nodes).  Graph.from_edges
-    rejects ids out of range, duplicate edges and self-loops, so that data
-    errors surface instead of being merged; every error names its line.
+    the node count (needed for trailing isolated nodes).  A header or an id
+    that needs more than EDGE_LIST_MAX_NODES nodes is refused before any
+    graph is allocated.  Graph.from_edges rejects ids out of range, duplicate
+    edges and self-loops, so that data errors surface instead of being
+    merged; every error names its line.
 
     `source` is a path (str or Path) or an open text file, as for
     save_edge_list.
@@ -286,14 +294,19 @@ def load_edge_list(source) -> Graph:
             m = _NODES_HEADER.match(line)
             if m:
                 declared_n = int(m.group(1))
+                if declared_n > EDGE_LIST_MAX_NODES:
+                    raise ParseError(f"{declared_n} nodes declared, past the limit of {EDGE_LIST_MAX_NODES}", line_no)
             continue
         tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(f"expected two node ids, got {len(tokens)} tokens", line_no)
         try:
-            pairs.append((int(tokens[0]), int(tokens[1]), line_no))
+            u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise ParseError(f"non-integer node id in {tokens!r}", line_no) from None
+        if max(u, v) >= EDGE_LIST_MAX_NODES:
+            raise ParseError(f"node id {max(u, v)} past the limit of {EDGE_LIST_MAX_NODES} nodes", line_no)
+        pairs.append((u, v, line_no))
 
     n = max([0, *(max(u, v) + 1 for u, v, _ in pairs)]) if declared_n is None else declared_n
     try:

@@ -67,8 +67,29 @@ class ThroughputModel:
 
 @dataclass
 class ThroughputResult:
+    """Raw throughput, and per_pair_delivered: {(s, t): delivered} over the
+    ordered pairs that receive traffic, source-major, destinations ascending."""
+
     raw_throughput: float
     per_pair_delivered: dict[tuple[int, int], float]
+
+
+class _Delivery(ThroughputResult):
+    """An engine's result: per_pair_delivered is built from the dense delivery
+    on first read.  The pair (sources[i], t) gets rate[i, t], or the one
+    `rate` that every pair shares, wherever delivered[i, t] is nonzero."""
+
+    def __init__(self, raw_throughput: float, sources: np.ndarray, delivered: np.ndarray, rate):
+        self.raw_throughput, self._dense = raw_throughput, (sources, delivered, rate)
+
+    @functools.cached_property
+    def per_pair_delivered(self) -> dict[tuple[int, int], float]:
+        sources, delivered, rate = self._dense
+        rows, dests = np.nonzero(delivered)
+        pairs = zip(sources[rows].tolist(), dests.tolist())
+        if np.ndim(rate) == 0:
+            return dict.fromkeys(pairs, rate)
+        return dict(zip(pairs, rate[rows, dests].tolist()))
 
 
 @dataclass
@@ -78,9 +99,9 @@ class ModelComparison:
     homogeneous: float
 
 
-def _tie_rng(model: ThroughputModel) -> np.random.Generator | None:
+def _tie_rng(model: ThroughputModel | None) -> np.random.Generator | None:
     """The seeded generator for random tie-breaking, None for sequential."""
-    return seeded_rng(model.seed) if model.tie_break == "random" else None
+    return seeded_rng(model.seed) if model is not None and model.tie_break == "random" else None
 
 
 # -- shortest-path trees -------------------------------------------------------
@@ -97,9 +118,8 @@ def shortest_path_tree(
     """
     g._check_node(source)
     rng = _tie_rng(ThroughputModel(tie_break=tie_break, seed=seed))
-    indptr, indices = g.csr()
     n = g.id_space
-    dist_i, _, level_edges = _csr.bfs(indptr, indices, source, n)
+    dist_i, _, level_edges = _csr.bfs(*g.csr(), source, n)
     pred, _ = _csr.pick_predecessors(level_edges, n, n, rng)
     dist = np.where(dist_i < 0, np.inf, dist_i.astype(float))
     return dist, pred
@@ -128,36 +148,21 @@ def _route_all(indptr, indices, sources, n, rng, reach=None, visit=None):
 # -- homogeneous model ---------------------------------------------------------
 
 
-def throughput_dijkstra_homogeneous(g: Graph, model: ThroughputModel | None = None) -> ThroughputResult:
+def throughput_dijkstra_homogeneous(g: Graph, model: ThroughputModel | None = None, *, visit=None) -> ThroughputResult:
     """One flow per ordered connected pair along its single shortest path;
-    all pairs share the uniform rate 1 / (max arc utilization).
+    all pairs share the uniform rate 1 / (max arc utilization).  `visit`
+    sees the routing traversal (see _route_all).
     """
-    raw, delta, reached = _raw_homogeneous(g, model or ThroughputModel())
-    return ThroughputResult(raw, _per_pair(np.flatnonzero(g._present), reached, delta))
-
-
-def _per_pair(sources: np.ndarray, reached: np.ndarray, rate) -> dict[tuple[int, int], float]:
-    """{(sources[i], t): rate} over the nonzero entries reached[i, t], source-major
-    and destinations ascending.  `rate` is one value that every pair shares,
-    or an array shaped like `reached` whose entries go to their pairs as floats."""
-    rows, dests = np.nonzero(reached)
-    pairs = zip(sources[rows].tolist(), dests.tolist())
-    if np.ndim(rate) == 0:
-        return dict.fromkeys(pairs, rate)
-    return dict(zip(pairs, rate[rows, dests].tolist()))
-
-
-def _raw_homogeneous(g: Graph, model: ThroughputModel, visit=None) -> tuple[float, float, np.ndarray]:
-    """(raw_throughput, uniform per-pair rate, reached matrix over the present
-    sources) of the homogeneous model; the per-pair map is left to the caller
-    that needs it.  `visit` sees the routing traversal (see _route_all)."""
     indptr, indices = g.csr()
     sources = np.flatnonzero(g._present)
     reach = _csr.component_reach(indptr, indices, g.id_space, sources)
     util, reached = _route_all(indptr, indices, sources, g.id_space, _tie_rng(model), reach, visit)
-    max_util = util.max() if util.size else 0.0
-    delta = 1.0 / max_util if max_util > 0 else 1.0
-    return delta * np.count_nonzero(reached), delta, reached
+    delta = 1.0 / util.max() if util.any() else 1.0
+    return _Delivery(delta * np.count_nonzero(reached), sources, reached, delta)
+
+
+# the homogeneous engine's earlier name, which netelast_bench/tracing.py wraps
+_raw_homogeneous = throughput_dijkstra_homogeneous
 
 
 # -- residual filling ------------------------------------------------------------
@@ -177,8 +182,9 @@ def _fill_residual(g: Graph, fill, rng, visit, rounds_per_arc: int, failure: str
     rounds_per_arc rounds per arc (plus 16).
 
     Reach only shrinks as arcs die, so the pairs of the first round are all
-    the pairs, and the per-pair map keeps their order: source-major,
-    destinations ascending.
+    the pairs.  Raw throughput is the left-to-right sum of the deliveries in
+    pair order (source-major, destinations ascending), the order of the
+    per-pair map, so it does not depend on the interpreter's sum().
     """
     indptr, indices = g.csr()
     capacity = np.ones(indices.size)
@@ -196,13 +202,10 @@ def _fill_residual(g: Graph, fill, rng, visit, rounds_per_arc: int, failure: str
             break
         demand[reached] += rate
         capacity[alive] -= util
-        np.clip(capacity, 0.0, None, out=capacity)
-        capacity[capacity <= _RESIDUAL_EPS] = 0.0
     else:
         raise ComputeError(failure)
-    per_pair = _per_pair(present, demand, demand)
-    # the builtin sum, in pair order, is the engines' definition of raw
-    return ThroughputResult(float(sum(per_pair.values())), per_pair)
+    delivered = demand[demand > 0]
+    return _Delivery(float(np.cumsum(delivered)[-1]) if delivered.size else 0.0, present, demand, demand)
 
 
 # -- heterogeneous model -------------------------------------------------------
@@ -219,7 +222,7 @@ def throughput_dijkstra_heterogeneous(
     one round per arc.  `visit` sees the traversal of the first round, which
     routes g.csr() itself; a graph without edges routes no round.
     """
-    rng = _tie_rng(model or ThroughputModel(kind="dijkstra_heterogeneous"))
+    rng = _tie_rng(model)
 
     def fill(indptr, indices, residual, present, loads, reached):
         # an alive arc's tail reaches its head, so some load is positive
@@ -297,7 +300,6 @@ def _solve_concurrent_lp(indptr, indices, residual, sources, reached):
     maps source -> (arc positions, flow values).
     """
     tails = _csr.arc_tails(indptr)
-    heads = indices
     na = indices.size
 
     # one commodity per source that reaches a node; its constraint rows are
@@ -318,7 +320,7 @@ def _solve_concurrent_lp(indptr, indices, residual, sources, reached):
     comm, arc = np.nonzero(noderow[:, tails] >= 0)
     nvars = comm.size + 1
     tail_row = noderow[comm, tails[arc]]
-    head_row = noderow[comm, heads[arc]]
+    head_row = noderow[comm, indices[arc]]
     # the source row counts outflow at +1; a destination row counts outflow
     # at -1 and inflow at +1 (a commodity's rows past its source row are its
     # destinations); every row takes -rate once per destination it covers
@@ -327,24 +329,25 @@ def _solve_concurrent_lp(indptr, indices, residual, sources, reached):
     rate_vals[src_rows] = -ndest
     tail_vals = np.where(tail_row == src_rows[comm], 1.0, -1.0)
 
-    # the constraint matrix in CSC, rows ascending within each column: the
-    # capacity rows (an arc's position in the residual CSR) come first, then
-    # the conservation rows.  Column 0 is the rate, with one entry per
-    # conservation row; a flow column has its arc's capacity row, then its
-    # tail's and (unless the head is the source) its head's rows in order.
-    swap = into & (head_row < tail_row)
-    rows = np.stack([arc, na + np.where(swap, head_row, tail_row), na + np.where(swap, tail_row, head_row)], axis=1)
-    vals = np.stack([np.ones(arc.size), np.where(swap, 1.0, tail_vals), np.where(swap, tail_vals, 1.0)], axis=1)
-    entries = np.ones(rows.shape, dtype=bool)
-    entries[:, 2] = into
+    # the constraint matrix as (column, row, value) entries: the capacity rows
+    # (an arc's position in the residual CSR) come first, then the
+    # conservation rows.  Column 0 is the rate, with one entry per
+    # conservation row; a flow column has its arc's capacity row, its tail's
+    # row and, unless the head is the source, its head's row.  HiGHS takes
+    # them in CSC: sorted by column, rows ascending within each column.
+    flow = np.arange(1, nvars)
+    cols = np.concatenate([np.zeros(nrows, dtype=np.int64), flow, flow, flow[into]])
+    rows = np.concatenate([na + np.arange(nrows), arc, na + tail_row, na + head_row[into]])
+    vals = np.concatenate([rate_vals, np.ones(arc.size), tail_vals, np.ones(int(into.sum()))])
+    order = np.lexsort((rows, cols))
     core, _ = _highs()
     lp = core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = nvars
     lp.num_row_ = lp.a_matrix_.num_row_ = na + nrows
     lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.concatenate([[0, nrows], nrows + np.cumsum(2 + into)]).astype(np.int32)
-    lp.a_matrix_.index_ = np.concatenate([na + np.arange(nrows), rows[entries]]).astype(np.int32)
-    lp.a_matrix_.value_ = np.concatenate([rate_vals, vals[entries]])
+    lp.a_matrix_.start_ = np.searchsorted(cols[order], np.arange(nvars + 1)).astype(np.int32)
+    lp.a_matrix_.index_ = rows[order].astype(np.int32)
+    lp.a_matrix_.value_ = vals[order]
     lp.row_lower_ = np.concatenate([np.full(na, -np.inf), np.zeros(nrows)])
     lp.row_upper_ = np.concatenate([residual, np.zeros(nrows)])
     upper = np.full(nvars, np.inf)
@@ -362,16 +365,14 @@ def _solve_concurrent_lp(indptr, indices, residual, sources, reached):
     if x[0] > 0:
         # second phase: same rate, least total flow (phase 1's solution stays
         # feasible, so pinning the rate exactly should not fail)
-        rate = float(x[0])
         c = np.ones(nvars)
         c[0] = 0.0
         lower = np.zeros(nvars)
-        lower[0] = upper[0] = rate
+        lower[0] = upper[0] = x[0]
         x = solve(c, lower)
     rate = float(x[0])
 
-    util = np.zeros(na)
-    np.add.at(util, arc, x[1:])
+    util = np.bincount(arc, weights=x[1:], minlength=na)
     cuts = np.cumsum(np.bincount(comm, minlength=k))[:-1]
     flows = dict(zip(sources[has].tolist(), zip(np.split(arc, cuts), np.split(x[1:], cuts))))
     return rate, util, flows
@@ -398,28 +399,25 @@ def throughput_lp(g: Graph, model: ThroughputModel | None = None, *, visit=None)
 def check_size(g: Graph, kind: str) -> None:
     """Raise GraphSizeError if engine `kind` refuses `g`: the LP takes at
     most LP_MAX_NODES present nodes."""
-    n_present = g.number_of_nodes
-    if kind == "lp_optimization" and n_present > LP_MAX_NODES:
-        raise GraphSizeError(f"optimization model limited to {LP_MAX_NODES} nodes, got {n_present}")
+    if kind == "lp_optimization" and g.number_of_nodes > LP_MAX_NODES:
+        raise GraphSizeError(f"optimization model limited to {LP_MAX_NODES} nodes, got {g.number_of_nodes}")
 
 
-def evaluate_throughput(g: Graph, model: ThroughputModel) -> ThroughputResult:
+def evaluate_throughput(g: Graph, model: ThroughputModel, *, visit=None) -> ThroughputResult:
+    """The result of `model`'s engine on `g`.  `visit`, if given, sees every
+    block of the engine's routing traversal of `g` itself (see _route_all),
+    which the LP's size refusal and an edgeless graph under a residual
+    engine never reach."""
     if model.kind == "dijkstra_homogeneous":
-        return throughput_dijkstra_homogeneous(g, model)
+        return throughput_dijkstra_homogeneous(g, model, visit=visit)
     if model.kind == "dijkstra_heterogeneous":
-        return throughput_dijkstra_heterogeneous(g, model)
-    return throughput_lp(g, model)
+        return throughput_dijkstra_heterogeneous(g, model, visit=visit)
+    return throughput_lp(g, model, visit=visit)
 
 
 def raw_throughput(g: Graph, model: ThroughputModel, visit=None) -> float:
-    """raw_throughput only (no homogeneous per-pair map); `visit`, if given,
-    sees every block of the engine's routing traversal of `g` itself (see
-    _route_all), which the LP's size refusal and an edgeless graph under a
-    residual engine never reach."""
-    if model.kind == "dijkstra_homogeneous":
-        return _raw_homogeneous(g, model, visit)[0]
-    engine = throughput_lp if model.kind == "lp_optimization" else throughput_dijkstra_heterogeneous
-    return engine(g, model, visit=visit).raw_throughput
+    """evaluate_throughput's raw throughput; no per-pair map is built."""
+    return evaluate_throughput(g, model, visit=visit).raw_throughput
 
 
 def compare_models(g: Graph, tie_break: str = "sequential", seed: int | None = None) -> ModelComparison:

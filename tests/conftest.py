@@ -179,6 +179,47 @@ def homogeneous_oracle(g):
     return pairs / max(util.values())
 
 
+def heterogeneous_oracle(g):
+    """Dict-based reimplementation of the heterogeneous engine for tiny
+    graphs (n <= 10): each round routes every present source along
+    smallest-id predecessors over the directed arcs whose residual capacity
+    is above ne.throughput._RESIDUAL_EPS, pushes the largest rate that no
+    residual violates to every routed pair, and subtracts it.  Returns the
+    sum of the per-pair totals."""
+    nodes = g.nodes
+    assert len(nodes) <= 10, "dict oracle only for tiny graphs"
+    capacity = {(u, v): 1.0 for u in nodes for v in g.neighbors(u)}
+    delivered = {}
+    while True:
+        alive = sorted(arc for arc, c in capacity.items() if c > ne.throughput._RESIDUAL_EPS)
+        if not alive:
+            break
+        out = {v: [w for u, w in alive if u == v] for v in nodes}
+        into = {v: [u for u, w in alive if w == v] for v in nodes}
+        loads, paths = {}, []
+        for s in nodes:
+            dist = bfs_distances(out, s)
+            for t in sorted(dist):
+                if t == s:
+                    continue
+                path, w = [], t
+                while w != s:
+                    u = min(u for u in into[w] if dist.get(u) == dist[w] - 1)
+                    path.append((u, w))
+                    w = u
+                paths.append((s, t))
+                for arc in path:
+                    loads[arc] = loads.get(arc, 0) + 1
+        rate = min(capacity[arc] / load for arc, load in loads.items())
+        if rate <= 0:
+            break
+        for pair in paths:
+            delivered[pair] = delivered.get(pair, 0.0) + rate
+        for arc, load in loads.items():
+            capacity[arc] -= rate * load
+    return sum(delivered[pair] for pair in sorted(delivered))
+
+
 def canonical_relabel(g):
     """Brute-force canonical form for tiny graphs: the labeling that
     minimizes the sorted edge list over all permutations."""

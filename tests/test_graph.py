@@ -13,7 +13,7 @@ from scipy.sparse import csgraph, csr_matrix
 
 import netelast as ne
 from netelast import _csr
-from netelast.graph import save_edge_list
+from netelast.graph import EDGE_LIST_MAX_NODES, save_edge_list
 
 from conftest import (
     betweenness_oracle,
@@ -70,6 +70,24 @@ class TestEdgeList:
         g = ne.load_edge_list(io.StringIO("# nodes 5\n0 1\n"))
         assert g.number_of_nodes == 5
         assert g.number_of_edges == 1
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("0 1\n0 99999999999999999999\n", 2),
+            (f"0 1\n{10**7} 0\n", 2),
+            ("0 1\n0 10000000000\n", 2),
+            (f"# nodes {10**7 + 1}\n0 1\n", 1),
+            ("# nodes 5\n0 1\n1 10000000000\n", 3),
+        ],
+        ids=["past_int64", "at_bound", "ten_billion", "header", "past_header"],
+    )
+    def test_id_space_past_the_bound_rejected(self, text, line):
+        # refused on its line, before any graph is allocated
+        assert EDGE_LIST_MAX_NODES == 10**7
+        with pytest.raises(ne.ParseError, match=f"line {line}: .*past the limit of 10000000") as info:
+            ne.load_edge_list(io.StringIO(text))
+        assert info.value.line == line
 
     def test_header_too_small_rejected(self):
         with pytest.raises(ne.ParseError):
@@ -214,6 +232,24 @@ class TestGraph:
             with pytest.raises(ne.ParameterError, match=message):
                 g.remove_nodes(vs)
             assert state() == before
+
+    @pytest.mark.parametrize(
+        "v",
+        [1.5, 1.0, True, np.float64(1.0), np.bool_(True), "1"],
+        ids=["float", "whole_float", "bool", "np_float", "np_bool", "str"],
+    )
+    def test_non_integer_ids_rejected(self, v):
+        g = ne.gen_mesh(4)
+        for call in (lambda: g.remove_nodes([v]), lambda: g.remove_node(v), lambda: g.degree(v)):
+            with pytest.raises(ne.ParameterError, match="node id must be an integer"):
+                call()
+        assert g.number_of_nodes == 4 and g.number_of_edges == 6
+
+    def test_numpy_integer_ids_accepted(self):
+        g = ne.gen_mesh(4)
+        g.remove_nodes([np.int64(1), np.int32(2)])
+        g.remove_node(np.uint8(3))
+        assert g.nodes == [0]
 
     def test_keep_arcs_matches_rebuilt_csr(self, rng):
         removed = ne.gen_preferential_attachment(60, 2, seed=3)

@@ -24,8 +24,9 @@ def test_homogeneous_records_identical_at_pool_sizes_1_and_2(monkeypatch):
             runs.append(output_digest.digests(size, engines=("dijkstra_homogeneous",)))
         calls.append(len(parent))
     one, two = runs
-    # per tie-break, 2 graphs x 5 attack forms x 2 batches, and 13 CSVs of a bundle
-    assert len(one) == 2 * (20 + 13)
+    # per tie-break, 2 graphs x 5 attack forms x 2 batches, 2 evaluations and
+    # 13 CSVs of a bundle
+    assert len(one) == 2 * (20 + 2 + 13)
     assert one == two
     # evaluated here at size 1 and in the workers at size 2
     assert calls[0] > 0 and calls[1] == 0

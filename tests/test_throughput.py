@@ -1,18 +1,21 @@
 """Routing engines: shortest-path trees, the three throughput models, and
 their relationships."""
 
+import functools
 import hashlib
+import operator
 
 import numpy as np
 import pytest
 
 import netelast as ne
-from netelast import _csr, throughput
+from netelast import _csr, robustness, throughput
 from netelast.throughput import ThroughputModel, _route_all, _solve_concurrent_lp
 
 from conftest import (
     cycle_graph,
     graph_from_edges,
+    heterogeneous_oracle,
     homogeneous_oracle,
     path_graph,
     random_connected_graph,
@@ -206,6 +209,14 @@ class TestHeterogeneous:
             het = ne.throughput_dijkstra_heterogeneous(g).raw_throughput
             hom = ne.throughput_dijkstra_homogeneous(g).raw_throughput
             assert het >= hom - 1e-9
+
+    def test_matches_dict_oracle_on_criterion_6a_graphs(self):
+        # the 200 connected graphs (n <= 10) of criterion 6a, in its order
+        rng = np.random.default_rng(6060)
+        for _ in range(200):
+            g = random_connected_graph(rng, int(rng.integers(2, 11)))
+            raw = ne.throughput_dijkstra_heterogeneous(g).raw_throughput
+            assert raw == pytest.approx(heterogeneous_oracle(g), rel=1e-12, abs=1e-12)
 
     def test_no_round_exceeds_residual_capacity(self, monkeypatch, rng):
         # every round of both residual engines fits in the capacity left
@@ -423,6 +434,39 @@ class TestResidualEnginePins:
         with pytest.raises(ne.ComputeError, match="numerical difficulties"):
             ne.throughput_lp(path_graph(3))
         assert calls == [0, 0]
+
+
+class TestResidualRawSum:
+    """Residual raw throughput is the left-to-right float sum of the per-pair
+    deliveries in pair order, on every interpreter, and an attack curve
+    never builds the per-pair map."""
+
+    @pytest.mark.parametrize("kind", ["dijkstra_heterogeneous", "lp_optimization"])
+    @pytest.mark.parametrize("tie_break, seed", [("sequential", None), ("random", 4)])
+    @pytest.mark.parametrize(
+        "graph",
+        [lambda: ne.gen_watts_strogatz(24, 4, 0.3, seed=1), lambda: ne.gen_preferential_attachment(14, 2, 3)],
+        ids=["ws", "pa"],
+    )
+    def test_raw_is_the_fixed_order_sum_of_the_pairs(self, kind, tie_break, seed, graph):
+        r = ne.evaluate_throughput(graph(), ThroughputModel(kind, tie_break, seed))
+        total = functools.reduce(operator.add, r.per_pair_delivered.values(), 0.0)
+        assert np.float64(r.raw_throughput).tobytes() == np.float64(total).tobytes()
+
+    @pytest.mark.parametrize("model", [HET, LP], ids=["heterogeneous", "lp"])
+    def test_elasticity_builds_no_per_pair_map(self, model, monkeypatch):
+        built = []
+        real = throughput._Delivery.per_pair_delivered
+        counted = property(lambda result: built.append(1) or real.__get__(result, type(result)))
+        monkeypatch.setattr(throughput._Delivery, "per_pair_delivered", counted)
+        # every evaluation in this process, where the counter sees it
+        monkeypatch.setattr(robustness, "_pool_size", lambda work: 1)
+        g = ne.gen_preferential_attachment(12, 2, seed=1)
+        for strategy in (ne.AttackStrategy("random", seed=2, batch=2), ne.AttackStrategy("highest_betweenness")):
+            ne.elasticity(g, strategy, model)
+        assert built == []
+        assert ne.evaluate_throughput(g, model).per_pair_delivered
+        assert built == [1]
 
 
 class TestCompareModels:

@@ -4,7 +4,7 @@ change keeps its outputs byte-identical.
 
     PYTHONPATH=<tree>/src python3 tools/output_digest.py [--pool-size N] > digest.json
 
-Prints one JSON object of 198 records, each a sha256 hex digest:
+Prints one JSON object of 210 records, each a sha256 hex digest:
 
 - 120 curves, `curve/<engine>-<tie break>/<graph>/<attack>/batch<b>`: the
   five attack forms (random, static and adaptive degree, static and
@@ -14,6 +14,9 @@ Prints one JSON object of 198 records, each a sha256 hex digest:
   covers the bytes of its fraction and throughput arrays and the repr of
   its elasticity, alpha, strategy, model and seed; an error's covers its
   type and message.
+- 12 evaluations, `eval/<engine>-<tie break>/<graph>`: the repr of
+  `(raw_throughput, list(per_pair_delivered.items()))` of one
+  `evaluate_throughput` call on each of the two graphs above.
 - 78 tables, `run/<engine>-<tie break>/<file>`: every CSV of one
   `run_experiment` bundle per engine and tie-break, 3 topologies under 3
   attacks (9 curves and 4 tables each).
@@ -74,7 +77,7 @@ def _curve_digest(cell) -> str:
 
 
 def _records(engine: str, tie_break: str) -> dict[str, str]:
-    """The curve and bundle records of one engine and tie-break."""
+    """The curve, evaluation and bundle records of one engine and tie-break."""
     random_tie = tie_break == "random"
     model = ne.ThroughputModel(engine, tie_break, 4 if random_tie else None)
     graphs = {"ws": ne.gen_watts_strogatz(13, 4, 0.3, seed=5), "pa": ne.gen_preferential_attachment(14, 2, 3)}
@@ -89,6 +92,8 @@ def _records(engine: str, tie_break: str) -> dict[str, str]:
             for (kind, recompute), cell in zip(FORMS, cells):
                 form = kind if kind == "random" else f"{kind}-{'adaptive' if recompute else 'static'}"
                 out[f"curve/{prefix}/{name}/{form}/batch{batch}"] = _curve_digest(cell)
+        r = ne.evaluate_throughput(g, model)
+        out[f"eval/{prefix}/{name}"] = _sha(repr((r.raw_throughput, list(r.per_pair_delivered.items()))).encode())
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "grid.ini"
         tie_seed = "tie_seed = 5\n" if random_tie else ""
