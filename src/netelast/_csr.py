@@ -214,31 +214,37 @@ def hop_profile(traversal, n: int, out: np.ndarray) -> None:
 def route(traversal, n: int, rng: np.random.Generator | None, loads: np.ndarray) -> np.ndarray:
     """Route one bfs result `traversal` on pick_predecessors' trees (`rng` as
     there): add to `loads` the paths over each arc of `indices`, the size of
-    the subtree below it, and return each source's row of reached nodes."""
-    dist, frontiers, level_edges = traversal
-    pred, via = pick_predecessors(level_edges, dist.size, n, rng)
-    dests = np.flatnonzero(pred >= 0)
-    cnt = np.zeros(dist.size)
-    cnt[dests] = 1.0
-    for fr in reversed(frontiers[1:]):
-        cnt += np.bincount(pred[fr], weights=cnt[fr], minlength=dist.size)
-    np.add.at(loads, via[dests], cnt[dests])
+    the subtree below it, and return each source's row of reached nodes.
+    Subtree sizes are summed level by level into arrays of one level's size."""
+    frontiers = traversal[1]
+    pred, via, pos = pick_predecessors(traversal, n, rng)
+    below = np.ones(frontiers[-1].size)
+    for fr, up in zip(reversed(frontiers[1:]), reversed(frontiers[:-1])):
+        np.add.at(loads, via[fr], below)
+        below = 1.0 + np.bincount(pos[pred[fr]], weights=below, minlength=up.size)
     return (pred >= 0).reshape(-1, n)
 
 
 def pick_predecessors(
-    level_edges, size: int, n: int, rng: np.random.Generator | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Predecessor of every reached flat id and the position of the arc
-    from it, both -1 elsewhere: the smallest-id parent, or with `rng` a
-    uniformly random one (a random priority per candidate arc, the first
-    arc of least priority per head).
+    traversal, n: int, rng: np.random.Generator | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Predecessor of every flat id reached by the bfs result `traversal`
+    and the position of the arc from it, both -1 elsewhere: the smallest-id
+    parent, or with `rng` a uniformly random one (a random priority per
+    candidate arc, the first arc of least priority per head).  Also returns
+    each reached flat id's position within its level (its index in its
+    frontier; unset elsewhere), through which each level is decided in
+    arrays of its own size.
 
     The priorities are drawn source by source and, within a source, level
     by level in arc order, so a batch draws what one bfs per source would.
     """
-    pred = np.full(size, -1, dtype=np.int64)
-    via = np.full(size, -1, dtype=np.int64)
+    dist, frontiers, level_edges = traversal
+    pred = np.full(dist.size, -1, dtype=np.int64)
+    via = np.full(dist.size, -1, dtype=np.int64)
+    pos = np.empty(dist.size, dtype=np.int64)
+    for fr in frontiers:
+        pos[fr] = np.arange(fr.size)
     keys = [None] * len(level_edges)
     if rng is not None and level_edges:
         heads = np.concatenate([h for _, h, _ in level_edges])
@@ -246,16 +252,17 @@ def pick_predecessors(
         draws = np.empty(heads.size)
         draws[np.argsort(heads // n, kind="stable")] = rng.random(heads.size)
         keys = np.split(draws, np.cumsum([h.size for _, h, _ in level_edges])[:-1])
-    for key, (tails, heads, arcs) in zip(keys, level_edges):
-        # arcs are in tail order, so without priorities the first one wins
+    for key, fr, (tails, heads, arcs) in zip(keys, frontiers[1:], level_edges):
+        # arcs are in tail order, so without priorities the first one wins;
+        # every node of the level fr is the head of at least one arc
+        at = pos[heads]
         win = np.arange(heads.size)
         if key is not None:
-            least = np.full(size, np.inf)
-            np.minimum.at(least, heads, key)
-            win = win[key == least[heads]]
-        pick = np.full(size, heads.size)
-        np.minimum.at(pick, heads[win], win)
-        pick = pick[heads]
-        pred[heads] = tails[pick]
-        via[heads] = arcs[pick]
-    return pred, via
+            least = np.full(fr.size, np.inf)
+            np.minimum.at(least, at, key)
+            win = win[key == least[at]]
+        pick = np.full(fr.size, heads.size)
+        np.minimum.at(pick, at[win], win)
+        pred[fr] = tails[pick]
+        via[fr] = arcs[pick]
+    return pred, via, pos

@@ -61,6 +61,11 @@ def write_lines(target, lines) -> None:
         target.write(payload)
 
 
+def _is_id(v) -> bool:
+    """Whether v has a node id's type: an int or numpy integer, not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _first_bad_pair(n: int, pairs: np.ndarray) -> int | None:
     """Row of the first of the (k, 2) integer-valued `pairs`, in input order,
     with an id outside [0, n), a self-loop, or an edge that an earlier row
@@ -217,10 +222,11 @@ class Graph:
         return [int(v) for v in np.flatnonzero(self._present)]
 
     def has_node(self, v: int) -> bool:
-        return 0 <= v < self._present.size and bool(self._present[v])
+        """False for anything _check_node rejects, non-integer ids included."""
+        return _is_id(v) and 0 <= v < self._present.size and bool(self._present[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        if not self.has_node(u):
+        if not (self.has_node(u) and self.has_node(v)):
             return False
         i = self._slot(u, v)
         return bool(i < self._indptr[u + 1] and self._indices[i] == v)
@@ -254,7 +260,7 @@ class Graph:
         return self._indptr, self._indices
 
     def _check_node(self, v: int) -> None:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        if not _is_id(v):
             raise ParameterError(f"node id must be an integer, got {v!r}")
         if not (0 <= v < self._present.size):
             raise ParameterError(f"node id {v} out of range [0, {self._present.size})")

@@ -16,6 +16,10 @@ delivered across all ordered node pairs?
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,8 +123,9 @@ def shortest_path_tree(
     g._check_node(source)
     rng = _tie_rng(ThroughputModel(tie_break=tie_break, seed=seed))
     n = g.id_space
-    dist_i, _, level_edges = _csr.bfs(*g.csr(), source, n)
-    pred, _ = _csr.pick_predecessors(level_edges, n, n, rng)
+    traversal = _csr.bfs(*g.csr(), source, n)
+    pred = _csr.pick_predecessors(traversal, n, rng)[0]
+    dist_i = traversal[0]
     dist = np.where(dist_i < 0, np.inf, dist_i.astype(float))
     return dist, pred
 
@@ -256,9 +261,33 @@ _LINPROG_STATUS = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1, "kInfea
 def _highs():
     """scipy's HiGHS binding and the options that
     scipy.optimize.linprog(method="highs") sets, every other option at its
-    HiGHS default.  Imported on the first call: the LP is the only part of
-    netelast that needs scipy, so `import netelast` loads numpy alone."""
-    from scipy.optimize._highspy import _core
+    HiGHS default.  Loaded on the first call: the LP is the only part of
+    netelast that needs scipy, so `import netelast` loads numpy alone.
+
+    The binding is loaded by itself, after `import scipy` (scipy's platform
+    set-up), without running scipy.optimize's package initialisation, which
+    would pull in scipy.sparse, scipy.linalg and some 300 other modules the
+    LP never uses.  It is registered in sys.modules under its real name, and
+    an entry already there is reused, so a process that also imports
+    scipy.optimize, before or after, loads the extension once and holds one
+    module object.  A scipy without the binding (before 1.15) raises
+    ImportError."""
+    name = "scipy.optimize._highspy._core"
+    _core = sys.modules.get(name)
+    if _core is None:
+        import scipy
+
+        dirs = [os.path.join(path, "optimize", "_highspy") for path in scipy.__path__]
+        spec = importlib.machinery.PathFinder.find_spec(name, dirs)
+        if spec is None:
+            raise ImportError(f"the LP engine needs scipy>=1.15, which ships the HiGHS binding {name}")
+        _core = importlib.util.module_from_spec(spec)
+        sys.modules[name] = _core
+        try:
+            spec.loader.exec_module(_core)
+        except BaseException:
+            sys.modules.pop(name, None)
+            raise
 
     options = _core.HighsOptions()
     options.presolve = "on"

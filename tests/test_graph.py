@@ -243,10 +243,12 @@ class TestGraph:
         for call in (lambda: g.remove_nodes([v]), lambda: g.remove_node(v), lambda: g.degree(v)):
             with pytest.raises(ne.ParameterError, match="node id must be an integer"):
                 call()
+        assert not g.has_node(v) and not g.has_edge(v, 2) and not g.has_edge(0, v)
         assert g.number_of_nodes == 4 and g.number_of_edges == 6
 
     def test_numpy_integer_ids_accepted(self):
         g = ne.gen_mesh(4)
+        assert g.has_node(np.int64(1)) and g.has_edge(np.int64(0), np.uint8(1))
         g.remove_nodes([np.int64(1), np.int32(2)])
         g.remove_node(np.uint8(3))
         assert g.nodes == [0]
