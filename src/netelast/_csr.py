@@ -8,12 +8,16 @@ with a handful of numpy calls, which keeps per-node Python overhead out of
 the n = 1000 attack simulations.  Every traversal from many sources runs
 through sweep, the one loop over blocks of sources; routing (route, with
 the residual engines' reachability), betweenness (brandes) and the
-hop-distance sums of `metrics` (hop_profile) all read its bfs results.
+hop-distance sums of `metrics` (hop_profile) all read its bfs results,
+Traversal records that carry their sources and id space, so these kernels
+take nothing else.
 Connected components come from hook-and-shortcut rounds over the same
 arrays (component_labels), so the module needs numpy only.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,129 +134,142 @@ def gather_rows(
     return tails, indices[arcs] + np.repeat(rows - local, counts), arcs
 
 
-def bfs(indptr: np.ndarray, indices: np.ndarray, sources, n: int, reach=None):
-    """Level-synchronous BFS from every node of `sources` at once.
+class Traversal(NamedTuple):
+    """The result of one batched bfs from `sources` over an id space of `n`
+    nodes.  Node v as seen from sources[i] has the flat id i * n + v: the
+    traversals are one BFS over disjoint copies of the graph, and `dist`,
+    `frontiers` and `level_edges` are indexed by flat id.  bfs and
+    gather_rows build that layout; every other reader goes through rows and
+    source_of, so the layout is stated in this module alone.
 
-    Node v as seen from sources[i] has the flat id i * n + v: the traversals
-    are one BFS over disjoint copies of the graph, and every array below is
-    indexed by flat id (for a single source, flat ids are node ids).
-    `reach`, when given, is the number of nodes each source reaches, itself
-    included; a traversal that has found them all stops expanding, which
-    skips the last level's gather (every arc of a dense graph).
-
-    Returns (dist, frontiers, level_edges):
-      dist        int array, -1 for unreached nodes;
-      frontiers   list of ascending node arrays, one per BFS level (level 0
-                  = sources);
+      dist        int array, -1 for unreached flat ids;
+      frontiers   list of ascending flat id arrays, one per BFS level
+                  (level 0 = sources);
       level_edges list of (tails, heads, arcs) arrays holding every arc that
                   crosses from level d to level d+1, ordered by tail then
                   head, with its position in `indices`.  Multi-parent arcs
                   are all retained, which is what the shortest-path
                   counting needs.
     """
+
+    sources: np.ndarray
+    n: int
+    dist: np.ndarray
+    frontiers: list[np.ndarray]
+    level_edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+    def rows(self, flat: np.ndarray) -> np.ndarray:
+        """An array over the flat ids as one row per source, indexed by node id."""
+        return flat.reshape(-1, self.n)
+
+    def source_of(self, flat: np.ndarray) -> np.ndarray:
+        """The index into `sources` of each of the flat ids `flat`."""
+        return flat // self.n
+
+
+def bfs(indptr: np.ndarray, indices: np.ndarray, sources, n: int, reach=None) -> Traversal:
+    """Level-synchronous BFS from every node of `sources` at once, over an
+    id space of `n` nodes (see Traversal).
+
+    `reach`, when given, is the number of nodes each source reaches, itself
+    included; a traversal that has found them all stops expanding, which
+    skips the last level's gather (every arc of a dense graph).
+    """
     frontier = np.arange(np.size(sources), dtype=np.int64) * n + sources
     dist = np.full(frontier.size * n, -1, dtype=np.int64)
     dist[frontier] = 0
+    t = Traversal(np.atleast_1d(sources), n, dist, [frontier], [])
     left = None if reach is None else np.asarray(reach, dtype=np.int64) - 1
-    frontiers = [frontier]
-    level_edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    d = 0
     while frontier.size:
         if left is not None:
-            frontier = frontier[left[frontier // n] > 0]
+            frontier = frontier[left[t.source_of(frontier)] > 0]
         tails, heads, arcs = gather_rows(indptr, indices, frontier, n)
-        # an arc to a node unseen before this level crosses into level d + 1;
-        # three gathers by position are several times faster than by this
-        # (typically mixed) bool mask
+        # an arc to a node unseen before this level crosses into the next
+        # level, at distance d = len(frontiers); three gathers by position
+        # are several times faster than by this (typically mixed) bool mask
         cross = np.flatnonzero(dist[heads] == -1)
         if not cross.size:
             break
-        level_edges.append((tails[cross], heads[cross], arcs[cross]))
-        dist[level_edges[-1][1]] = d + 1
-        frontier = np.flatnonzero(dist == d + 1)
+        d = len(t.frontiers)
+        t.level_edges.append((tails[cross], heads[cross], arcs[cross]))
+        dist[t.level_edges[-1][1]] = d
+        frontier = np.flatnonzero(dist == d)
         if left is not None:
-            left -= np.bincount(frontier // n, minlength=left.size)
-        frontiers.append(frontier)
-        d += 1
-    return dist, frontiers, level_edges
+            left -= np.bincount(t.source_of(frontier), minlength=left.size)
+        t.frontiers.append(frontier)
+    return t
 
 
-def brandes(traversal, n: int, accum: np.ndarray) -> None:
-    """Add the dependency contribution of the sources of one bfs result
-    `traversal` = (dist, frontiers, level_edges), in source order, into
-    `accum`.
+def brandes(t: Traversal, accum: np.ndarray) -> None:
+    """Add the dependency contribution of the sources of the bfs result `t`,
+    in source order, into `accum`.
 
     Standard shortest-path counting with even splitting over equal-length
     paths, done level-by-level with bincount scatter-adds over flat ids.
     """
-    dist, frontiers, level_edges = traversal
-    sigma = np.zeros(dist.size)
-    sigma[frontiers[0]] = 1.0
-    for tails, heads, _ in level_edges:
-        sigma += np.bincount(heads, weights=sigma[tails], minlength=dist.size)
-    delta = np.zeros(dist.size)
-    for tails, heads, _ in reversed(level_edges):
+    sigma = np.zeros(t.dist.size)
+    sigma[t.frontiers[0]] = 1.0
+    for tails, heads, _ in t.level_edges:
+        sigma += np.bincount(heads, weights=sigma[tails], minlength=sigma.size)
+    delta = np.zeros(sigma.size)
+    for tails, heads, _ in reversed(t.level_edges):
         ratio = (1.0 + delta[heads]) / sigma[heads]
-        delta += sigma * np.bincount(tails, weights=ratio, minlength=dist.size)
-    delta[frontiers[0]] = 0.0
-    for row in delta.reshape(-1, n):
+        delta += sigma * np.bincount(tails, weights=ratio, minlength=sigma.size)
+    delta[t.frontiers[0]] = 0.0
+    for row in t.rows(delta):
         accum += row
 
 
-def hop_profile(traversal, n: int, out: np.ndarray) -> None:
-    """Write the distance profile of the sources of one bfs result
-    `traversal` into the (2, n) int array `out`: column s of a source s gets
-    the sum of its hop distances to the nodes it reaches (row 0) and the
-    largest of them, its eccentricity within its component (row 1).
-    Unreached flat ids (dist -1) count for neither.
+def hop_profile(t: Traversal, out: np.ndarray) -> None:
+    """Write the distance profile of the sources of the bfs result `t` into
+    the (2, n) int array `out`: column s of a source s gets the sum of its
+    hop distances to the nodes it reaches (row 0) and the largest of them,
+    its eccentricity within its component (row 1).  Unreached nodes (dist
+    -1) count for neither.
     """
-    dist, frontiers, _ = traversal
-    rows = dist.reshape(-1, n)
-    out[:, frontiers[0] % n] = np.maximum(rows, 0).sum(axis=1), rows.max(axis=1)
+    rows = t.rows(t.dist)
+    out[:, t.sources] = np.maximum(rows, 0).sum(axis=1), rows.max(axis=1)
 
 
-def route(traversal, n: int, rng: np.random.Generator | None, loads: np.ndarray) -> np.ndarray:
-    """Route one bfs result `traversal` on pick_predecessors' trees (`rng` as
-    there): add to `loads` the paths over each arc of `indices`, the size of
-    the subtree below it, and return each source's row of reached nodes.
+def route(t: Traversal, rng: np.random.Generator | None, loads: np.ndarray) -> np.ndarray:
+    """Route the bfs result `t` on pick_predecessors' trees (`rng` as there):
+    add to `loads` the paths over each arc of `indices`, the size of the
+    subtree below it, and return each source's row of reached nodes.
     Subtree sizes are summed level by level into arrays of one level's size."""
-    frontiers = traversal[1]
-    pred, via, pos = pick_predecessors(traversal, n, rng)
-    below = np.ones(frontiers[-1].size)
-    for fr, up in zip(reversed(frontiers[1:]), reversed(frontiers[:-1])):
+    pred, via, pos = pick_predecessors(t, rng)
+    below = np.ones(t.frontiers[-1].size)
+    for fr, up in zip(reversed(t.frontiers[1:]), reversed(t.frontiers[:-1])):
         np.add.at(loads, via[fr], below)
         below = 1.0 + np.bincount(pos[pred[fr]], weights=below, minlength=up.size)
-    return (pred >= 0).reshape(-1, n)
+    return t.rows(pred >= 0)
 
 
 def pick_predecessors(
-    traversal, n: int, rng: np.random.Generator | None
+    t: Traversal, rng: np.random.Generator | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Predecessor of every flat id reached by the bfs result `traversal`
-    and the position of the arc from it, both -1 elsewhere: the smallest-id
-    parent, or with `rng` a uniformly random one (a random priority per
-    candidate arc, the first arc of least priority per head).  Also returns
-    each reached flat id's position within its level (its index in its
-    frontier; unset elsewhere), through which each level is decided in
-    arrays of its own size.
+    """Predecessor of every flat id reached by the bfs result `t` and the
+    position of the arc from it, both -1 elsewhere: the smallest-id parent,
+    or with `rng` a uniformly random one (a random priority per candidate
+    arc, the first arc of least priority per head).  Also returns each
+    reached flat id's position within its level (its index in its frontier;
+    unset elsewhere), through which each level is decided in arrays of its
+    own size.
 
     The priorities are drawn source by source and, within a source, level
     by level in arc order, so a batch draws what one bfs per source would.
     """
-    dist, frontiers, level_edges = traversal
-    pred = np.full(dist.size, -1, dtype=np.int64)
-    via = np.full(dist.size, -1, dtype=np.int64)
-    pos = np.empty(dist.size, dtype=np.int64)
-    for fr in frontiers:
+    pred, via = np.full((2, t.dist.size), -1, dtype=np.int64)
+    pos = np.empty(t.dist.size, dtype=np.int64)
+    for fr in t.frontiers:
         pos[fr] = np.arange(fr.size)
-    keys = [None] * len(level_edges)
-    if rng is not None and level_edges:
-        heads = np.concatenate([h for _, h, _ in level_edges])
+    keys = [None] * len(t.level_edges)
+    if rng is not None and t.level_edges:
+        heads = np.concatenate([h for _, h, _ in t.level_edges])
         # levels list their arcs by ascending source: sorting stably by source is the draw order
         draws = np.empty(heads.size)
-        draws[np.argsort(heads // n, kind="stable")] = rng.random(heads.size)
-        keys = np.split(draws, np.cumsum([h.size for _, h, _ in level_edges])[:-1])
-    for key, fr, (tails, heads, arcs) in zip(keys, frontiers[1:], level_edges):
+        draws[np.argsort(t.source_of(heads), kind="stable")] = rng.random(heads.size)
+        keys = np.split(draws, np.cumsum([h.size for _, h, _ in t.level_edges])[:-1])
+    for key, fr, (tails, heads, arcs) in zip(keys, t.frontiers[1:], t.level_edges):
         # arcs are in tail order, so without priorities the first one wins;
         # every node of the level fr is the head of at least one arc
         at = pos[heads]

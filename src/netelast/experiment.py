@@ -23,7 +23,8 @@ import numpy as np
 from .errors import NetelastError, ParameterError, ParseError
 from .generators import FAMILIES, GeneratorSpec, check_params
 from .graph import METRICS_CSV_HEADER, Graph, MetricsReport, _require_pairs, fmt, load_edge_list, metrics, write_lines
-from .robustness import ATTACK_KINDS, AttackStrategy, ElasticityCurve, TradeoffParams, _Plan, _run_plans, tradeoff_re
+from .robustness import ATTACK_KINDS, AttackStrategy, ElasticityCurve, TradeoffParams, _Plan, _run_plans
+from .robustness import check_stop_fraction, tradeoff_re
 from .throughput import ThroughputModel
 
 __all__ = [
@@ -79,13 +80,10 @@ class ExperimentConfig:
             raise ParameterError("attacks must name at least one attack kind")
         if len(set(self.attacks)) != len(self.attacks):
             raise ParameterError("attack kinds must be unique")
-        if not 0.0 < self.stop_fraction <= 1.0:
-            raise ParameterError(f"stop_fraction must be in (0, 1], got {self.stop_fraction}")
-        if self.batch < 1:
-            raise ParameterError(f"batch must be >= 1, got {self.batch}")
-        for a in self.attacks:
-            if a not in ATTACK_KINDS:
-                raise ParameterError(f"unknown attack {a!r}")
+        check_stop_fraction(self.stop_fraction)
+        # the strategies of any topology, built once to check kinds and batch
+        for kind in self.attacks:
+            _attack_strategy(self, "", kind)
 
 
 # [experiment] keys of earlier versions, accepted and ignored
@@ -310,13 +308,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _write_metrics_csv(path: Path, config: ExperimentConfig, reports: dict[str, MetricsReport]) -> None:
-    lines = [METRICS_CSV_HEADER]
-    for decl in config.topologies:
-        if decl.name in reports:
-            lines.append(reports[decl.name].csv_row(decl.name))
-        else:
-            lines.append(f"{decl.name},NaN,NaN,NaN,NaN,NaN,NaN")
-    write_lines(path, lines)
+    # a topology without metrics gets NaN in every column after its name
+    nan_cells = ",NaN" * METRICS_CSV_HEADER.count(",")
+    rows = [reports[d.name].csv_row(d.name) if d.name in reports else d.name + nan_cells for d in config.topologies]
+    write_lines(path, [METRICS_CSV_HEADER, *rows])
 
 
 def _cell(v) -> str:

@@ -143,8 +143,7 @@ class Graph:
         for small hand-built graphs; bulk construction goes through
         from_edges.
         """
-        self._check_node(u)
-        self._check_node(v)
+        u, v = self._check_node(u), self._check_node(v)
         if u == v:
             raise ParameterError(f"self-loop {u}-{v} not allowed")
         if self.has_edge(u, v):
@@ -168,7 +167,7 @@ class Graph:
         """
         gone = np.zeros(self._present.size, dtype=bool)
         for v in vs:
-            self._check_node(v)
+            v = self._check_node(v)
             if gone[v]:
                 raise ParameterError(f"node {v} given twice")
             gone[v] = True
@@ -228,6 +227,7 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         if not (self.has_node(u) and self.has_node(v)):
             return False
+        u, v = int(u), int(v)
         i = self._slot(u, v)
         return bool(i < self._indptr[u + 1] and self._indices[i] == v)
 
@@ -237,11 +237,11 @@ class Graph:
         return int(lo + np.searchsorted(self._indices[lo:hi], v))
 
     def neighbors(self, v: int) -> list[int]:
-        self._check_node(v)
+        v = self._check_node(v)
         return self._indices[self._indptr[v] : self._indptr[v + 1]].tolist()
 
     def degree(self, v: int) -> int:
-        self._check_node(v)
+        v = self._check_node(v)
         return int(self._indptr[v + 1] - self._indptr[v])
 
     def degrees(self) -> np.ndarray:
@@ -259,13 +259,16 @@ class Graph:
         read-only."""
         return self._indptr, self._indices
 
-    def _check_node(self, v: int) -> None:
+    def _check_node(self, v: int) -> int:
+        """`v` as a Python int, which indexes and adds without wrapping,
+        once it is a present node's id; else ParameterError."""
         if not _is_id(v):
             raise ParameterError(f"node id must be an integer, got {v!r}")
         if not (0 <= v < self._present.size):
             raise ParameterError(f"node id {v} out of range [0, {self._present.size})")
         if not self._present[v]:
             raise ParameterError(f"node {v} has been removed")
+        return int(v)
 
     def __repr__(self) -> str:
         return f"Graph(nodes={self.number_of_nodes}, edges={self.number_of_edges})"
@@ -358,7 +361,7 @@ def betweenness(g: Graph) -> np.ndarray:
     sources = np.flatnonzero(g._present)
     reach = _csr.component_reach(indptr, indices, n, sources)
     for _, traversal in _csr.sweep(indptr, indices, sources, n, reach):
-        _csr.brandes(traversal, n, accum)
+        _csr.brandes(traversal, accum)
     return accum / 2.0
 
 
@@ -428,7 +431,7 @@ def metrics(g: Graph, profile: np.ndarray | None = None) -> MetricsReport:
         if profile is None or (profile[1, comp] < 0).any():
             profile = np.full((2, g.id_space), -1)
             for _, traversal in _csr.sweep(*g.csr(), comp, g.id_space, np.full(k, k)):
-                _csr.hop_profile(traversal, g.id_space, profile)
+                _csr.hop_profile(traversal, profile)
         sums, ecc = profile[:, comp]
         diameter = float(ecc.max())
         # every unordered pair counted twice in the per-source sums

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _csr
 from .errors import ComputeError, NetelastError, ParameterError
-from .graph import Graph, betweenness, fmt, seeded_rng, write_lines
+from .graph import Graph, _is_id, betweenness, fmt, seeded_rng, write_lines
 from .throughput import ThroughputModel, check_size, raw_throughput
 
 __all__ = [
@@ -43,7 +43,8 @@ class AttackStrategy:
 
     recompute=True re-ranks degree/betweenness on the shrinking graph before
     every batch; recompute=False ranks once on the intact graph.  `batch` is
-    the number of nodes removed per throughput re-evaluation.
+    the number of nodes removed per throughput re-evaluation, an integer
+    (Python or numpy, not a bool) of at least 1.
     """
 
     kind: str
@@ -54,8 +55,8 @@ class AttackStrategy:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise ParameterError(f"unknown attack kind {self.kind!r}")
-        if self.batch < 1:
-            raise ParameterError(f"batch must be >= 1, got {self.batch}")
+        if not _is_id(self.batch) or self.batch < 1:
+            raise ParameterError(f"batch must be an integer >= 1, got {self.batch!r}")
         if self.kind == "random" and self.seed is None:
             raise ParameterError("random attack requires a seed")
         if self.kind != "random" and self.seed is not None:
@@ -82,9 +83,9 @@ def _evaluate(g: Graph, model: ThroughputModel | None, rank: bool, profile=None)
 
     def visit(traversal):
         if rank:
-            _csr.brandes(traversal, g.id_space, accum)
+            _csr.brandes(traversal, accum)
         if profile is not None:
-            _csr.hop_profile(traversal, g.id_space, profile)
+            _csr.hop_profile(traversal, profile)
 
     raw = raw_throughput(g, model, visit if rank or profile is not None else None)
     return raw, accum / 2.0 if rank else None
@@ -176,6 +177,13 @@ class ElasticityCurve:
         )
 
 
+def check_stop_fraction(stop_fraction: float) -> None:
+    """ParameterError unless 0 < stop_fraction <= 1, the share of nodes an
+    attack curve removes."""
+    if not 0.0 < stop_fraction <= 1.0:
+        raise ParameterError(f"stop_fraction must be in (0, 1], got {stop_fraction}")
+
+
 def _trapezoid(x: np.ndarray, y: np.ndarray) -> float:
     return float(0.5 * np.sum((x[1:] - x[:-1]) * (y[1:] + y[:-1])))
 
@@ -246,8 +254,7 @@ class _Plan:
         # `refused` ends every curve before any task
         self.refused = None
         try:
-            if not 0.0 < stop_fraction <= 1.0:
-                raise ParameterError(f"stop_fraction must be in (0, 1], got {stop_fraction}")
+            check_stop_fraction(stop_fraction)
             if n == 0:
                 raise ComputeError("cannot attack an empty graph")
             check_size(g, model.kind)

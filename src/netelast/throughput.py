@@ -120,14 +120,12 @@ def shortest_path_tree(
     smallest predecessor id; random tie-breaking picks uniformly with the
     seeded generator.  Unreached nodes get distance inf and predecessor -1.
     """
-    g._check_node(source)
+    source = g._check_node(source)
     rng = _tie_rng(ThroughputModel(tie_break=tie_break, seed=seed))
-    n = g.id_space
-    traversal = _csr.bfs(*g.csr(), source, n)
-    pred = _csr.pick_predecessors(traversal, n, rng)[0]
-    dist_i = traversal[0]
-    dist = np.where(dist_i < 0, np.inf, dist_i.astype(float))
-    return dist, pred
+    t = _csr.bfs(*g.csr(), source, g.id_space)
+    # one source's rows, indexed by node id
+    (pred,), (dist,) = t.rows(_csr.pick_predecessors(t, rng)[0]), t.rows(t.dist)
+    return np.where(dist < 0, np.inf, dist.astype(float)), pred
 
 
 def _route_all(indptr, indices, sources, n, rng, reach=None, visit=None):
@@ -146,7 +144,7 @@ def _route_all(indptr, indices, sources, n, rng, reach=None, visit=None):
     for part, traversal in _csr.sweep(indptr, indices, sources, n, reach):
         if visit is not None:
             visit(traversal)
-        reached[part] = _csr.route(traversal, n, rng, loads)
+        reached[part] = _csr.route(traversal, rng, loads)
     return loads, reached
 
 

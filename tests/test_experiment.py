@@ -160,6 +160,16 @@ class TestLoadConfig:
         with pytest.raises(ne.ParameterError):
             load_config(p)
 
+    @pytest.mark.parametrize("batch", [2.5, True, 0])
+    def test_bad_batch_rejected_by_the_config(self, batch):
+        # a batch that the run's strategies would refuse never reaches run_experiment
+        with pytest.raises(ne.ParameterError, match="batch must be an integer >= 1"):
+            experiment.ExperimentConfig([experiment.TopologyDecl("a", ne.GeneratorSpec("mesh", n=4))], batch=batch)
+
+    def test_unknown_attack_kind_rejected(self):
+        with pytest.raises(ne.ParameterError, match="unknown attack kind 'cascade'"):
+            experiment.ExperimentConfig([], attacks=["random", "cascade"])
+
     def test_empty_attack_list(self, tmp_path):
         p = tmp_path / "bad.ini"
         p.write_text("[experiment]\nattacks =\n[topology:a]\nfamily = mesh\nn = 4\n")

@@ -253,6 +253,25 @@ class TestGraph:
         g.remove_node(np.uint8(3))
         assert g.nodes == [0]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.uint16])
+    def test_narrow_numpy_ids_do_not_wrap(self, dtype):
+        # a ring through the dtype's largest id, where `v + 1` in the dtype
+        # would wrap (and numpy warns of the overflow)
+        top = int(np.iinfo(dtype).max)
+        ring = np.arange(top + 3)
+        g = ne.Graph.from_edges(ring.size, np.stack((ring, np.roll(ring, -1)), axis=1))
+        v = dtype(top)
+        assert g.degree(v) == 2 and g.neighbors(v) == [top - 1, top + 1]
+        assert g.has_edge(v, top + 1) and g.has_edge(dtype(top - 1), v) and not g.has_edge(v, dtype(0))
+        dist, pred = ne.shortest_path_tree(g, v)
+        assert dist[top + 1] == 1 and pred[top - 1] == top
+        g.add_edge(v, dtype(0))
+        assert g.degree(v) == 3 and g.neighbors(0) == [1, top, top + 2]
+        g.remove_nodes([v])
+        assert not g.has_node(top) and g.neighbors(top + 1) == [top + 2]
+        assert g.number_of_edges == top + 1
+
     def test_keep_arcs_matches_rebuilt_csr(self, rng):
         removed = ne.gen_preferential_attachment(60, 2, seed=3)
         removed.remove_nodes([0, 7, 59])

@@ -91,6 +91,16 @@ class TestAttackSequence:
         with pytest.raises(ne.ParameterError):
             AttackStrategy("highest_degree", seed=1)
 
+    @pytest.mark.parametrize("batch", [2.5, 2.0, True, "2", None])
+    def test_batch_that_is_not_an_integer_rejected(self, batch):
+        with pytest.raises(ne.ParameterError, match="batch must be an integer >= 1"):
+            AttackStrategy("random", seed=1, batch=batch)
+
+    def test_numpy_integer_batch_accepted(self):
+        g = ne.gen_watts_strogatz(12, 4, 0.3, seed=2)
+        wide, plain = (ne.elasticity(g, AttackStrategy("random", seed=1, batch=b)) for b in (np.int64(2), 2))
+        assert wide.normalized.tobytes() == plain.normalized.tobytes() and wide.fractions.size == 7
+
 
 class TestElasticity:
     @pytest.mark.parametrize(
@@ -460,7 +470,7 @@ class TestFusedPass:
         if block is not None:
             monkeypatch.setattr(_csr, "_BLOCK_NODES", block)
         accum = np.zeros(g.id_space)
-        fed = engine(g, model, visit=lambda traversal: _csr.brandes(traversal, g.id_space, accum))
+        fed = engine(g, model, visit=lambda traversal: _csr.brandes(traversal, accum))
         assert repr((fed.raw_throughput, list(fed.per_pair_delivered.items()))) == repr(
             (plain.raw_throughput, list(plain.per_pair_delivered.items()))
         )

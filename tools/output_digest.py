@@ -4,7 +4,7 @@ change keeps its outputs byte-identical.
 
     PYTHONPATH=<tree>/src python3 tools/output_digest.py [--pool-size N] > digest.json
 
-Prints one JSON object of 210 records, each a sha256 hex digest:
+Prints one JSON object of 222 records, each a sha256 hex digest:
 
 - 120 curves, `curve/<engine>-<tie break>/<graph>/<attack>/batch<b>`: the
   five attack forms (random, static and adaptive degree, static and
@@ -20,6 +20,12 @@ Prints one JSON object of 210 records, each a sha256 hex digest:
 - 78 tables, `run/<engine>-<tie break>/<file>`: every CSV of one
   `run_experiment` bundle per engine and tie-break, 3 topologies under 3
   attacks (9 curves and 4 tables each).
+- 12 kernel records on the two graphs above and the fragmented
+  `gen_gilbert(30, 0.07, seed=4)` (components of 14, 9, 2, 2, 1, 1 and 1
+  nodes): `betweenness/<graph>`, the bytes of `betweenness`;
+  `spt/<tie break>/<graph>`, the bytes of the distances and predecessors of
+  `shortest_path_tree` from the first, middle and last id; and
+  `metrics/<graph>`, the repr of a standalone `metrics` report.
 
 `--pool-size N` replaces `robustness._pool_size`, so that every call
 splits each curve over N lanes and runs them in N worker processes (1: in
@@ -104,12 +110,30 @@ def _records(engine: str, tie_break: str) -> dict[str, str]:
     return out
 
 
+def _kernel_records() -> dict[str, str]:
+    """The betweenness, shortest-path tree and metrics records, which no
+    engine or pool size enters."""
+    graphs = {"ws": ne.gen_watts_strogatz(13, 4, 0.3, seed=5), "pa": ne.gen_preferential_attachment(14, 2, 3),
+              "gilbert": ne.gen_gilbert(30, 0.07, seed=4)}
+    out = {}
+    for name, g in graphs.items():
+        out[f"betweenness/{name}"] = _sha(ne.betweenness(g).tobytes())
+        for tie_break in TIE_BREAKS:
+            seed = 4 if tie_break == "random" else None
+            trees = [ne.shortest_path_tree(g, s, tie_break, seed) for s in (0, g.id_space // 2, g.id_space - 1)]
+            out[f"spt/{tie_break}/{name}"] = _sha(b"".join(a.tobytes() for tree in trees for a in tree))
+        out[f"metrics/{name}"] = _sha(repr(ne.metrics(g)).encode())
+    return out
+
+
 def digests(pool_size: int, engines=ENGINES) -> dict[str, str]:
-    """Every record of `engines`, with `pool_size` lanes and workers per call."""
+    """Every record of `engines` and the kernel records, with `pool_size`
+    lanes and workers per call."""
     real = robustness._pool_size
     robustness._pool_size = lambda work: pool_size
     try:
-        return {key: value for e in engines for t in TIE_BREAKS for key, value in _records(e, t).items()}
+        out = {key: value for e in engines for t in TIE_BREAKS for key, value in _records(e, t).items()}
+        return {**out, **_kernel_records()}
     finally:
         robustness._pool_size = real
 
