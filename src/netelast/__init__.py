@@ -6,93 +6,20 @@ the analytic bounds attained by the complete graph, and ranks topologies
 with a cost-aware tradeoff score.
 """
 
-from .errors import (
-    ComputeError,
-    GraphSizeError,
-    NetelastError,
-    ParameterError,
-    ParseError,
-)
-from .generators import (
-    GeneratorSpec,
-    gen_gilbert,
-    gen_mesh,
-    gen_near_regular,
-    gen_preferential_attachment,
-    gen_watts_strogatz,
-)
-from .graph import (
-    Graph,
-    MetricsReport,
-    betweenness,
-    connected_components,
-    load_edge_list,
-    metrics,
-    save_edge_list,
-)
-from .robustness import (
-    AttackStrategy,
-    ElasticityCurve,
-    TradeoffParams,
-    attack_sequence,
-    elasticity,
-    mesh_elasticity_continuous,
-    mesh_elasticity_discrete,
-    tradeoff_re,
-)
-from .throughput import (
-    ModelComparison,
-    ThroughputModel,
-    ThroughputResult,
-    compare_models,
-    evaluate_throughput,
-    shortest_path_tree,
-    throughput_dijkstra_heterogeneous,
-    throughput_dijkstra_homogeneous,
-    throughput_lp,
-)
-from .experiment import ExperimentConfig, RankingRow, load_config, run_experiment
+# each module's __all__ is the one list of its public names
+from .errors import *
+from .generators import *
+from .graph import *
+from .throughput import *
+from .robustness import *
+from .experiment import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Graph",
-    "MetricsReport",
-    "betweenness",
-    "connected_components",
-    "load_edge_list",
-    "save_edge_list",
-    "metrics",
-    "GeneratorSpec",
-    "gen_gilbert",
-    "gen_watts_strogatz",
-    "gen_preferential_attachment",
-    "gen_near_regular",
-    "gen_mesh",
-    "ThroughputModel",
-    "ThroughputResult",
-    "ModelComparison",
-    "shortest_path_tree",
-    "throughput_dijkstra_homogeneous",
-    "throughput_dijkstra_heterogeneous",
-    "throughput_lp",
-    "evaluate_throughput",
-    "compare_models",
-    "AttackStrategy",
-    "ElasticityCurve",
-    "TradeoffParams",
-    "attack_sequence",
-    "elasticity",
-    "mesh_elasticity_discrete",
-    "mesh_elasticity_continuous",
-    "tradeoff_re",
-    "ExperimentConfig",
-    "RankingRow",
-    "load_config",
-    "run_experiment",
-    "NetelastError",
-    "ParseError",
-    "ParameterError",
-    "ComputeError",
-    "GraphSizeError",
-]
+__all__: list[str] = []
+__all__ += errors.__all__
+__all__ += generators.__all__
+__all__ += graph.__all__
+__all__ += throughput.__all__
+__all__ += robustness.__all__
+__all__ += experiment.__all__

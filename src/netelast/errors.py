@@ -4,6 +4,8 @@ The CLI maps these onto distinct exit codes (see cli.py), so library code
 should raise the most specific class that applies.
 """
 
+__all__ = ["NetelastError", "ParseError", "ParameterError", "ComputeError", "GraphSizeError"]
+
 
 class NetelastError(Exception):
     """Base class for all library errors."""

@@ -35,7 +35,6 @@ __all__ = [
     "load_config",
     "run_experiment",
     "derive_seed",
-    "fmt",
 ]
 
 # the RankingRow column that holds each attack's elasticity
@@ -200,12 +199,6 @@ class ExperimentReport:
     output_dir: Path
 
 
-def _build_topology(decl: TopologyDecl) -> Graph:
-    if decl.path is not None:
-        return load_edge_list(decl.path)
-    return decl.spec.build()
-
-
 def _attack_strategy(config: ExperimentConfig, topo: str, kind: str) -> AttackStrategy:
     seed = derive_seed(config.global_seed, topo, kind) if kind == "random" else None
     return AttackStrategy(kind=kind, seed=seed, recompute=config.recompute, batch=config.batch)
@@ -247,7 +240,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     errors: dict[str, str] = {}
     for decl in config.topologies:
         try:
-            g = _build_topology(decl)
+            g = decl.spec.build() if decl.path is None else load_edge_list(decl.path)
             _require_pairs(g)
             graphs[decl.name] = g
             log_lines.append(

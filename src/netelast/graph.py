@@ -8,6 +8,7 @@ labels while the live graph shrinks around them.
 
 from __future__ import annotations
 
+import collections
 import math
 import re
 from dataclasses import dataclass
@@ -416,10 +417,6 @@ def metrics(g: Graph, profile: np.ndarray | None = None) -> MetricsReport:
     mean_deg = degs.mean()
     het = float(degs.std() / mean_deg) if mean_deg > 0 else 0.0
 
-    hist: dict[int, int] = {}
-    for d in degs:
-        hist[int(d)] = hist.get(int(d), 0) + 1
-
     labels = _csr.component_labels(*g.csr(), g.id_space)[g._present]
     # a label is its component's smallest id: argmax breaks ties by it
     comp = np.flatnonzero(g._present)[labels == np.argmax(np.bincount(labels))]
@@ -444,5 +441,5 @@ def metrics(g: Graph, profile: np.ndarray | None = None) -> MetricsReport:
         diameter=diameter,
         asp=asp,
         heterogeneity=het,
-        degree_histogram=hist,
+        degree_histogram=dict(collections.Counter(degs.tolist())),
     )

@@ -42,9 +42,9 @@ class AttackStrategy:
     """Node-removal rule.
 
     recompute=True re-ranks degree/betweenness on the shrinking graph before
-    every batch; recompute=False ranks once on the intact graph.  `batch` is
-    the number of nodes removed per throughput re-evaluation, an integer
-    (Python or numpy, not a bool) of at least 1.
+    every batch; recompute=False ranks once on the intact graph; it is a bool
+    (Python or numpy).  `batch` is the number of nodes removed per throughput
+    re-evaluation, an integer (Python or numpy, not a bool) of at least 1.
     """
 
     kind: str
@@ -57,6 +57,8 @@ class AttackStrategy:
             raise ParameterError(f"unknown attack kind {self.kind!r}")
         if not _is_id(self.batch) or self.batch < 1:
             raise ParameterError(f"batch must be an integer >= 1, got {self.batch!r}")
+        if not isinstance(self.recompute, (bool, np.bool_)):
+            raise ParameterError(f"recompute must be a bool, got {self.recompute!r}")
         if self.kind == "random" and self.seed is None:
             raise ParameterError("random attack requires a seed")
         if self.kind != "random" and self.seed is not None:
@@ -178,8 +180,11 @@ class ElasticityCurve:
 
 
 def check_stop_fraction(stop_fraction: float) -> None:
-    """ParameterError unless 0 < stop_fraction <= 1, the share of nodes an
-    attack curve removes."""
+    """ParameterError unless stop_fraction, the share of nodes an attack curve
+    removes, is a real number (an int, a float or a numpy real, not a bool)
+    with 0 < stop_fraction <= 1."""
+    if not isinstance(stop_fraction, (int, float, np.integer, np.floating)) or isinstance(stop_fraction, bool):
+        raise ParameterError(f"stop_fraction must be a number, got {stop_fraction!r}")
     if not 0.0 < stop_fraction <= 1.0:
         raise ParameterError(f"stop_fraction must be in (0, 1], got {stop_fraction}")
 
@@ -369,7 +374,7 @@ def _run_plans(plans: list[_Plan]) -> tuple[list[tuple], int]:
     """(every plan's assemble(), the number of worker processes or 1): every
     plan's heads, then every plan's lanes, go through one _map at _pool_size
     lanes per curve and at most one worker per task."""
-    width = _pool_size(sum(p.work() for p in plans))
+    width = _pool_size(math.fsum(p.work() for p in plans))
     split = [p.tasks(width) for p in plans]
     groups = [heads for heads, _ in split] + [lanes for _, lanes in split]
     tasks = [task for group in groups for task in group]

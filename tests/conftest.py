@@ -90,6 +90,14 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+@contextmanager
+def raises_exactly(exc, text):
+    """pytest.raises(exc), with `text` as the error's whole message."""
+    with pytest.raises(exc) as info:
+        yield
+    assert str(info.value) == text
+
+
 # -- oracles ------------------------------------------------------------------
 
 

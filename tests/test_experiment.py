@@ -13,7 +13,7 @@ from netelast import _csr, experiment, robustness
 from netelast.experiment import derive_seed, fmt, load_config, run_experiment
 from netelast.graph import save_edge_list
 
-from conftest import deadline, star_graph
+from conftest import deadline, raises_exactly, star_graph
 
 CONFIG = """
 [experiment]
@@ -165,6 +165,33 @@ class TestLoadConfig:
         # a batch that the run's strategies would refuse never reaches run_experiment
         with pytest.raises(ne.ParameterError, match="batch must be an integer >= 1"):
             experiment.ExperimentConfig([experiment.TopologyDecl("a", ne.GeneratorSpec("mesh", n=4))], batch=batch)
+
+    def test_stop_fraction_that_is_not_a_number_rejected_by_the_config(self):
+        with raises_exactly(ne.ParameterError, "stop_fraction must be a number, got '0.5'"):
+            experiment.ExperimentConfig([experiment.TopologyDecl("a", ne.GeneratorSpec("mesh", n=4))], stop_fraction="0.5")
+
+    def test_recompute_that_is_not_a_bool_rejected_by_the_config(self):
+        with raises_exactly(ne.ParameterError, "recompute must be a bool, got 'no'"):
+            experiment.ExperimentConfig([experiment.TopologyDecl("a", ne.GeneratorSpec("mesh", n=4))], recompute="no")
+
+    def test_duplicate_topology_decls_rejected(self):
+        decls = [experiment.TopologyDecl("a", ne.GeneratorSpec("mesh", n=n)) for n in (4, 5)]
+        with raises_exactly(ne.ParameterError, "topology names must be unique"):
+            experiment.ExperimentConfig(decls)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("n = 4\n", "topology 'x' needs either `path` or `family`"),
+            ("family = mesh\nn = abc\n", "bad numeric value in topology 'x'"),
+        ],
+        ids=["no_family", "bad_number"],
+    )
+    def test_bad_topology_section(self, tmp_path, body, message):
+        p = tmp_path / "bad.ini"
+        p.write_text("[experiment]\n[topology:x]\n" + body)
+        with raises_exactly(ne.ParseError, message):
+            load_config(p)
 
     def test_unknown_attack_kind_rejected(self):
         with pytest.raises(ne.ParameterError, match="unknown attack kind 'cascade'"):

@@ -11,6 +11,8 @@ import pytest
 import netelast as ne
 from netelast.generators import FAMILIES, check_params
 
+from conftest import raises_exactly
+
 
 class TestGilbert:
     def test_edge_count_within_4_sigma(self):
@@ -31,6 +33,10 @@ class TestGilbert:
     def test_bad_probability(self):
         with pytest.raises(ne.ParameterError):
             ne.gen_gilbert(10, 1.5, seed=1)
+
+    def test_too_small_rejected(self):
+        with raises_exactly(ne.ParameterError, "gilbert needs n >= 2, got 1"):
+            ne.gen_gilbert(1, 0.5, seed=0)
 
 
 class TestWattsStrogatz:
@@ -56,6 +62,10 @@ class TestWattsStrogatz:
     def test_k_too_large_rejected(self):
         with pytest.raises(ne.ParameterError):
             ne.gen_watts_strogatz(4, 4, 0.1, seed=1)
+
+    def test_bad_rewiring_probability(self):
+        with raises_exactly(ne.ParameterError, "rewiring probability must be in [0, 1], got 1.5"):
+            ne.gen_watts_strogatz(10, 4, 1.5, seed=0)
 
 
 class TestPreferentialAttachment:
@@ -123,6 +133,10 @@ class TestMesh:
     def test_degrees(self):
         g = ne.gen_mesh(4)
         assert all(g.degree(v) == 3 for v in g.nodes)
+
+    def test_too_small_rejected(self):
+        with raises_exactly(ne.ParameterError, "mesh needs n >= 2, got 1"):
+            ne.gen_mesh(1)
 
 
 class TestDeterminism:

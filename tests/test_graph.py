@@ -20,6 +20,7 @@ from conftest import (
     cycle_graph,
     graph_from_edges,
     path_graph,
+    raises_exactly,
     star_graph,
     structure_oracle,
 )
@@ -46,6 +47,10 @@ class TestEdgeList:
     def test_error_carries_line_number(self):
         with pytest.raises(ne.ParseError, match="line 3"):
             ne.load_edge_list(io.StringIO("0 1\n1 2\n2 2"))
+
+    def test_three_tokens_rejected(self):
+        with raises_exactly(ne.ParseError, "line 1: expected two node ids, got 3 tokens"):
+            ne.load_edge_list(io.StringIO("0 1 2\n"))
 
     @pytest.mark.parametrize(
         "text, line, message",
@@ -117,6 +122,10 @@ class TestEdgeList:
 
 
 class TestGraph:
+    def test_negative_node_count_rejected(self):
+        with raises_exactly(ne.ParameterError, "node count must be nonnegative, got -1"):
+            ne.Graph(-1)
+
     def test_remove_node_k3(self):
         g = ne.gen_mesh(3)
         g.remove_node(0)

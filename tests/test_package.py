@@ -20,6 +20,20 @@ def test_every_all_entry_resolves():
             assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
+def test_package_names_are_the_modules_all():
+    # each module's __all__ states its public names once; the package
+    # re-exports them in import order, bound to the modules' own objects
+    modules = [
+        importlib.import_module(f"netelast.{name}")
+        for name in ("errors", "generators", "graph", "throughput", "robustness", "experiment")
+    ]
+    assert ne.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(ne.__all__)) == len(ne.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(ne, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
 def run_python(script, *paths):
     """stdout lines of `script` in a fresh interpreter, with `paths` and then
     netelast's source directory first on PYTHONPATH."""

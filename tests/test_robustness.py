@@ -21,6 +21,7 @@ from conftest import (
     deadline,
     path_graph,
     random_connected_graph,
+    raises_exactly,
     star_graph,
     structure_oracle,
 )
@@ -95,6 +96,17 @@ class TestAttackSequence:
     def test_batch_that_is_not_an_integer_rejected(self, batch):
         with pytest.raises(ne.ParameterError, match="batch must be an integer >= 1"):
             AttackStrategy("random", seed=1, batch=batch)
+
+    @pytest.mark.parametrize("recompute", ["no", 0, None])
+    def test_recompute_that_is_not_a_bool_rejected(self, recompute):
+        with raises_exactly(ne.ParameterError, f"recompute must be a bool, got {recompute!r}"):
+            AttackStrategy("highest_degree", recompute=recompute)
+
+    def test_numpy_bool_recompute_accepted(self):
+        g = ne.gen_preferential_attachment(30, 2, seed=3)
+        for flag in (False, True):
+            strategy = AttackStrategy("highest_degree", recompute=np.bool_(flag))
+            assert ne.attack_sequence(g, strategy) == ne.attack_sequence(g, AttackStrategy("highest_degree", recompute=flag))
 
     def test_numpy_integer_batch_accepted(self):
         g = ne.gen_watts_strogatz(12, 4, 0.3, seed=2)
@@ -200,6 +212,21 @@ class TestElasticity:
     def test_bad_stop_fraction(self):
         with pytest.raises(ne.ParameterError):
             ne.elasticity(ne.gen_mesh(3), AttackStrategy("highest_degree"), stop_fraction=0.0)
+
+    @pytest.mark.parametrize("stop_fraction", ["0.5", None, True, np.True_])
+    def test_stop_fraction_that_is_not_a_number_rejected(self, stop_fraction):
+        with raises_exactly(ne.ParameterError, f"stop_fraction must be a number, got {stop_fraction!r}"):
+            ne.elasticity(ne.gen_mesh(4), AttackStrategy("random", seed=1), stop_fraction=stop_fraction)
+
+    @pytest.mark.parametrize("stop_fraction", [np.float32(0.5), np.int64(1)])
+    def test_numpy_real_stop_fraction_accepted(self, stop_fraction):
+        g, strategy = ne.gen_mesh(6), AttackStrategy("random", seed=1)
+        wide, plain = (ne.elasticity(g, strategy, stop_fraction=s) for s in (stop_fraction, float(stop_fraction)))
+        assert wide.fractions.tobytes() == plain.fractions.tobytes() and wide.elasticity == plain.elasticity
+
+    def test_empty_graph_refused(self):
+        with raises_exactly(ne.ComputeError, "cannot attack an empty graph"):
+            ne.elasticity(ne.Graph(0), AttackStrategy("random", seed=1))
 
     def test_failed_cell_leaves_its_siblings(self):
         # the intact evaluation succeeds; the random cell then fails on its seed
@@ -655,6 +682,10 @@ class TestMeshBounds:
     def test_continuous_partial_at_zero_is_zero(self):
         assert ne.mesh_elasticity_continuous(15, 0) == 0.0
 
+    def test_continuous_zeta_past_n_rejected(self):
+        with raises_exactly(ne.ParameterError, "zeta must be in [0, 5], got 7"):
+            ne.mesh_elasticity_continuous(5, 7)
+
     def test_zeta_range_checks(self):
         with pytest.raises(ne.ParameterError):
             ne.mesh_elasticity_discrete(10, 0)
@@ -703,6 +734,10 @@ class TestTradeoff:
             ne.tradeoff_re(-0.1, 0.0, 0.0, 1000, 1000)
         with pytest.raises(ne.ParameterError):
             ne.tradeoff_re(0.1, 0.1, 0.1, 1, 0)
+
+    def test_negative_link_count_rejected(self):
+        with raises_exactly(ne.ParameterError, "need m >= 0, got -1"):
+            ne.tradeoff_re(0.1, 0.1, 0.1, 5, -1)
 
 
 class TestAttackOrderingOnRandomGraphs:

@@ -19,6 +19,7 @@ from conftest import (
     homogeneous_oracle,
     path_graph,
     random_connected_graph,
+    raises_exactly,
     star_graph,
 )
 
@@ -503,6 +504,10 @@ class TestModelValidation:
     def test_unknown_kind(self):
         with pytest.raises(ne.ParameterError):
             ThroughputModel(kind="magic")
+
+    def test_unknown_tie_break(self):
+        with raises_exactly(ne.ParameterError, "unknown tie_break 'x'"):
+            ThroughputModel(tie_break="x")
 
     def test_random_tie_needs_seed(self):
         with pytest.raises(ne.ParameterError):
