@@ -10,11 +10,10 @@ import argparse
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import get_type_hints
 
 from .errors import ComputeError, ParameterError, ParseError
 from .experiment import load_config, run_experiment
-from .generators import FAMILIES, GeneratorSpec, check_params
+from .generators import FAMILIES, GeneratorSpec, _param_types
 from .graph import METRICS_CSV_HEADER, fmt, load_edge_list, metrics, save_edge_list
 from .robustness import (
     ATTACK_KINDS,
@@ -34,19 +33,24 @@ EXIT_COMPUTE = 4
 EXIT_IO = 5
 
 
+# help of the generate flags that have one
+_GENERATOR_HELP = {"n": "node count", "p": "edge/rewiring probability",
+                   "k": "ring-lattice neighbour count", "m": "links per arriving node"}
+
+
 def _add_generator_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, choices=FAMILIES)
-    types = get_type_hints(GeneratorSpec)
-    for f in fields(GeneratorSpec)[1:]:
-        how = {"action": "store_true"} if types[f.name] is bool else {"type": types[f.name]}
-        flag = ("-" if len(f.name) == 1 else "--") + f.name
-        p.add_argument(flag, default=argparse.SUPPRESS, help=f.metadata.get("help"), **how)
+    for name, kind in _param_types().items():
+        how = {"action": "store_true"} if kind is bool else {"type": kind}
+        flag = ("-" if len(name) == 1 else "--") + name
+        p.add_argument(flag, default=argparse.SUPPRESS, help=_GENERATOR_HELP.get(name), **how)
 
 
 def _spec_from_args(args) -> GeneratorSpec:
-    given = {f.name: getattr(args, f.name) for f in fields(GeneratorSpec)[1:] if hasattr(args, f.name)}
-    check_params(args.family, given)
-    return GeneratorSpec(family=args.family, **given)
+    given = {name: getattr(args, name) for name in _param_types() if hasattr(args, name)}
+    if "seed" in _param_types(args.family):
+        given.setdefault("seed", 0)
+    return GeneratorSpec(args.family, **given)
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:

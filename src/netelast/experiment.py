@@ -16,12 +16,11 @@ import math
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
 from .errors import NetelastError, ParameterError, ParseError
-from .generators import FAMILIES, GeneratorSpec, check_params
+from .generators import GeneratorSpec, _param_types
 from .graph import METRICS_CSV_HEADER, Graph, MetricsReport, _require_pairs, fmt, load_edge_list, metrics, write_lines
 from .robustness import ATTACK_KINDS, AttackStrategy, ElasticityCurve, TradeoffParams, _Plan, _run_plans
 from .robustness import check_stop_fraction, tradeoff_re
@@ -57,6 +56,10 @@ class TopologyDecl:
     name: str
     spec: GeneratorSpec | None = None
     path: Path | None = None
+
+    def __post_init__(self):
+        if (self.spec is None) == (self.path is None):
+            raise ParameterError(f"topology {self.name!r} needs either a spec or a path, not both")
 
 
 @dataclass
@@ -124,7 +127,6 @@ def load_config(path) -> ExperimentConfig:
         **{f.name: read(f.name, f.default, exp.getfloat, "a number") for f in fields(TradeoffParams)}
     )
 
-    types = get_type_hints(GeneratorSpec)
     topologies: list[TopologyDecl] = []
     for section in parser.sections():
         if not section.startswith("topology:"):
@@ -145,16 +147,17 @@ def load_config(path) -> ExperimentConfig:
             raise ParseError(f"topology {name!r} needs either `path` or `family`")
         family = items["family"].strip()
         given = [key for key in items if key != "family"]
+        types = _param_types(family)
         try:
-            check_params(family, given)
-            kwargs = {k: items.getboolean(k) if types[k] is bool else types[k](items[k]) for k in given}
+            # a key that the family does not take stays text, for GeneratorSpec to name
+            kwargs = {k: items.getboolean(k) if types.get(k) is bool else types.get(k, str)(items[k]) for k in given}
+            if "seed" in types:
+                kwargs.setdefault("seed", derive_seed(global_seed, name))
+            topologies.append(TopologyDecl(name=name, spec=GeneratorSpec(family, **kwargs)))
         except ParameterError as exc:
             raise ParseError(f"topology {name!r}: {exc}") from None
         except ValueError:
             raise ParseError(f"bad numeric value in topology {name!r}") from None
-        if "seed" in FAMILIES[family][1] and "seed" not in items:
-            kwargs["seed"] = derive_seed(global_seed, name)
-        topologies.append(TopologyDecl(name=name, spec=GeneratorSpec(family, **kwargs)))
 
     if not topologies:
         raise ParseError(f"config {path} declares no topologies")

@@ -6,7 +6,9 @@ determines the edge set, so experiment grids are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import inspect
+from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -98,7 +100,7 @@ def gen_preferential_attachment(n: int, m: int, seed: int) -> Graph:
     return Graph.from_edges(n, pairs)
 
 
-def gen_near_regular(rows: int, cols: int, diagonals: bool) -> Graph:
+def gen_near_regular(rows: int, cols: int, diagonals: bool = False) -> Graph:
     """Planar grid with unit edges; with diagonals, nodes at distance
     sqrt(2) are connected as well.  Deterministic.
     """
@@ -120,46 +122,50 @@ def gen_mesh(n: int) -> Graph:
     return Graph.from_edges(n, np.column_stack(np.triu_indices(n, k=1)))
 
 
-# family -> (generator, the GeneratorSpec fields it takes, in call order)
+# family -> its generator, whose signature states the parameters the family
+# takes: their names, types, and which may be omitted (those with a default)
 FAMILIES = {
-    "gilbert": (gen_gilbert, ("n", "p", "seed")),
-    "watts_strogatz": (gen_watts_strogatz, ("n", "k", "p", "seed")),
-    "preferential_attachment": (gen_preferential_attachment, ("n", "m", "seed")),
-    "near_regular": (gen_near_regular, ("rows", "cols", "diagonals")),
-    "mesh": (gen_mesh, ("n",)),
+    "gilbert": gen_gilbert,
+    "watts_strogatz": gen_watts_strogatz,
+    "preferential_attachment": gen_preferential_attachment,
+    "near_regular": gen_near_regular,
+    "mesh": gen_mesh,
 }
 
 
 def check_params(family: str, given) -> None:
-    """Reject an unknown family, or a parameter in `given` that it does not take."""
+    """Reject an unknown family, a parameter in `given` that it does not
+    take, or one it takes without a default that `given` leaves out."""
     if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
-    takes = FAMILIES[family][1]
-    for key in given:
+    takes = inspect.signature(FAMILIES[family]).parameters
+    for key in [*given, *takes]:  # an unknown key is named before a missing one
         if key not in takes:
             raise ParameterError(f"family {family} takes {', '.join(takes)}; got {key!r}")
+        if key not in given and takes[key].default is inspect.Parameter.empty:
+            raise ParameterError(f"family {family} needs {key}")
 
 
-@dataclass
+def _param_types(*families: str) -> dict[str, type]:
+    """Each parameter that one of `families` takes -> the type its generator
+    annotates.  No name means every family; an unknown family takes none."""
+    gens = [FAMILIES[f] for f in families if f in FAMILIES] if families else FAMILIES.values()
+    return {key: kind for gen in gens for key, kind in get_type_hints(gen).items() if key != "return"}
+
+
+@dataclass(init=False)
 class GeneratorSpec:
-    """Declarative description of one generator call.  FAMILIES names the
-    fields each family takes; the others must stay at their defaults.
-    """
+    """Declarative description of one generator call: a family and the
+    keyword arguments of its generator (see FAMILIES)."""
 
     family: str
-    n: int = field(default=0, metadata={"help": "node count"})
-    p: float = field(default=0.0, metadata={"help": "edge/rewiring probability"})
-    k: int = field(default=0, metadata={"help": "ring-lattice neighbour count"})
-    m: int = field(default=0, metadata={"help": "links per arriving node"})
-    rows: int = 0
-    cols: int = 0
-    diagonals: bool = False
-    seed: int = 0
+    params: dict
 
-    def __post_init__(self):
-        check_params(self.family, [f.name for f in fields(self)[1:] if getattr(self, f.name) != f.default])
+    def __init__(self, /, family: str, **params):
+        check_params(family, params)
+        self.family = family
+        self.params = params
 
     def build(self) -> Graph:
-        gen, takes = FAMILIES[self.family]
         # called through the module attribute, so a wrapper put there sees the call
-        return globals()[gen.__name__](*(getattr(self, k) for k in takes))
+        return globals()[FAMILIES[self.family].__name__](**self.params)

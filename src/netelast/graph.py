@@ -48,6 +48,8 @@ def fmt(x: float) -> str:
 
 def seeded_rng(seed: int) -> np.random.Generator:
     """numpy's generator for `seed`, which must be a nonnegative integer."""
+    if not _is_id(seed):
+        raise ParameterError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed)

@@ -419,10 +419,11 @@ def mesh_elasticity_discrete(n: int, zeta: int) -> float:
     trapezoid sum is one ratio of integers; it is computed in Python integers
     and divided once, which rounds correctly at any n.
     """
-    if n < 2:
-        raise ParameterError(f"need n >= 2, got {n}")
-    if not 1 <= zeta <= n:
-        raise ParameterError(f"zeta must be in [1, {n}], got {zeta}")
+    if not _is_id(n) or n < 2:
+        raise ParameterError(f"n must be an integer >= 2, got {n!r}")
+    if not _is_id(zeta) or not 1 <= zeta <= n:
+        raise ParameterError(f"zeta must be an integer in [1, {n}], got {zeta!r}")
+    n, zeta = int(n), int(zeta)  # a numpy integer would overflow below
 
     def t(b):  # sum of j(j-1) for j = 1..b
         return (b + 1) * b * (b - 1) // 3
@@ -438,8 +439,8 @@ def mesh_elasticity_continuous(n: int, zeta: int | str | None = "all") -> float:
     zeta="all" (or None, or n) gives the full-removal value
     1/3 - 1/(6n) - 1/(6n^2), which tends to the 1/3 upper bound.
     """
-    if n < 2:
-        raise ParameterError(f"need n >= 2, got {n}")
+    if not _is_id(n) or n < 2:
+        raise ParameterError(f"n must be an integer >= 2, got {n!r}")
     nf = float(n)
     if zeta in ("all", None) or zeta == n:
         return 1.0 / 3.0 - 1.0 / (6.0 * nf) - 1.0 / (6.0 * nf * nf)

@@ -57,6 +57,27 @@ class TestGenerate:
         assert main(["generate", "--family", "gilbert", "-n", "10", "-p", "0.3", "--seed", "-1"]) == 3
         assert capsys.readouterr().err == "netelast: parameter error: seed must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize(
+        "args, missing",
+        [
+            (["--family", "gilbert", "-n", "5"], "family gilbert needs p"),
+            (["--family", "watts_strogatz", "-n", "10", "-k", "4"], "family watts_strogatz needs p"),
+            (["--family", "near_regular", "--rows", "3"], "family near_regular needs cols"),
+        ],
+        ids=["gilbert_p", "ws_p", "grid_cols"],
+    )
+    def test_missing_parameter_is_3(self, args, missing, capsys):
+        # gilbert without -p used to write an edgeless graph and exit 0
+        assert main(["generate", *args]) == 3
+        assert capsys.readouterr().err == f"netelast: parameter error: {missing}\n"
+
+    def test_omitted_seed_is_0_and_omitted_diagonals_false(self, capsys):
+        assert main(["generate", "--family", "gilbert", "-n", "30", "-p", "0.2"]) == 0
+        assert ne.load_edge_list(io.StringIO(capsys.readouterr().out)).edges() == ne.gen_gilbert(30, 0.2, 0).edges()
+        assert main(["generate", "--family", "near_regular", "--rows", "3", "--cols", "4"]) == 0
+        grid = ne.load_edge_list(io.StringIO(capsys.readouterr().out))
+        assert grid.edges() == ne.gen_near_regular(3, 4, False).edges()
+
 class TestMetrics:
     def test_prints_header_and_row(self, star_file, capsys):
         assert main(["metrics", "--input", str(star_file), "--name", "star"]) == 0

@@ -119,7 +119,7 @@ class TestLoadConfig:
 
     def test_generator_seed_derived_from_name(self, config_dir):
         cfg = load_config(config_dir / "grid.ini")
-        assert cfg.topologies[2].spec.seed == derive_seed(42, "gi")
+        assert cfg.topologies[2].spec.params["seed"] == derive_seed(42, "gi")
 
     def test_missing_experiment_section(self, tmp_path):
         p = tmp_path / "bad.ini"
@@ -193,6 +193,38 @@ class TestLoadConfig:
         with raises_exactly(ne.ParseError, message):
             load_config(p)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("family = gilbert\nn = 50\n", "topology 'x': family gilbert needs p"),
+            ("family = watts_strogatz\nn = 40\nk = 4\n", "topology 'x': family watts_strogatz needs p"),
+        ],
+        ids=["gilbert", "ws"],
+    )
+    def test_missing_parameter_named(self, tmp_path, body, message):
+        # it used to load as p = 0.0: an edgeless graph, or the unrewired ring lattice
+        p = tmp_path / "bad.ini"
+        p.write_text("[experiment]\n[topology:x]\n" + body)
+        with raises_exactly(ne.ParseError, message):
+            load_config(p)
+
+    def test_grid_without_diagonals_and_family_without_seed_load(self, tmp_path):
+        p = tmp_path / "grid.ini"
+        p.write_text(
+            "[experiment]\nglobal_seed = 3\n"
+            "[topology:grid]\nfamily = near_regular\nrows = 4\ncols = 5\n"
+            "[topology:pa]\nfamily = preferential_attachment\nn = 30\nm = 2\n"
+        )
+        grid, pa = (t.spec.build() for t in load_config(p).topologies)
+        assert grid.edges() == ne.gen_near_regular(4, 5, False).edges()
+        assert pa.edges() == ne.gen_preferential_attachment(30, 2, derive_seed(3, "pa")).edges()
+
+    @pytest.mark.parametrize("given", [{}, {"spec": ne.GeneratorSpec("mesh", n=4), "path": "k4.edges"}], ids=["neither", "both"])
+    def test_topology_decl_needs_a_spec_or_a_path(self, given):
+        # neither used to reach run_experiment and end it with an AttributeError
+        with raises_exactly(ne.ParameterError, "topology 'x' needs either a spec or a path, not both"):
+            experiment.TopologyDecl("x", **given)
+
     def test_unknown_attack_kind_rejected(self):
         with pytest.raises(ne.ParameterError, match="unknown attack kind 'cascade'"):
             experiment.ExperimentConfig([], attacks=["random", "cascade"])
@@ -211,10 +243,11 @@ class TestLoadConfig:
             ("family = watts_strogatz\nn = 40\nk = 4\np = 0.3\nm = 2\n", "m"),
             ("family = mesh\nn = 4\nseed = 3\n", "seed"),
             ("family = near_regular\nrows = 2\ncols = 3\nn = 6\n", "n"),
+            ("family = mesh\nn = 4\nk = abc\n", "k"),
             ("path = k4.edges\nfamily = mesh\n", "family"),
             ("path = k4.edges\nn = 4\n", "n"),
         ],
-        ids=["ws_beta", "ws_m", "mesh_seed", "grid_n", "path_and_family", "path_and_n"],
+        ids=["ws_beta", "ws_m", "mesh_seed", "grid_n", "mesh_k_not_a_number", "path_and_family", "path_and_n"],
     )
     def test_parameter_the_section_does_not_take(self, tmp_path, body, key):
         p = tmp_path / "bad.ini"

@@ -3,12 +3,14 @@
 import hashlib
 import inspect
 import math
-from dataclasses import fields
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import netelast as ne
+from netelast.cli import build_parser
 from netelast.generators import FAMILIES, check_params
 
 from conftest import raises_exactly
@@ -196,7 +198,7 @@ class TestDeterminism:
     )
     def test_pinned_edge_sets(self, params, digests):
         for seed, want in zip((1, 2), digests):
-            spec = dict(params, seed=seed) if "seed" in FAMILIES[params["family"]][1] else params
+            spec = dict(params, seed=seed) if "seed" in inspect.signature(FAMILIES[params["family"]]).parameters else params
             edges = ne.GeneratorSpec(**spec).build().edges()
             assert hashlib.sha256(repr(edges).encode()).hexdigest() == want
 
@@ -212,10 +214,16 @@ class TestDeterminism:
 
 class TestFamilyTable:
     @pytest.mark.parametrize("family", list(FAMILIES))
-    def test_entry_matches_generator_signature(self, family):
-        gen, takes = FAMILIES[family]
-        assert set(takes) <= {f.name for f in fields(ne.GeneratorSpec)} - {"family"}
-        assert tuple(inspect.signature(gen).parameters) == takes
+    def test_every_parameter_is_a_generate_flag_and_in_the_readme(self, family):
+        takes = inspect.signature(FAMILIES[family], eval_str=True).parameters
+        parser = build_parser()
+        for name, param in takes.items():
+            flag = ("-" if len(name) == 1 else "--") + name
+            value = [] if param.annotation is bool else ["1"]
+            assert name in vars(parser.parse_args(["generate", "--family", family, flag, *value]))
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        row = re.search(rf"^\| `{family}` \| (.*) \|$", readme, re.M)
+        assert row is not None and row.group(1) == ", ".join(f"`{name}`" for name in takes)
 
     def test_unknown_parameter_named(self):
         with pytest.raises(ne.ParameterError, match="mesh takes n; got 'k'"):
@@ -231,6 +239,43 @@ class TestFamilyTable:
             ne.GeneratorSpec(**spec)
 
     @pytest.mark.parametrize(
+        "spec, text",
+        [
+            (dict(family="mesh", n=4, p=0.0), "family mesh takes n; got 'p'"),
+            (dict(family="gilbert", n=4, p=0.5, seed=1, diagonals=False), "family gilbert takes n, p, seed; got 'diagonals'"),
+        ],
+        ids=["mesh_p", "gilbert_diagonals"],
+    )
+    def test_parameter_the_family_does_not_take_rejected_at_any_value(self, spec, text):
+        # a placeholder value such as p = 0.0 used to pass as "not given"
+        with raises_exactly(ne.ParameterError, text):
+            ne.GeneratorSpec(**spec)
+
+    @pytest.mark.parametrize(
+        "spec, text",
+        [
+            (dict(family="gilbert", n=50, seed=1), "family gilbert needs p"),
+            (dict(family="watts_strogatz", n=40, k=4, seed=1), "family watts_strogatz needs p"),
+            (dict(family="preferential_attachment", n=40, m=2), "family preferential_attachment needs seed"),
+            (dict(family="near_regular", rows=3), "family near_regular needs cols"),
+            (dict(family="mesh"), "family mesh needs n"),
+        ],
+        ids=["gilbert_p", "ws_p", "pa_seed", "grid_cols", "mesh_n"],
+    )
+    def test_missing_parameter_named(self, spec, text):
+        with raises_exactly(ne.ParameterError, text):
+            ne.GeneratorSpec(**spec)
+
+    def test_unknown_parameter_named_before_a_missing_one(self):
+        with raises_exactly(ne.ParameterError, "family mesh takes n; got 'k'"):
+            ne.GeneratorSpec("mesh", k=3)
+
+    def test_grid_diagonals_default_to_false(self):
+        spec = ne.GeneratorSpec("near_regular", rows=3, cols=4)
+        assert spec.params == {"rows": 3, "cols": 4}
+        assert spec.build().edges() == ne.gen_near_regular(3, 4, False).edges()
+
+    @pytest.mark.parametrize(
         "make",
         [
             lambda: ne.gen_gilbert(10, 0.3, seed=-1),
@@ -242,3 +287,11 @@ class TestFamilyTable:
     def test_negative_seed_rejected(self, make):
         with pytest.raises(ne.ParameterError, match="seed must be >= 0"):
             make()
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", None])
+    def test_seed_that_is_not_an_integer_rejected(self, seed):
+        with raises_exactly(ne.ParameterError, f"seed must be an integer, got {seed!r}"):
+            ne.gen_gilbert(10, 0.3, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert ne.gen_gilbert(20, 0.3, seed=np.int64(4)).edges() == ne.gen_gilbert(20, 0.3, seed=4).edges()

@@ -51,6 +51,12 @@ class TestAttackSequence:
         with pytest.raises(ne.ParameterError, match="seed must be >= 0"):
             ne.attack_sequence(ne.gen_mesh(6), AttackStrategy("random", seed=-3))
 
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_random_seed_that_is_not_an_integer_rejected(self, seed):
+        # 1.5 used to escape as numpy's TypeError, and True to attack as seed 1
+        with raises_exactly(ne.ParameterError, f"seed must be an integer, got {seed!r}"):
+            ne.elasticity(ne.gen_mesh(6), AttackStrategy("random", seed=seed))
+
     def test_adaptive_reranks_after_removal(self):
         # hub 0 with three leaves plus a tail 0-1-2-3-4-5: removing the hub
         # drops node 1 to degree one, so the adaptive attack jumps to node 2
@@ -685,6 +691,27 @@ class TestMeshBounds:
     def test_continuous_zeta_past_n_rejected(self):
         with raises_exactly(ne.ParameterError, "zeta must be in [0, 5], got 7"):
             ne.mesh_elasticity_continuous(5, 7)
+
+    @pytest.mark.parametrize(
+        "call, text",
+        [
+            (lambda: ne.mesh_elasticity_discrete(5.5, 2), "n must be an integer >= 2, got 5.5"),
+            (lambda: ne.mesh_elasticity_discrete(1, 1), "n must be an integer >= 2, got 1"),
+            (lambda: ne.mesh_elasticity_discrete(5, 2.0), "zeta must be an integer in [1, 5], got 2.0"),
+            (lambda: ne.mesh_elasticity_continuous(5.5), "n must be an integer >= 2, got 5.5"),
+            (lambda: ne.mesh_elasticity_continuous(True), "n must be an integer >= 2, got True"),
+        ],
+        ids=["discrete_n", "discrete_small_n", "discrete_zeta", "continuous_n", "continuous_bool_n"],
+    )
+    def test_mesh_bound_that_is_not_an_integer_rejected(self, call, text):
+        # mesh_elasticity_discrete(5.5, 2) used to return 0.2332
+        with raises_exactly(ne.ParameterError, text):
+            call()
+
+    def test_discrete_numpy_integers_computed_exactly(self):
+        # numpy int64 products of n = 10**7 overflow; the closed form is in Python integers
+        n = 10**7
+        assert ne.mesh_elasticity_discrete(np.int64(n), np.int64(n)) == ne.mesh_elasticity_discrete(n, n)
 
     def test_zeta_range_checks(self):
         with pytest.raises(ne.ParameterError):

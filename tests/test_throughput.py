@@ -518,6 +518,14 @@ class TestModelValidation:
         with pytest.raises(ne.ParameterError, match="seed must be >= 0"):
             ne.evaluate_throughput(ne.gen_mesh(4), model)
 
+    def test_tie_seed_that_is_not_an_integer_rejected(self):
+        # both used to escape as numpy's TypeError
+        model = ThroughputModel(tie_break="random", seed=1.5)
+        with raises_exactly(ne.ParameterError, "seed must be an integer, got 1.5"):
+            ne.evaluate_throughput(ne.gen_mesh(4), model)
+        with raises_exactly(ne.ParameterError, "seed must be an integer, got 1.5"):
+            ne.shortest_path_tree(ne.gen_mesh(4), 0, "random", 1.5)
+
     def test_random_tie_break_mean_close_to_sequential(self):
         # the modified tie-break changes throughput only marginally
         g = ne.gen_near_regular(3, 3, True)
