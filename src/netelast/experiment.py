@@ -58,6 +58,9 @@ class TopologyDecl:
     path: Path | None = None
 
     def __post_init__(self):
+        # the name becomes a CSV cell and part of the curve files' names
+        if not isinstance(self.name, str) or not self.name or {",", "/"} & set(self.name):
+            raise ParameterError(f"topology name must be nonempty text without ',' or '/', got {self.name!r}")
         if (self.spec is None) == (self.path is None):
             raise ParameterError(f"topology {self.name!r} needs either a spec or a path, not both")
 
@@ -91,9 +94,29 @@ class ExperimentConfig:
 # [experiment] keys of earlier versions, accepted and ignored
 _RETIRED_KEYS = ("workers",)
 
+# a config value's type -> the SectionProxy getter that converts it, and its noun
+_GETTERS = {int: ("getint", "an integer"), float: ("getfloat", "a number"), bool: ("getboolean", "a boolean"),
+            str: ("get", "text")}
+
+
+def _read(section: configparser.SectionProxy, key: str, kind: type, default):
+    """`key` of `section` as `kind` (int, float, bool or str), or `default`
+    when the section does not set it."""
+    try:
+        return getattr(section, _GETTERS[kind][0])(key, default)
+    except ValueError:
+        raise ParseError(f"key {key!r} is not {_GETTERS[kind][1]}") from None
+    except configparser.Error as exc:  # a '%' that does not start an interpolation
+        raise ParseError(f"key {key!r}: {exc}") from None
+
 
 def load_config(path) -> ExperimentConfig:
-    """Parse an experiment config file; relative paths resolve against it."""
+    """Parse an experiment config file; relative paths resolve against it.
+
+    Each value is converted by `_read`, and the objects built from the
+    values check what they mean; a topology's ParameterError comes back as
+    a ParseError that names the topology.
+    """
     path = Path(path)
     parser = configparser.ConfigParser()
     try:
@@ -108,24 +131,15 @@ def load_config(path) -> ExperimentConfig:
     base = path.parent
     used = set(_RETIRED_KEYS)
 
-    def read(key, default, get=exp.get, noun=""):
-        """One [experiment] key through a SectionProxy getter, e.g. `getint`."""
+    def read(key, kind, default):
         used.add(key)
-        try:
-            return get(key, default)
-        except ValueError:
-            raise ParseError(f"key {key!r} is not {noun}") from None
+        return _read(exp, key, kind, default)
 
-    global_seed = read("global_seed", 0, exp.getint, "an integer")
-    kind = read("model", "dijkstra_homogeneous")
-    tie_seed = read("tie_seed", None, exp.getint, "an integer")
-    if tie_seed is not None and tie_seed < 0:
-        raise ParameterError(f"tie_seed must be >= 0, got {tie_seed}")
-    model = ThroughputModel(kind, read("tie_break", "sequential"), tie_seed)
-    attacks = [a.strip() for a in read("attacks", ",".join(ATTACK_KINDS)).split(",") if a.strip()]
-    tradeoff = TradeoffParams(
-        **{f.name: read(f.name, f.default, exp.getfloat, "a number") for f in fields(TradeoffParams)}
-    )
+    global_seed = read("global_seed", int, 0)
+    model = ThroughputModel(read("model", str, "dijkstra_homogeneous"), read("tie_break", str, "sequential"),
+                            read("tie_seed", int, None))
+    attacks = [a.strip() for a in read("attacks", str, ",".join(ATTACK_KINDS)).split(",") if a.strip()]
+    tradeoff = TradeoffParams(**{f.name: read(f.name, float, f.default) for f in fields(TradeoffParams)})
 
     topologies: list[TopologyDecl] = []
     for section in parser.sections():
@@ -134,30 +148,25 @@ def load_config(path) -> ExperimentConfig:
                 raise ParseError(f"unknown section [{section}]")
             continue
         name = section.split(":", 1)[1].strip()
-        if not name or {",", "/"} & set(name):
-            raise ParseError(f"topology name in [{section}] must be nonempty, without ',' or '/'")
         items = parser[section]
-        if "path" in items:
-            extra = [key for key in items if key != "path"]
-            if extra:
-                raise ParseError(f"topology {name!r}: a path section takes only path; got {extra[0]!r}")
-            topologies.append(TopologyDecl(name=name, path=(base / items["path"]).resolve()))
-            continue
-        if "family" not in items:
+        if "path" not in items and "family" not in items:
             raise ParseError(f"topology {name!r} needs either `path` or `family`")
-        family = items["family"].strip()
-        given = [key for key in items if key != "family"]
-        types = _param_types(family)
         try:
+            if "path" in items:
+                extra = [key for key in items if key != "path"]
+                if extra:
+                    raise ParseError(f"a path section takes only path; got {extra[0]!r}")
+                topologies.append(TopologyDecl(name, path=(base / _read(items, "path", str, None)).resolve()))
+                continue
+            family = _read(items, "family", str, None).strip()
+            types = _param_types(family)
             # a key that the family does not take stays text, for GeneratorSpec to name
-            kwargs = {k: items.getboolean(k) if types.get(k) is bool else types.get(k, str)(items[k]) for k in given}
+            kwargs = {k: _read(items, k, types.get(k, str), None) for k in items if k != "family"}
             if "seed" in types:
                 kwargs.setdefault("seed", derive_seed(global_seed, name))
-            topologies.append(TopologyDecl(name=name, spec=GeneratorSpec(family, **kwargs)))
-        except ParameterError as exc:
+            topologies.append(TopologyDecl(name, spec=GeneratorSpec(family, **kwargs)))
+        except (ParameterError, ParseError) as exc:
             raise ParseError(f"topology {name!r}: {exc}") from None
-        except ValueError:
-            raise ParseError(f"bad numeric value in topology {name!r}") from None
 
     if not topologies:
         raise ParseError(f"config {path} declares no topologies")
@@ -166,12 +175,12 @@ def load_config(path) -> ExperimentConfig:
         topologies=topologies,
         attacks=attacks,
         model=model,
-        stop_fraction=read("stop_fraction", 1.0, exp.getfloat, "a number"),
+        stop_fraction=read("stop_fraction", float, 1.0),
         tradeoff=tradeoff,
-        output_dir=base / read("output_dir", "results"),
+        output_dir=base / read("output_dir", str, "results"),
         global_seed=global_seed,
-        batch=read("batch", 1, exp.getint, "an integer"),
-        recompute=read("recompute", True, exp.getboolean, "a boolean"),
+        batch=read("batch", int, 1),
+        recompute=read("recompute", bool, True),
     )
     unknown = [key for key in exp if key not in used]
     if unknown:

@@ -13,7 +13,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .errors import ParameterError
-from .graph import Graph, seeded_rng
+from .graph import Graph, _is_id, _is_real, seeded_rng
 
 __all__ = [
     "GeneratorSpec",
@@ -29,10 +29,10 @@ __all__ = [
 
 def gen_gilbert(n: int, p: float, seed: int) -> Graph:
     """Random graph G(n, p): every unordered pair is an edge with probability p."""
-    if n < 2:
-        raise ParameterError(f"gilbert needs n >= 2, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError(f"edge probability must be in [0, 1], got {p}")
+    if not _is_id(n) or n < 2:
+        raise ParameterError(f"gilbert needs an integer n >= 2, got {n!r}")
+    if not _is_real(p) or not 0.0 <= p <= 1.0:
+        raise ParameterError(f"edge probability must be in [0, 1], got {p!r}")
     rng = seeded_rng(seed)
     pairs = np.column_stack(np.triu_indices(n, k=1))
     mask = rng.random(pairs.shape[0]) < p
@@ -47,12 +47,12 @@ def gen_watts_strogatz(n: int, k: int, p: float, seed: int) -> Graph:
     retrying up to n times on self-loops/duplicates and leaving the edge in
     place when no slot is found, so the edge count is always n*k/2.
     """
-    if k % 2 != 0 or k < 2:
-        raise ParameterError(f"neighbour count k must be even and >= 2, got {k}")
-    if k >= n:
-        raise ParameterError(f"need n > k, got n={n}, k={k}")
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError(f"rewiring probability must be in [0, 1], got {p}")
+    if not _is_id(k) or k % 2 != 0 or k < 2:
+        raise ParameterError(f"neighbour count k must be an even integer >= 2, got {k!r}")
+    if not _is_id(n) or k >= n:
+        raise ParameterError(f"need an integer n > k, got n={n!r}, k={k}")
+    if not _is_real(p) or not 0.0 <= p <= 1.0:
+        raise ParameterError(f"rewiring probability must be in [0, 1], got {p!r}")
     rng = seeded_rng(seed)
     pair = lambda a, b: (a, b) if a < b else (b, a)
     edges = {pair(i, (i + d) % n) for d in range(1, k // 2 + 1) for i in range(n)}
@@ -77,10 +77,10 @@ def gen_preferential_attachment(n: int, m: int, seed: int) -> Graph:
     arriving node attaches m edges to distinct existing nodes chosen with
     probability proportional to current degree.
     """
-    if m < 1:
-        raise ParameterError(f"attachment count m must be >= 1, got {m}")
-    if n <= m:
-        raise ParameterError(f"need n > m, got n={n}, m={m}")
+    if not _is_id(m) or m < 1:
+        raise ParameterError(f"attachment count m must be an integer >= 1, got {m!r}")
+    if not _is_id(n) or n <= m:
+        raise ParameterError(f"need an integer n > m, got n={n!r}, m={m}")
     rng = seeded_rng(seed)
     pairs: list[tuple[int, int]] = []
     repeated: list[int] = []  # one entry per degree unit
@@ -104,8 +104,8 @@ def gen_near_regular(rows: int, cols: int, diagonals: bool = False) -> Graph:
     """Planar grid with unit edges; with diagonals, nodes at distance
     sqrt(2) are connected as well.  Deterministic.
     """
-    if rows < 2 or cols < 2:
-        raise ParameterError(f"grid needs rows, cols >= 2, got {rows}x{cols}")
+    if not (_is_id(rows) and _is_id(cols) and rows >= 2 and cols >= 2):
+        raise ParameterError(f"grid needs integer rows, cols >= 2, got {rows!r}x{cols!r}")
     ids = np.arange(rows * cols).reshape(rows, cols)
     # right, down, and with diagonals down-right and down-left neighbours
     links = [(ids[:, :-1], ids[:, 1:]), (ids[:-1, :], ids[1:, :])]
@@ -117,8 +117,8 @@ def gen_near_regular(rows: int, cols: int, diagonals: bool = False) -> Graph:
 
 def gen_mesh(n: int) -> Graph:
     """Complete graph on n nodes."""
-    if n < 2:
-        raise ParameterError(f"mesh needs n >= 2, got {n}")
+    if not _is_id(n) or n < 2:
+        raise ParameterError(f"mesh needs an integer n >= 2, got {n!r}")
     return Graph.from_edges(n, np.column_stack(np.triu_indices(n, k=1)))
 
 

@@ -46,12 +46,18 @@ def fmt(x: float) -> str:
     return f"{x:.7g}"
 
 
-def seeded_rng(seed: int) -> np.random.Generator:
-    """numpy's generator for `seed`, which must be a nonnegative integer."""
+def check_seed(seed, name: str = "seed") -> None:
+    """ParameterError, naming the parameter `name`, unless `seed` is a
+    nonnegative integer (Python or numpy, not a bool)."""
     if not _is_id(seed):
-        raise ParameterError(f"seed must be an integer, got {seed!r}")
+        raise ParameterError(f"{name} must be an integer, got {seed!r}")
     if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+        raise ParameterError(f"{name} must be >= 0, got {seed}")
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's generator for `seed`, which must pass check_seed."""
+    check_seed(seed)
     return np.random.default_rng(seed)
 
 
@@ -67,6 +73,11 @@ def write_lines(target, lines) -> None:
 def _is_id(v) -> bool:
     """Whether v has a node id's type: an int or numpy integer, not a bool."""
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """Whether v is a real number: an int, a float or a numpy real, not a bool."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
 
 
 def _first_bad_pair(n: int, pairs: np.ndarray) -> int | None:
@@ -97,8 +108,8 @@ class Graph:
     __slots__ = ("_indptr", "_indices", "_present")
 
     def __init__(self, n: int):
-        if n < 0:
-            raise ParameterError(f"node count must be nonnegative, got {n}")
+        if not _is_id(n) or n < 0:
+            raise ParameterError(f"node count must be a nonnegative integer, got {n!r}")
         self._present = np.ones(n, dtype=bool)
         self._set_arcs(np.zeros(n, dtype=np.int64), np.empty(0, dtype=np.int64))
 

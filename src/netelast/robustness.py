@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _csr
 from .errors import ComputeError, NetelastError, ParameterError
-from .graph import Graph, _is_id, betweenness, fmt, seeded_rng, write_lines
+from .graph import Graph, _is_id, _is_real, betweenness, fmt, seeded_rng, write_lines
 from .throughput import ThroughputModel, check_size, raw_throughput
 
 __all__ = [
@@ -183,7 +183,7 @@ def check_stop_fraction(stop_fraction: float) -> None:
     """ParameterError unless stop_fraction, the share of nodes an attack curve
     removes, is a real number (an int, a float or a numpy real, not a bool)
     with 0 < stop_fraction <= 1."""
-    if not isinstance(stop_fraction, (int, float, np.integer, np.floating)) or isinstance(stop_fraction, bool):
+    if not _is_real(stop_fraction):
         raise ParameterError(f"stop_fraction must be a number, got {stop_fraction!r}")
     if not 0.0 < stop_fraction <= 1.0:
         raise ParameterError(f"stop_fraction must be in (0, 1], got {stop_fraction}")
@@ -433,21 +433,24 @@ def mesh_elasticity_discrete(n: int, zeta: int) -> float:
     return (n * (n - 1) + 2 * inner + last) / (2 * n * n * (n - 1))
 
 
-def mesh_elasticity_continuous(n: int, zeta: int | str | None = "all") -> float:
-    """Continuous-integration counterpart of the mesh elasticity.
+def mesh_elasticity_continuous(n: int, zeta: float | str | None = "all") -> float:
+    """Continuous-integration counterpart of the mesh elasticity: the
+    surviving-pair share (n-k)(n-k-1)/(n(n-1)) integrated over the k in
+    [0, zeta] removed nodes, over n.  zeta is a real number; "all" (or None)
+    means n.
 
-    zeta="all" (or None, or n) gives the full-removal value
+    The share falls to 0 at k = n-1, and the mesh delivers nothing after,
+    so the integral stops there: full removal gives
     1/3 - 1/(6n) - 1/(6n^2), which tends to the 1/3 upper bound.
     """
     if not _is_id(n) or n < 2:
         raise ParameterError(f"n must be an integer >= 2, got {n!r}")
-    nf = float(n)
-    if zeta in ("all", None) or zeta == n:
-        return 1.0 / 3.0 - 1.0 / (6.0 * nf) - 1.0 / (6.0 * nf * nf)
-    z = float(zeta)
-    if not 0 <= z <= n:
-        raise ParameterError(f"zeta must be in [0, {n}], got {zeta}")
-    # antiderivative of (N-k)(N-k-1)/(N(N-1)) over k in [0, zeta], /N
+    if zeta in ("all", None):
+        zeta = n
+    if not _is_real(zeta) or not 0 <= zeta <= n:
+        raise ParameterError(f"zeta must be a number in [0, {n}], got {zeta!r}")
+    nf, z = float(n), min(float(zeta), n - 1.0)
+    # antiderivative of (N-k)(N-k-1)/(N(N-1)) over k in [0, z], /N
     numerator = nf * (nf - 1.0) * z + 0.5 * (1.0 - 2.0 * nf) * z**2 + z**3 / 3.0
     return float(numerator / (nf * nf * (nf - 1.0)))
 
@@ -468,8 +471,8 @@ class TradeoffParams:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if not 0.0 <= v <= 1.0:
-                raise ParameterError(f"{f.name} must be in [0, 1], got {v}")
+            if not _is_real(v) or not 0.0 <= v <= 1.0:
+                raise ParameterError(f"{f.name} must be a number in [0, 1], got {v!r}")
 
 
 def tradeoff_re(
@@ -486,15 +489,15 @@ def tradeoff_re(
     fewer links than a spanning tree.
     """
     params = params or TradeoffParams()
-    if n < 2:
-        raise ParameterError(f"need n >= 2, got {n}")
-    if m < 0:
-        raise ParameterError(f"need m >= 0, got {m}")
+    if not _is_id(n) or n < 2:
+        raise ParameterError(f"need an integer n >= 2, got {n!r}")
+    if not _is_id(m) or m < 0:
+        raise ParameterError(f"need an integer m >= 0, got {m!r}")
     # self-normalized elasticity of small graphs can exceed the 1/3 mesh
     # asymptote, so the domain check is the loose [0, 1]
     for label, value in (("elas_r", elas_r), ("elas_d", elas_d), ("elas_b", elas_b)):
-        if not 0.0 <= value <= 1.0:
-            raise ParameterError(f"{label}={value} outside [0, 1]")
+        if not _is_real(value) or not 0.0 <= value <= 1.0:
+            raise ParameterError(f"{label}={value!r} outside [0, 1]")
     excess = m - (n - 1)
     density_penalty = 1.0 - math.exp(-0.5 * excess / n) if excess > 0 else 0.0
     return (

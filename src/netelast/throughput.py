@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _csr
 from .errors import ComputeError, GraphSizeError, ParameterError
-from .graph import Graph, seeded_rng
+from .graph import Graph, check_seed, seeded_rng
 
 __all__ = [
     "ThroughputModel",
@@ -54,7 +54,11 @@ _FEAS_TOL = 1e-9
 
 @dataclass
 class ThroughputModel:
-    """Selects a routing engine and its tie-breaking behaviour."""
+    """Selects a routing engine and its tie-breaking behaviour.
+
+    The random tie-break needs a seed; a seed, whenever given, must be a
+    nonnegative integer, and errors name it `tie_seed`, as configs do.
+    """
 
     kind: str = "dijkstra_homogeneous"
     tie_break: str = "sequential"
@@ -67,6 +71,8 @@ class ThroughputModel:
             raise ParameterError(f"unknown tie_break {self.tie_break!r}")
         if self.tie_break == "random" and self.seed is None:
             raise ParameterError("random tie-break requires a seed")
+        if self.seed is not None:
+            check_seed(self.seed, "tie_seed")
 
 
 @dataclass

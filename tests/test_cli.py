@@ -123,6 +123,16 @@ class TestElasticity:
         body = [l for l in target.read_text().splitlines() if not l.startswith("#")]
         assert len(body) == 1 + 6  # header + samples at k = 0..5
 
+    def test_negative_tie_seed_is_3_before_any_evaluation(self, star_file, capsys, monkeypatch):
+        # it used to be refused at the first evaluation, by the tie-break's generator
+        calls, evaluate = [], ne.throughput.evaluate_throughput
+        monkeypatch.setattr(ne.throughput, "evaluate_throughput", lambda *a, **k: calls.append(a) or evaluate(*a, **k))
+        args = ["elasticity", "--input", str(star_file), "--attack", "highest_degree",
+                "--tie-break", "random", "--tie-seed", "-1"]
+        assert main(args) == 3
+        assert capsys.readouterr().err == "netelast: parameter error: tie_seed must be >= 0, got -1\n"
+        assert calls == []
+
 
 class TestBound:
     def test_discrete_value(self, capsys):
@@ -214,6 +224,22 @@ class TestRun:
     def test_bad_topology_name_is_2(self, tmp_path, name, capsys):
         (tmp_path / "grid.ini").write_text(f"[experiment]\n[topology:{name}]\nfamily = mesh\nn = 8\n")
         assert main(["run", "--config", str(tmp_path / "grid.ini")]) == 2
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize(
+        "body, text",
+        [
+            ("family = mesh\nn = abc\n", "key 'n' is not an integer"),
+            ("family = gilbert\nn = 10\np = x\n", "key 'p' is not a number"),
+            ("family = near_regular\nrows = 3\ncols = 3\ndiagonals = maybe\n", "key 'diagonals' is not a boolean"),
+        ],
+        ids=["n", "p", "diagonals"],
+    )
+    def test_topology_value_of_the_wrong_type_is_2(self, tmp_path, body, text, capsys):
+        # each used to read "bad numeric value in topology 'g'", naming neither key nor type
+        (tmp_path / "grid.ini").write_text("[experiment]\n[topology:g]\n" + body)
+        assert main(["run", "--config", str(tmp_path / "grid.ini")]) == 2
+        assert capsys.readouterr().err == f"netelast: parse error: topology 'g': {text}\n"
         assert not (tmp_path / "results").exists()
 
     def test_unknown_topology_key_is_2(self, tmp_path, capsys):

@@ -183,7 +183,7 @@ class TestLoadConfig:
         "body, message",
         [
             ("n = 4\n", "topology 'x' needs either `path` or `family`"),
-            ("family = mesh\nn = abc\n", "bad numeric value in topology 'x'"),
+            ("family = mesh\nn = abc\n", "topology 'x': key 'n' is not an integer"),
         ],
         ids=["no_family", "bad_number"],
     )
@@ -224,6 +224,31 @@ class TestLoadConfig:
         # neither used to reach run_experiment and end it with an AttributeError
         with raises_exactly(ne.ParameterError, "topology 'x' needs either a spec or a path, not both"):
             experiment.TopologyDecl("x", **given)
+
+    @pytest.mark.parametrize("name", ["", "a,b", "x/y"])
+    def test_topology_decl_refuses_a_name_that_breaks_output_files(self, name):
+        # "a,b" used to write a tradeoff.csv row of 8 cells under 7 headers, and
+        # "x/y" computed every curve and then failed with FileNotFoundError
+        text = f"topology name must be nonempty text without ',' or '/', got {name!r}"
+        with raises_exactly(ne.ParameterError, text):
+            experiment.TopologyDecl(name, spec=ne.GeneratorSpec("mesh", n=5))
+
+    @pytest.mark.parametrize(
+        "body, text",
+        [
+            ("[experiment]\noutput_dir = out%\n[topology:a]\nfamily = mesh\nn = 4\n",
+             "key 'output_dir': '%' must be followed by '%' or '(', found: '%'"),
+            ("[experiment]\n[topology:a]\nfamily = mesh\nn = 4%\n",
+             "topology 'a': key 'n': '%' must be followed by '%' or '(', found: '%'"),
+        ],
+        ids=["experiment", "topology"],
+    )
+    def test_stray_percent_sign_named(self, tmp_path, body, text):
+        # configparser's interpolation error used to end the run with a traceback
+        p = tmp_path / "c.ini"
+        p.write_text(body)
+        with raises_exactly(ne.ParseError, text):
+            load_config(p)
 
     def test_unknown_attack_kind_rejected(self):
         with pytest.raises(ne.ParameterError, match="unknown attack kind 'cascade'"):
@@ -270,7 +295,8 @@ class TestLoadConfig:
     def test_name_that_breaks_output_files(self, tmp_path, name):
         p = tmp_path / "bad.ini"
         p.write_text(f"[experiment]\n[topology:{name}]\nfamily = mesh\nn = 4\n")
-        with pytest.raises(ne.ParseError, match=f"topology:{name}"):
+        text = f"topology {name!r}: topology name must be nonempty text without ',' or '/', got {name!r}"
+        with raises_exactly(ne.ParseError, text):
             load_config(p)
 
     @pytest.mark.parametrize("typo", ["atacks = random", "stop_fracton = 0.5"])

@@ -37,7 +37,7 @@ class TestGilbert:
             ne.gen_gilbert(10, 1.5, seed=1)
 
     def test_too_small_rejected(self):
-        with raises_exactly(ne.ParameterError, "gilbert needs n >= 2, got 1"):
+        with raises_exactly(ne.ParameterError, "gilbert needs an integer n >= 2, got 1"):
             ne.gen_gilbert(1, 0.5, seed=0)
 
 
@@ -137,7 +137,7 @@ class TestMesh:
         assert all(g.degree(v) == 3 for v in g.nodes)
 
     def test_too_small_rejected(self):
-        with raises_exactly(ne.ParameterError, "mesh needs n >= 2, got 1"):
+        with raises_exactly(ne.ParameterError, "mesh needs an integer n >= 2, got 1"):
             ne.gen_mesh(1)
 
 

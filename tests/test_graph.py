@@ -123,7 +123,7 @@ class TestEdgeList:
 
 class TestGraph:
     def test_negative_node_count_rejected(self):
-        with raises_exactly(ne.ParameterError, "node count must be nonnegative, got -1"):
+        with raises_exactly(ne.ParameterError, "node count must be a nonnegative integer, got -1"):
             ne.Graph(-1)
 
     def test_remove_node_k3(self):

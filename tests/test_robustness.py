@@ -685,11 +685,20 @@ class TestMeshBounds:
                 c = ne.mesh_elasticity_continuous(n, zeta)
                 assert abs(d - c) <= 1 / n
 
+    @pytest.mark.parametrize("n", [2, 3, 10, 1000])
+    def test_continuous_is_continuous_at_full_removal_and_monotone(self, n):
+        # on (n-1, n) the integral used to take in the negative part of
+        # (n-k)(n-k-1): for n = 2 it gave 0.1667 at zeta = 1.999999, 0.2083 at 2
+        full = ne.mesh_elasticity_continuous(n)
+        assert ne.mesh_elasticity_continuous(n, n - 1e-6) == ne.mesh_elasticity_continuous(n, n) == full
+        values = [ne.mesh_elasticity_continuous(n, zeta) for zeta in np.linspace(0, n, 401)]
+        assert all(a <= b for a, b in zip(values, values[1:]))
+
     def test_continuous_partial_at_zero_is_zero(self):
         assert ne.mesh_elasticity_continuous(15, 0) == 0.0
 
     def test_continuous_zeta_past_n_rejected(self):
-        with raises_exactly(ne.ParameterError, "zeta must be in [0, 5], got 7"):
+        with raises_exactly(ne.ParameterError, "zeta must be a number in [0, 5], got 7"):
             ne.mesh_elasticity_continuous(5, 7)
 
     @pytest.mark.parametrize(
@@ -763,7 +772,7 @@ class TestTradeoff:
             ne.tradeoff_re(0.1, 0.1, 0.1, 1, 0)
 
     def test_negative_link_count_rejected(self):
-        with raises_exactly(ne.ParameterError, "need m >= 0, got -1"):
+        with raises_exactly(ne.ParameterError, "need an integer m >= 0, got -1"):
             ne.tradeoff_re(0.1, 0.1, 0.1, 5, -1)
 
 

@@ -514,17 +514,26 @@ class TestModelValidation:
             ThroughputModel(tie_break="random")
 
     def test_negative_tie_seed_rejected(self):
-        model = ThroughputModel(tie_break="random", seed=-1)
-        with pytest.raises(ne.ParameterError, match="seed must be >= 0"):
-            ne.evaluate_throughput(ne.gen_mesh(4), model)
+        # it used to build, and was refused at the first evaluation
+        with raises_exactly(ne.ParameterError, "tie_seed must be >= 0, got -1"):
+            ThroughputModel(tie_break="random", seed=-1)
 
     def test_tie_seed_that_is_not_an_integer_rejected(self):
         # both used to escape as numpy's TypeError
-        model = ThroughputModel(tie_break="random", seed=1.5)
-        with raises_exactly(ne.ParameterError, "seed must be an integer, got 1.5"):
-            ne.evaluate_throughput(ne.gen_mesh(4), model)
-        with raises_exactly(ne.ParameterError, "seed must be an integer, got 1.5"):
+        with raises_exactly(ne.ParameterError, "tie_seed must be an integer, got 1.5"):
+            ThroughputModel(tie_break="random", seed=1.5)
+        with raises_exactly(ne.ParameterError, "tie_seed must be an integer, got 1.5"):
             ne.shortest_path_tree(ne.gen_mesh(4), 0, "random", 1.5)
+
+    @pytest.mark.parametrize(
+        "seed, text",
+        [(-1, "tie_seed must be >= 0, got -1"), (1.5, "tie_seed must be an integer, got 1.5")],
+        ids=["negative", "float"],
+    )
+    def test_bad_tie_seed_refused_under_the_sequential_tie_break(self, seed, text):
+        # it does not draw, but its seed is checked as a config's tie_seed is
+        with raises_exactly(ne.ParameterError, text):
+            ThroughputModel(tie_break="sequential", seed=seed)
 
     def test_random_tie_break_mean_close_to_sequential(self):
         # the modified tie-break changes throughput only marginally
