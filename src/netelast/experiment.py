@@ -21,8 +21,9 @@ import numpy as np
 
 from .errors import NetelastError, ParameterError, ParseError
 from .generators import GeneratorSpec, _param_types
-from .graph import METRICS_CSV_HEADER, Graph, MetricsReport, _require_pairs, fmt, load_edge_list, metrics, write_lines
-from .robustness import ATTACK_KINDS, AttackStrategy, ElasticityCurve, TradeoffParams, _Plan, _run_plans
+from .graph import METRICS_CSV_HEADER, Graph, MetricsReport, _is_id, _require_pairs, fmt, load_edge_list, metrics
+from .graph import write_lines
+from .robustness import ATTACK_KINDS, AttackStrategy, ElasticityCurve, TradeoffParams, _run_plans
 from .robustness import check_stop_fraction, tradeoff_re
 from .throughput import ThroughputModel
 
@@ -86,6 +87,8 @@ class ExperimentConfig:
         if len(set(self.attacks)) != len(self.attacks):
             raise ParameterError("attack kinds must be unique")
         check_stop_fraction(self.stop_fraction)
+        if not _is_id(self.global_seed):
+            raise ParameterError(f"global_seed must be an integer, got {self.global_seed!r}")
         # the strategies of any topology, built once to check kinds and batch
         for kind in self.attacks:
             _attack_strategy(self, "", kind)
@@ -238,9 +241,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     logged and surfaces as NaN in the tables; the rest of the grid still runs.
     Each metrics row reads its distances from the traversal of the
     topology's intact evaluation.  The graphs are built here; every
-    topology's evaluations are tasks of one pool of worker processes, heads
-    first (see robustness._Plan and _pool_size), and the curves, metrics
-    rows and files are made here, in config order.
+    topology's evaluations are tasks of one pool of worker processes, its
+    head followed by its lanes (see robustness._run_plans), and the curves,
+    metrics rows and files are made here, in config order.
     """
     out = Path(config.output_dir)
     curves_dir = out / "curves"
@@ -264,9 +267,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     curves: dict[tuple[str, str], ElasticityCurve] = {}
     reports: dict[str, MetricsReport] = {}
-    strategies = {name: [_attack_strategy(config, name, kind) for kind in config.attacks] for name in graphs}
-    plans = [_Plan(g, strategies[name], config.model, config.stop_fraction) for name, g in graphs.items()]
-    outputs, workers = _run_plans(plans)
+    jobs = [(g, [_attack_strategy(config, name, kind) for kind in config.attacks]) for name, g in graphs.items()]
+    outputs, workers = _run_plans(jobs, config.model, config.stop_fraction)
     for (name, g), (cells, profile) in zip(graphs.items(), outputs):
         for kind, curve in zip(config.attacks, cells):
             if not isinstance(curve, ElasticityCurve):

@@ -102,10 +102,13 @@ def gen_preferential_attachment(n: int, m: int, seed: int) -> Graph:
 
 def gen_near_regular(rows: int, cols: int, diagonals: bool = False) -> Graph:
     """Planar grid with unit edges; with diagonals, nodes at distance
-    sqrt(2) are connected as well.  Deterministic.
+    sqrt(2) are connected as well; `diagonals` is a bool (Python or
+    numpy).  Deterministic.
     """
     if not (_is_id(rows) and _is_id(cols) and rows >= 2 and cols >= 2):
         raise ParameterError(f"grid needs integer rows, cols >= 2, got {rows!r}x{cols!r}")
+    if not isinstance(diagonals, (bool, np.bool_)):
+        raise ParameterError(f"diagonals must be a bool, got {diagonals!r}")
     ids = np.arange(rows * cols).reshape(rows, cols)
     # right, down, and with diagonals down-right and down-left neighbours
     links = [(ids[:, :-1], ids[:, 1:]), (ids[:-1, :], ids[1:, :])]

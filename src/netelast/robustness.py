@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _csr
 from .errors import ComputeError, NetelastError, ParameterError
-from .graph import Graph, _is_id, _is_real, betweenness, fmt, seeded_rng, write_lines
+from .graph import Graph, _is_id, _is_real, betweenness, check_seed, fmt, seeded_rng, write_lines
 from .throughput import ThroughputModel, check_size, raw_throughput
 
 __all__ = [
@@ -45,6 +45,8 @@ class AttackStrategy:
     every batch; recompute=False ranks once on the intact graph; it is a bool
     (Python or numpy).  `batch` is the number of nodes removed per throughput
     re-evaluation, an integer (Python or numpy, not a bool) of at least 1.
+    A random attack needs a `seed` that passes check_seed; the others take
+    none.
     """
 
     kind: str
@@ -61,7 +63,9 @@ class AttackStrategy:
             raise ParameterError(f"recompute must be a bool, got {self.recompute!r}")
         if self.kind == "random" and self.seed is None:
             raise ParameterError("random attack requires a seed")
-        if self.kind != "random" and self.seed is not None:
+        if self.kind == "random":
+            check_seed(self.seed)
+        elif self.seed is not None:
             raise ParameterError(f"{self.kind} attack takes no seed")
 
 
@@ -108,26 +112,22 @@ def _attack(g: Graph, strategy: AttackStrategy, limit: int, model: ThroughputMod
     of the copy under `model`, or None) after each state i of this lane,
     those with i % lanes == lane.
 
-    Random and static orders are fixed on the intact graph, and the copy
-    catches up on their removals only before a state it evaluates, so
-    without a model it removes none.  Adaptive rankings are recomputed on
-    the copy before every batch, so every batch is removed.  A betweenness
-    ranking reads `scores` on the intact graph and, after a batch, the
-    betweenness that the copy's evaluation returned.
+    Every batch is removed from the copy as soon as it is taken, so the
+    copy always holds the state the walk reached.  Random and static orders
+    are fixed on the intact graph; adaptive rankings are recomputed on the
+    copy before every batch.  A betweenness ranking reads `scores` on the
+    intact graph and, after a batch, the betweenness that the copy's
+    evaluation returned.
     """
     order = _order(g, strategy, scores)
     rerank = order is None and strategy.kind == "highest_betweenness"
-    work, done = g.copy(), 0
+    work = g.copy()
     for i, removed in enumerate(range(0, limit, strategy.batch)):
         end = min(removed + strategy.batch, limit)
-        own = i % lanes == lane
-        evaluate = own and model is not None
         batch = _rank(work, strategy.kind, scores)[: end - removed] if order is None else order[removed:end]
-        if order is None or evaluate:
-            work.remove_nodes(batch if order is None else order[done:end])
-            done = end
-        raw, rank = None, rerank and end < limit
-        if evaluate or rank:
+        work.remove_nodes(batch)
+        own, rank = i % lanes == lane, rerank and end < limit
+        if own or rank:
             raw, scores = _evaluate(work, model, rank)
         if own:
             yield batch, raw
@@ -219,7 +219,7 @@ def _curves(
 ) -> list[ElasticityCurve | NetelastError]:
     """elasticity() of `g` under each of `strategies`, or the error that ended
     that curve: one _Plan, run by _run_plans."""
-    ((cells, _),), _ = _run_plans([_Plan(g, strategies, model, stop_fraction)])
+    ((cells, _),), _ = _run_plans([(g, strategies)], model, stop_fraction)
     return cells
 
 
@@ -285,26 +285,26 @@ class _Plan:
             total += _LP_UNIT * k * k * arcs if kind == "lp_optimization" else route
         return total
 
-    def tasks(self, width: int) -> tuple[list[tuple], list[tuple]]:
-        """([the head task], the lane tasks), each as (function, *arguments),
+    def tasks(self, width: int) -> list[tuple]:
+        """The head task, then the lane tasks, each as (function, *arguments),
         at most `width` lanes per curve; none if the graph is refused.  Sets
         `lanes`: per curve its lane count, 0 for one that runs in the head."""
         if self.refused:
-            return [], []
+            return []
         g, model, limit, strategies = self.g, self.model, self.limit, self.strategies
         curves = zip(strategies, self.steps)
         self.lanes = [0 if s.kind == "highest_betweenness" else min(width, len(steps)) for s, steps in curves]
         ranked = [s for s, w in zip(strategies, self.lanes) if not w]
         lanes = [(_lane, g, model, s, limit, None, j, w) for s, w in zip(strategies, self.lanes) for j in range(w)]
-        return [(_head, g, model, ranked, limit)], lanes
+        return [(_head, g, model, ranked, limit), *lanes]
 
-    def assemble(self, heads: list, lanes: list) -> tuple[list[ElasticityCurve | NetelastError], np.ndarray | None]:
+    def assemble(self, results: list) -> tuple[list[ElasticityCurve | NetelastError], np.ndarray | None]:
         """(per strategy its curve or the error that ended it, the intact
         graph's hop profile or None) from the results of tasks(), in their
-        order.  An error of the intact evaluation ends every curve."""
-        if self.refused:
-            return [self.refused] * len(self.strategies), None
-        ((alpha, ranked, profile),) = heads
+        order.  An error of the intact evaluation ends every curve; a
+        refused graph, which has no results, reads as one that failed with
+        its refusal."""
+        (alpha, ranked, profile), *lanes = results or [(self.refused, [], None)]
         if isinstance(alpha, NetelastError):
             return [alpha] * len(self.strategies), profile
         ranked, lanes = iter(ranked), iter(lanes)
@@ -370,18 +370,18 @@ def _pool_size(work: float) -> int:
     return len(affinity(0))
 
 
-def _run_plans(plans: list[_Plan]) -> tuple[list[tuple], int]:
-    """(every plan's assemble(), the number of worker processes or 1): every
-    plan's heads, then every plan's lanes, go through one _map at _pool_size
-    lanes per curve and at most one worker per task."""
+def _run_plans(graphs: list[tuple], model: ThroughputModel, stop_fraction: float) -> tuple[list[tuple], int]:
+    """(per (graph, strategies) of `graphs` the assemble() of its _Plan, the
+    number of worker processes or 1): every plan's tasks, each graph's head
+    followed by its lanes, go through one _map at _pool_size lanes per curve
+    and at most one worker per task."""
+    plans = [_Plan(g, strategies, model, stop_fraction) for g, strategies in graphs]
     width = _pool_size(math.fsum(p.work() for p in plans))
-    split = [p.tasks(width) for p in plans]
-    groups = [heads for heads, _ in split] + [lanes for _, lanes in split]
+    groups = [p.tasks(width) for p in plans]
     tasks = [task for group in groups for task in group]
     workers = min(width, len(tasks)) or 1
     done = iter(_map(tasks, workers))
-    got = [list(itertools.islice(done, len(group))) for group in groups]
-    return [plan.assemble(heads, lanes) for plan, heads, lanes in zip(plans, got, got[len(plans) :])], workers
+    return [plan.assemble(list(itertools.islice(done, len(group)))) for plan, group in zip(plans, groups)], workers
 
 
 def _call(task: tuple):

@@ -349,6 +349,15 @@ class TestDeriveSeed:
         assert derive_seed(42, "gi") != derive_seed(43, "gi")
         assert derive_seed(42, "gi", "random") != derive_seed(42, "gi")
 
+    @pytest.mark.parametrize("seed", [True, 1.5, "1"])
+    def test_global_seed_that_is_not_an_integer_rejected(self, seed):
+        # True used to derive other seeds than 1
+        with raises_exactly(ne.ParameterError, f"global_seed must be an integer, got {seed!r}"):
+            ne.ExperimentConfig([], global_seed=seed)
+
+    def test_negative_global_seed_accepted(self):
+        assert ne.ExperimentConfig([], global_seed=-4).global_seed == -4
+
 
 class TestRunExperiment:
     def test_report_bundle(self, config_dir):

@@ -126,6 +126,18 @@ class TestNearRegular:
         with pytest.raises(ne.ParameterError):
             ne.gen_near_regular(1, 5, False)
 
+    @pytest.mark.parametrize("diagonals", ["no", 1, None])
+    def test_diagonals_that_is_not_a_bool_rejected(self, diagonals):
+        # "no" used to build the diagonal grid
+        text = f"diagonals must be a bool, got {diagonals!r}"
+        with raises_exactly(ne.ParameterError, text):
+            ne.gen_near_regular(3, 3, diagonals)
+        with raises_exactly(ne.ParameterError, text):
+            ne.GeneratorSpec("near_regular", rows=3, cols=3, diagonals=diagonals).build()
+
+    def test_numpy_bool_diagonals_accepted(self):
+        assert [ne.gen_near_regular(3, 3, np.bool_(d)).number_of_edges for d in (False, True)] == [12, 20]
+
 
 class TestMesh:
     def test_counts(self):

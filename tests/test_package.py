@@ -117,6 +117,7 @@ GUARDED = [
     ("shortest_path_tree.seed", lambda v: ne.shortest_path_tree(ne.gen_mesh(4), 0, "random", v), 1, "seed"),
     ("compare_models.seed", lambda v: ne.compare_models(ne.gen_mesh(4), "random", v), 1, "seed"),
     ("AttackStrategy.batch", lambda v: ne.AttackStrategy("highest_degree", batch=v), 2, "count"),
+    ("AttackStrategy.seed", lambda v: ne.AttackStrategy("random", seed=v), 1, "seed"),
     ("attack_sequence.seed", lambda v: ne.attack_sequence(ne.gen_mesh(4), ne.AttackStrategy("random", seed=v)), 1, "seed"),
     (
         "elasticity.stop_fraction",
@@ -139,6 +140,7 @@ GUARDED = [
     ("tradeoff_re.m", lambda v: ne.tradeoff_re(0.1, 0.1, 0.1, 10, v), 20, "count"),
     ("ExperimentConfig.batch", lambda v: ne.ExperimentConfig([], batch=v), 2, "count"),
     ("ExperimentConfig.stop_fraction", lambda v: ne.ExperimentConfig([], stop_fraction=v), 0.5, "real"),
+    ("ExperimentConfig.global_seed", lambda v: ne.ExperimentConfig([], global_seed=v), 1, "seed"),
 ]
 
 

@@ -26,6 +26,10 @@ from conftest import (
     structure_oracle,
 )
 
+# (attack kind, recompute): the five attack forms
+POOL_FORMS = [("random", True), ("highest_degree", False), ("highest_degree", True),
+              ("highest_betweenness", False), ("highest_betweenness", True)]
+
 
 class TestAttackSequence:
     def test_star_degree_attack_hits_center_first(self):
@@ -71,26 +75,42 @@ class TestAttackSequence:
         assert static[:2] == [0, 1]
         assert adaptive[:2] == [0, 2]
 
-    def test_fixed_orders_remove_nothing(self, monkeypatch):
-        # a random or static order is read off the intact graph; only an
-        # adaptive ranking needs the copy to lose every batch
-        g = ne.gen_watts_strogatz(40, 4, 0.2, seed=5)
-        real, calls = ne.Graph.remove_nodes, []
-        monkeypatch.setattr(ne.Graph, "remove_nodes", lambda self, vs: calls.append(vs) or real(self, vs))
-        for strategy, removals in (
-            (AttackStrategy("random", seed=1, batch=3), 0),
-            (AttackStrategy("highest_degree", recompute=False, batch=3), 0),
-            (AttackStrategy("highest_betweenness", recompute=False, batch=3), 0),
-            (AttackStrategy("highest_degree", batch=3), 14),
-        ):
-            calls.clear()
-            assert sorted(ne.attack_sequence(g, strategy)) == g.nodes
-            assert len(calls) == removals
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("kind, recompute", POOL_FORMS)
+    def test_every_walk_removes_each_batch_it_takes(self, kind, recompute, batch, monkeypatch):
+        # the walk's copy always holds the state it reached: attack_sequence
+        # removes once per batch, and every evaluation of lane j of w sees
+        # the intact nodes minus the first `end` nodes of the order
+        g, model = ne.gen_watts_strogatz(13, 4, 0.3, seed=5), ThroughputModel()
+        strategy = AttackStrategy(kind, seed=7 if kind == "random" else None, recompute=recompute, batch=batch)
+        real_remove, removals = ne.Graph.remove_nodes, []
+        monkeypatch.setattr(ne.Graph, "remove_nodes", lambda self, vs: removals.append(list(vs)) or real_remove(self, vs))
+        order = ne.attack_sequence(g, strategy)
+        batches = [(start, min(start + batch, 13)) for start in range(0, 13, batch)]
+        assert removals == [order[start:end] for start, end in batches]
+        real_evaluate, seen = robustness._evaluate, []
+        monkeypatch.setattr(
+            robustness, "_evaluate", lambda h, *args: seen.append(h.nodes) or real_evaluate(h, *args)
+        )
+        scores = real_evaluate(g, model, kind == "highest_betweenness")[1]
+        rerank = kind == "highest_betweenness" and recompute
+        for w in (1, 2, 3):
+            for j in range(w):
+                seen.clear()
+                walked = list(robustness._attack(g, strategy, 13, model, scores, j, w))
+                assert [b for b, _ in walked] == [order[start:end] for start, end in batches[j::w]]
+                # an adaptive betweenness walk also ranks the states it does not own
+                evaluated = [end for i, (_, end) in enumerate(batches) if i % w == j or (rerank and end < 13)]
+                assert seen == [sorted(set(g.nodes) - set(order[:end])) for end in evaluated]
 
     def test_does_not_mutate_input(self):
         g = star_graph(4)
         ne.attack_sequence(g, AttackStrategy("highest_degree"))
         assert g.number_of_nodes == 4
+
+    def test_negative_random_seed_refused_when_built(self):
+        with raises_exactly(ne.ParameterError, "seed must be >= 0, got -1"):
+            AttackStrategy("random", seed=-1)
 
     def test_seed_validation(self):
         with pytest.raises(ne.ParameterError):
@@ -234,18 +254,19 @@ class TestElasticity:
         with raises_exactly(ne.ComputeError, "cannot attack an empty graph"):
             ne.elasticity(ne.Graph(0), AttackStrategy("random", seed=1))
 
-    def test_failed_cell_leaves_its_siblings(self):
-        # the intact evaluation succeeds; the random cell then fails on its seed
+    def test_failed_cell_leaves_its_siblings(self, monkeypatch):
+        # the intact evaluation succeeds; the random cell then fails on its order
         g = ne.gen_preferential_attachment(30, 2, seed=3)
-        bad, good = AttackStrategy("random", seed=-1), AttackStrategy("highest_degree")
+        bad, good = AttackStrategy("random", seed=1), AttackStrategy("highest_degree")
+        _fail_random_orders(monkeypatch)
         cells = robustness._curves(g, [bad, good], ThroughputModel(), 1.0)
-        assert [type(c) for c in cells] == [ne.ParameterError, ne.ElasticityCurve]
+        assert [type(c) for c in cells] == [ne.ComputeError, ne.ElasticityCurve]
 
         def state(c):
             return c.fractions.tobytes(), c.normalized.tobytes(), c.elasticity, c.alpha, c.strategy, c.model
 
         assert state(cells[1]) == state(ne.elasticity(g, good))
-        with pytest.raises(ne.ParameterError, match=re.escape(str(cells[0]))):
+        with pytest.raises(ne.ComputeError, match=re.escape(str(cells[0]))):
             ne.elasticity(g, bad)
 
     def test_mesh_attains_the_analytic_cap(self):
@@ -300,12 +321,22 @@ POOL_MODELS = [
     for kind in ("dijkstra_homogeneous", "dijkstra_heterogeneous", "lp_optimization")
     for tie_break in ("sequential", "random")
 ]
-POOL_FORMS = [("random", True), ("highest_degree", False), ("highest_degree", True),
-              ("highest_betweenness", False), ("highest_betweenness", True)]
 
 
 def _pool(monkeypatch, size):
     monkeypatch.setattr(robustness, "_pool_size", lambda work: size)
+
+
+def _fail_random_orders(monkeypatch):
+    """Make every random attack fail with a ComputeError as its walk starts."""
+    real_order = robustness._order
+
+    def order(g, strategy, scores):
+        if strategy.kind == "random":
+            raise ne.ComputeError("no order for the random attack")
+        return real_order(g, strategy, scores)
+
+    monkeypatch.setattr(robustness, "_order", order)
 
 
 def _state(c):
@@ -353,15 +384,16 @@ class TestStatePool:
 
     @pytest.mark.parametrize("size", [1, 2])
     def test_failed_order_keeps_its_error(self, size, monkeypatch):
-        # the random cell fails on its seed before any task; its sibling runs
+        # the random cell fails on its order in every lane; its sibling runs
         g = ne.gen_preferential_attachment(30, 2, seed=3)
-        bad, good = AttackStrategy("random", seed=-1), AttackStrategy("highest_degree")
+        bad, good = AttackStrategy("random", seed=1), AttackStrategy("highest_degree")
         want = ne.elasticity(g, good)
         _pool(monkeypatch, size)
+        _fail_random_orders(monkeypatch)
         with deadline(120):
             cells = robustness._curves(g, [bad, good], ThroughputModel(), 1.0)
-        assert [type(c) for c in cells] == [ne.ParameterError, ne.ElasticityCurve]
-        assert str(cells[0]) == "seed must be >= 0, got -1"
+        assert [type(c) for c in cells] == [ne.ComputeError, ne.ElasticityCurve]
+        assert str(cells[0]) == "no order for the random attack"
         assert _state(cells[1]) == _state(want)
 
     def test_oversized_lp_graph_submits_no_task(self, monkeypatch):
@@ -382,6 +414,37 @@ class TestStatePool:
             (ne.GraphSizeError, "optimization model limited to 30 nodes, got 40")
         ] * 5
         assert submitted == [[]]
+
+    def test_each_graph_sends_its_head_then_its_lanes(self, monkeypatch):
+        # the oversized middle graph is refused before any task and submits none
+        graphs = [ne.gen_watts_strogatz(10, 4, 0.3, seed=1), ne.gen_gilbert(40, 0.3, seed=1), ne.gen_mesh(6)]
+        strategies = [AttackStrategy("random", seed=7), AttackStrategy("highest_betweenness"),
+                      AttackStrategy("highest_degree", batch=3)]
+        model, submitted, real_map = ThroughputModel("lp_optimization"), [], robustness._map
+        monkeypatch.setattr(robustness, "_map", lambda tasks, workers: submitted.extend(tasks) or real_map(tasks, workers))
+        _pool(monkeypatch, 2)
+        with deadline(120):
+            outputs, workers = robustness._run_plans([(g, strategies) for g in graphs], model, 1.0)
+        # (function, graph, model, *rest): the head's rest is (betweenness
+        # strategies, limit), a lane's (strategy, limit, None, j, w)
+        which = {id(g): k for k, g in enumerate(graphs)}
+        got = [(fn, which[id(h)], *rest) for fn, h, _, *rest in submitted]
+
+        def tasks(k, limit):
+            lanes = [(robustness._lane, k, s, limit, None, j, 2) for s in strategies[::2] for j in range(2)]
+            return [(robustness._head, k, strategies[1:2], limit), *lanes]
+
+        assert got == tasks(0, 10) + tasks(2, 6)
+        assert workers == 2
+        assert [(type(c), str(c)) for c in outputs[1][0]] == [
+            (ne.GraphSizeError, "optimization model limited to 30 nodes, got 40")
+        ] * 3
+        assert outputs[1][1] is None
+        _pool(monkeypatch, 1)
+        for k in (0, 2):
+            alone = robustness._curves(graphs[k], strategies, model, 1.0)
+            assert [_state(c) for c in outputs[k][0]] == [_state(c) for c in alone]
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("size", [1, 2])
     @pytest.mark.parametrize("model", POOL_MODELS[::2], ids=lambda m: m.kind)
