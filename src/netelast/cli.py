@@ -18,6 +18,7 @@ from .graph import METRICS_CSV_HEADER, fmt, load_edge_list, metrics, save_edge_l
 from .robustness import (
     ATTACK_KINDS,
     AttackStrategy,
+    _keep_freed_heap,
     attack_sequence,
     elasticity,
     mesh_elasticity_continuous,
@@ -200,6 +201,9 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # the command's process is netelast's own, so its allocator may keep
+    # freed memory as a pool worker's does
+    _keep_freed_heap()
     try:
         return _COMMANDS[args.command](args)
     except ParseError as exc:

@@ -34,9 +34,11 @@ def gen_gilbert(n: int, p: float, seed: int) -> Graph:
     if not _is_real(p) or not 0.0 <= p <= 1.0:
         raise ParameterError(f"edge probability must be in [0, 1], got {p!r}")
     rng = seeded_rng(seed)
-    pairs = np.column_stack(np.triu_indices(n, k=1))
-    mask = rng.random(pairs.shape[0]) < p
-    return Graph.from_edges(n, pairs[mask])
+    # row i draws the uniforms of the pairs (i, i+1..n-1): the same stream in
+    # the order of np.triu_indices(n, k=1), in O(n + m) memory, not O(n^2)
+    hits = [i + 1 + np.flatnonzero(rng.random(n - 1 - i) < p) for i in range(n - 1)]
+    heads = np.repeat(np.arange(n - 1), [len(h) for h in hits])
+    return Graph.from_edges(n, np.column_stack((heads, np.concatenate(hits))))
 
 
 def gen_watts_strogatz(n: int, k: int, p: float, seed: int) -> Graph:

@@ -124,10 +124,13 @@ class Graph:
         order (_first_bad_pair) with its ids as given.
         """
         g = cls(n)
-        listed = edges if isinstance(edges, np.ndarray) else list(edges)
+        array = isinstance(edges, np.ndarray)
+        listed = edges if array else list(edges)
         given = np.asarray(listed)
-        # numpy rounds Python ints past the int64 range to float64, or boxes them
-        exact = np.array(listed, dtype=object) if given.dtype.kind in "fO" else given
+        # numpy rounds Python ints past the int64 range to float64, or boxes
+        # them; a float ndarray holds no Python int, so it is not copied
+        boxed = given.dtype.kind == "O" or (given.dtype.kind == "f" and not array)
+        exact = np.array(listed, dtype=object) if boxed else given
         if exact.dtype.kind == "O" and all(isinstance(x, int) for x in exact.flat):
             given = exact
         elif given.dtype.kind not in "iuf":

@@ -404,8 +404,33 @@ def _map(tasks: list[tuple], workers: int) -> list:
     # spawn would import it again in every worker.  imap, not map, raises
     # at the first failing task without waiting for the rest, and leaving
     # the block terminates the workers
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
+    with multiprocessing.get_context("fork").Pool(workers, initializer=_keep_freed_heap) as pool:
         return list(pool.imap(_call, tasks))
+
+
+def _keep_freed_heap() -> None:
+    """Let this process's C allocator keep the memory it frees for reuse.
+
+    An evaluation allocates and frees temporaries of up to a few MB per bfs,
+    route and brandes block (_csr._BLOCK_ARCS).  By default glibc serves a
+    block past 128 KB from fresh mmap'd pages and unmaps it on free, so each
+    evaluation page-faults its temporaries again: 14-17K faults per routing
+    of PA(1000, 2) or WS(1000, 6, 0.3).  With these thresholds the blocks
+    come from the heap, which keeps up to 64 MiB free at its top.  Called
+    once per pool worker and by the netelast command, never by `import
+    netelast` or a library call that runs in the caller's process.  A no-op
+    where the C library has no mallopt (not glibc)."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no such symbol, or no dlopen(NULL) (Windows)
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    # M_MMAP_THRESHOLD (malloc.h): 32 MiB, where glibc's own dynamic threshold stops on a 64-bit host
+    mallopt(-3, 32 << 20)
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 # -- analytic mesh bounds -------------------------------------------------------

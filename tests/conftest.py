@@ -5,15 +5,28 @@ BFS and explicit path enumeration, so they can argue with the real
 implementations.
 """
 
+import os
 import signal
+import subprocess
+import sys
 from collections import deque
 from contextlib import contextmanager
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import netelast as ne
+
+
+def run_python(script, *paths):
+    """stdout lines of `script` in a fresh interpreter, with `paths` and then
+    netelast's source directory first on PYTHONPATH."""
+    src = Path(ne.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [*map(str, paths), str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout.splitlines()
 
 
 # -- builders -----------------------------------------------------------------

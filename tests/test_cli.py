@@ -5,6 +5,7 @@ import io
 import pytest
 
 import netelast as ne
+from netelast import cli
 from netelast.cli import main
 from netelast.graph import save_edge_list
 
@@ -292,3 +293,11 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["bound", "--n", "10", "--mode", "sideways"])
         assert exc.value.code == 2
+
+
+def test_the_command_keeps_its_freed_heap(monkeypatch, capsys):
+    # the command's process is netelast's own; a library caller's is not
+    calls = []
+    monkeypatch.setattr(cli, "_keep_freed_heap", lambda: calls.append(1))
+    assert main(["bound", "--n", "10", "--mode", "discrete"]) == 0
+    assert calls == [1]

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,34 @@ class TestGilbert:
     def test_too_small_rejected(self):
         with raises_exactly(ne.ParameterError, "gilbert needs an integer n >= 2, got 1"):
             ne.gen_gilbert(1, 0.5, seed=0)
+
+    @staticmethod
+    def triu_gilbert(n, p, seed):
+        """The reference: one uniform per pair of np.triu_indices, in O(n^2) memory."""
+        pairs = np.column_stack(np.triu_indices(n, k=1))
+        mask = np.random.default_rng(seed).random(pairs.shape[0]) < p
+        return ne.Graph.from_edges(n, pairs[mask])
+
+    @pytest.mark.parametrize(
+        "n,p,seed",
+        [(n, p, 7) for n in (2, 3, 60, 1000) for p in (0.0, 0.0091, 0.3, 1.0)]
+        + [(60, 0.3, np.int64(7)), (60, 0.3, 2**63 + 5), (60, np.float32(0.3), 7), (1000, np.float32(0.0091), 2**63 + 5)],
+    )
+    def test_same_csr_as_one_draw_over_all_pairs(self, n, p, seed):
+        got, want = ne.gen_gilbert(n, p, seed=seed).csr(), self.triu_gilbert(n, p, seed).csr()
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_memory_is_linear_in_nodes_and_edges(self):
+        # the pairs of np.triu_indices alone take 72 MB at n = 3000, and the
+        # whole transient peaked at 138 MB; the graph itself has ~13.5K edges
+        tracemalloc.start()
+        try:
+            ne.gen_gilbert(3000, 0.003, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestWattsStrogatz:

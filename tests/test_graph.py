@@ -346,6 +346,23 @@ class TestGraph:
                 warnings.simplefilter("error")
                 ne.Graph.from_edges(3, [(0, 1), (0, big)])
 
+    def test_float_array_reads_as_the_int_array(self):
+        def built(edges):
+            try:
+                return ne.Graph.from_edges(60, edges).csr()
+            except ne.ParameterError as err:
+                return str(err), err.row
+
+        edges = np.array(ne.gen_watts_strogatz(60, 4, 0.3, seed=1).edges())
+        cases = [edges, edges[::-1], np.vstack((edges, [[5, 5]])), np.vstack((edges[:3], [[0, 60]])),
+                 np.vstack((edges[:3], [[-1, 2]])), np.vstack((edges[:9], edges[4:5, ::-1]))]
+        for ints in cases:
+            want, got = built(ints), built(ints.astype(np.float64))
+            if isinstance(want[0], str):
+                assert got == want
+            else:
+                assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in want]
+
     def test_from_edges_names_the_first_bad_pair(self, rng):
         # the reference adds the pairs one at a time and stops at the first
         # that add_edge rejects

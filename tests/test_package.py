@@ -1,16 +1,14 @@
 """The package: its public names, and what importing it loads."""
 
 import importlib
-import os
 import pkgutil
-import subprocess
-import sys
 from dataclasses import fields
-from pathlib import Path
 
 import pytest
 
 import netelast as ne
+
+from conftest import run_python
 
 
 def test_every_all_entry_resolves():
@@ -35,15 +33,6 @@ def test_package_names_are_the_modules_all():
     for module in modules:
         for name in module.__all__:
             assert getattr(ne, name) is getattr(module, name), f"{module.__name__}.{name}"
-
-
-def run_python(script, *paths):
-    """stdout lines of `script` in a fresh interpreter, with `paths` and then
-    netelast's source directory first on PYTHONPATH."""
-    src = Path(ne.__file__).resolve().parent.parent
-    path = os.pathsep.join(filter(None, [*map(str, paths), str(src), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout.splitlines()
 
 
 def test_import_loads_no_scipy_until_the_first_lp_solve():

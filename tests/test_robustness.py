@@ -1,5 +1,6 @@
 """Attack sequences, elasticity curves, analytic bounds, tradeoff score."""
 
+import ctypes
 import hashlib
 import io
 import math
@@ -22,6 +23,7 @@ from conftest import (
     path_graph,
     random_connected_graph,
     raises_exactly,
+    run_python,
     star_graph,
     structure_oracle,
 )
@@ -499,6 +501,38 @@ class TestStatePool:
             robustness._map([(time.sleep, 30)] * 3, 2)
         assert time.monotonic() - started < 10
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="the C library has no mallopt")
+    def test_workers_reuse_their_freed_heap(self):
+        # a bfs block of WS(400) holds 43,600 flat ids (349 KB), past glibc's
+        # default 128 KB mmap threshold: without the pool's initializer a
+        # worker faults ~4.5K pages per evaluation.  A fresh interpreter,
+        # since an earlier free of a large block in this one raises glibc's
+        # thresholds for its forks
+        out = run_python(
+            "import resource\n"
+            "import netelast as ne\n"
+            "from netelast import robustness\n"
+            "from netelast.throughput import raw_throughput\n"
+            "def second_faults(g):\n"
+            "    raw_throughput(g, ne.ThroughputModel())\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    raw_throughput(g, ne.ThroughputModel())\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+            "g = ne.gen_watts_strogatz(400, 6, 0.3, seed=1)\n"
+            "print(*robustness._map([(second_faults, g)] * 2, 2))\n"
+        )
+        assert all(int(faults) < 300 for faults in out[-1].split()), out
+
+    def test_library_calls_leave_the_allocator_alone(self, monkeypatch):
+        def refuse():
+            raise AssertionError("the allocator was changed")
+
+        monkeypatch.setattr(robustness, "_keep_freed_heap", refuse)
+        _pool(monkeypatch, 1)  # worth a pool, run in this process by _map with one worker
+        g = ne.gen_mesh(150)
+        assert robustness._Plan(g, [AttackStrategy("random", seed=1)], ThroughputModel(), 1.0).work() > robustness._POOL_BREAK_EVEN
+        ne.elasticity(g, AttackStrategy("random", seed=1))
 
     def test_curve_in_a_daemonic_process_runs_there(self):
         # worth a pool, but a pool worker may not start one: the curve runs in the worker
