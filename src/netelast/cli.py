@@ -113,7 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="analytic mesh elasticity bounds")
     p.add_argument("--n", required=True, help="mesh size, an integer (scientific notation accepted)")
     p.add_argument("--mode", required=True, choices=("discrete", "continuous"))
-    p.add_argument("--zeta", type=int, default=None, help="nodes removed (default: all)")
+    p.add_argument("--zeta", default=None,
+                   help="nodes removed, an integer in discrete mode, a real number in continuous mode "
+                        "(scientific notation accepted; default: all)")
 
     p = sub.add_parser("tradeoff", help="evaluate the elasticity/cost tradeoff score")
     p.add_argument("--a", type=float, required=True, help="elasticity under random attack")
@@ -157,19 +159,23 @@ def _cmd_elasticity(args) -> int:
     return 0
 
 
-def _cmd_bound(args) -> int:
+def _number(flag: str, text: str, integer: bool) -> int | float:
+    """The flag's `text` read as a float (scientific notation accepted), as
+    an int when `integer`; ParameterError naming the flag otherwise."""
     try:
-        n = int(float(args.n))
+        value = float(text)
+        if integer and value != int(value):  # int() refuses inf and nan
+            raise ParameterError(f"{flag} must be an integer, got {text!r}")
     except (ValueError, OverflowError):
-        raise ParameterError(f"--n must be a number, got {args.n!r}") from None
-    if n != float(args.n):
-        raise ParameterError(f"--n must be an integer, got {args.n!r}")
-    if args.mode == "discrete":
-        zeta = n if args.zeta is None else args.zeta
-        value = mesh_elasticity_discrete(n, zeta)
-    else:
-        value = mesh_elasticity_continuous(n, "all" if args.zeta is None else args.zeta)
-    print(fmt(value))
+        raise ParameterError(f"{flag} must be a number, got {text!r}") from None
+    return int(value) if integer else value
+
+
+def _cmd_bound(args) -> int:
+    n = _number("--n", args.n, integer=True)
+    discrete = args.mode == "discrete"
+    zeta = n if args.zeta is None else _number("--zeta", args.zeta, integer=discrete)
+    print(fmt(mesh_elasticity_discrete(n, zeta) if discrete else mesh_elasticity_continuous(n, zeta)))
     return 0
 
 

@@ -39,6 +39,8 @@ __all__ = [
 
 # the RankingRow column that holds each attack's elasticity
 _ELAS = dict(zip(ATTACK_KINDS, ("elas_r", "elas_d", "elas_b")))
+# the metrics of a topology that failed to load or has fewer than two nodes
+_NO_METRICS = MetricsReport(*[math.nan] * 6, degree_histogram={})
 
 
 def derive_seed(global_seed: int, *parts: str) -> int:
@@ -280,11 +282,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             log_lines.append(f"cell {name}/{kind}: elasticity={fmt(curve.elasticity)}")
         reports[name] = metrics(g, profile)
 
+    # a topology without metrics is NaN in every table: it has no curves, so
+    # its elasticities are NaN too
+    table = {d.name: reports.get(d.name, _NO_METRICS) for d in config.topologies}
     rows: list[RankingRow] = []
-    for decl in config.topologies:
-        name = decl.name
-        size = (reports[name].nodes, reports[name].links) if name in reports else (0, 0)
-        # a topology without metrics has no curves, so its elasticities are NaN
+    for name, report in table.items():
+        size = (report.nodes, report.links)
         elas = [curves[(name, k)].elasticity if (name, k) in curves else math.nan for k in ATTACK_KINDS]
         re_score = math.nan
         if all(map(math.isfinite, elas)):
@@ -295,10 +298,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 log_lines.append(f"tradeoff {name}: NaN ({exc})")
         rows.append(RankingRow(name, *size, *elas, re_score))
 
-    _write_metrics_csv(out / "metrics.csv", config, reports)
+    write_lines(out / "metrics.csv", [METRICS_CSV_HEADER, *(r.csv_row(name) for name, r in table.items())])
     _write_ranking_csv(out / "ranking.csv", rows)
     _write_tradeoff_csv(out / "tradeoff.csv", rows, config.tradeoff)
-    correlations = _write_correlations_csv(out / "correlations.csv", rows, reports, log_lines)
+    correlations = _write_correlations_csv(out / "correlations.csv", rows, table, log_lines)
 
     pool = f"{workers} worker processes" if workers > 1 else "no worker processes"
     log_lines.append(f"elapsed {time.monotonic() - started:.1f}s, {pool}")
@@ -312,18 +315,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         errors=errors,
         output_dir=out,
     )
-
-
-def _write_metrics_csv(path: Path, config: ExperimentConfig, reports: dict[str, MetricsReport]) -> None:
-    # a topology without metrics gets NaN in every column after its name
-    nan_cells = ",NaN" * METRICS_CSV_HEADER.count(",")
-    rows = [reports[d.name].csv_row(d.name) if d.name in reports else d.name + nan_cells for d in config.topologies]
-    write_lines(path, [METRICS_CSV_HEADER, *rows])
-
-
-def _cell(v) -> str:
-    """A table cell: floats in `fmt`, names and counts as they are."""
-    return fmt(v) if isinstance(v, float) else str(v)
 
 
 def _desc(rows: list[RankingRow], col: str) -> list[RankingRow]:
@@ -340,7 +331,7 @@ def _write_ranking_csv(path: Path, rows: list[RankingRow]) -> None:
     cols = ["links", *_ELAS.values()]
     lines = [",".join(f"{c}_name,{c}" for c in cols)]
     for ranked in zip(*(_desc(rows, c) for c in cols)):
-        lines.append(",".join(f"{r.name},{_cell(getattr(r, c))}" for r, c in zip(ranked, cols)))
+        lines.append(",".join(f"{r.name},{fmt(getattr(r, c))}" for r, c in zip(ranked, cols)))
     write_lines(path, lines)
 
 
@@ -348,7 +339,7 @@ def _write_tradeoff_csv(path: Path, rows: list[RankingRow], params: TradeoffPara
     tolerances = (f"{f.name.removesuffix('_tol')}={fmt(getattr(params, f.name))}" for f in fields(params))
     cols = ["name", "nodes", "links", *_ELAS.values(), "re_score"]
     lines = ["# tolerances " + " ".join(tolerances), ",".join(cols)]
-    lines.extend(",".join(_cell(getattr(r, c)) for c in cols) for r in _desc(rows, "re_score"))
+    lines.extend(",".join(fmt(getattr(r, c)) for c in cols) for r in _desc(rows, "re_score"))
     write_lines(path, lines)
 
 
@@ -359,7 +350,7 @@ def _write_correlations_csv(
     out: dict[tuple[str, str], float] = {}
     lines = ["metric,attack,pearson_r"]
     for metric in ("links", "heterogeneity", "asp"):
-        xs = [float(getattr(reports[r.name], metric)) if r.name in reports else math.nan for r in rows]
+        xs = [float(getattr(reports[r.name], metric)) for r in rows]
         for kind, col in _ELAS.items():
             r, why = _pearson(xs, [getattr(row, col) for row in rows], (metric, col))
             out[(metric, kind)] = r

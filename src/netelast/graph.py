@@ -39,11 +39,13 @@ _NODES_HEADER = re.compile(r"^#\s*nodes\s+(\d+)\s*$")
 EDGE_LIST_MAX_NODES = 10**7
 
 
-def fmt(x: float) -> str:
-    """CSV number format: 7 significant digits, `.` separator, literal NaN."""
-    if isinstance(x, float) and math.isnan(x):
-        return "NaN"
-    return f"{x:.7g}"
+def fmt(x) -> str:
+    """CSV cell format: a float (Python or numpy) in 7 significant digits
+    with a `.` separator and a literal NaN; anything else, such as a name or
+    a count, as str."""
+    if not isinstance(x, (float, np.floating)):
+        return str(x)
+    return "NaN" if math.isnan(x) else f"{x:.7g}"
 
 
 def check_seed(seed, name: str = "seed") -> None:
@@ -111,7 +113,7 @@ class Graph:
         if not _is_id(n) or n < 0:
             raise ParameterError(f"node count must be a nonnegative integer, got {n!r}")
         self._present = np.ones(n, dtype=bool)
-        self._set_arcs(np.zeros(n, dtype=np.int64), np.empty(0, dtype=np.int64))
+        self._set_arcs(np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
 
     # -- construction ------------------------------------------------------
 
@@ -151,26 +153,21 @@ class Graph:
             error.row = row  # load_edge_list names the row's line
             raise error
         e = given.astype(np.int64, copy=False)
-        indptr, indices = _csr.build_csr(*np.concatenate((e, e[:, ::-1])).T, n)
-        g._set_arcs(np.diff(indptr), indices)
+        g._set_arcs(*_csr.build_csr(*np.concatenate((e, e[:, ::-1])).T, n))
         return g
 
     def add_edge(self, u: int, v: int) -> None:
-        """Add edge u-v.  Rebuilds the arrays, so each call costs O(M): meant
-        for small hand-built graphs; bulk construction goes through
-        from_edges.
+        """Add edge u-v.  Rebuilds the CSR through _csr.build_csr, so each
+        call costs O(M log M): meant for small hand-built graphs; bulk
+        construction goes through from_edges.
         """
         u, v = self._check_node(u), self._check_node(v)
         if u == v:
             raise ParameterError(f"self-loop {u}-{v} not allowed")
         if self.has_edge(u, v):
             raise ParameterError(f"edge {u}-{v} already present")
-        a, b = min(u, v), max(u, v)
-        # row a precedes row b, so equal slots still insert b before a
-        at = [self._slot(a, b), self._slot(b, a)]
-        counts = np.diff(self._indptr)
-        counts[[a, b]] += 1
-        self._set_arcs(counts, np.insert(self._indices, at, [b, a]))
+        tails = np.append(_csr.arc_tails(self._indptr), [u, v])
+        self._set_arcs(*_csr.build_csr(tails, np.append(self._indices, [v, u]), self.id_space))
 
     def remove_node(self, v: int) -> None:
         """Delete v and its incident edges; the id stays allocated but inert."""
@@ -195,7 +192,8 @@ class Graph:
         counts -= np.bincount(self._indices[out], minlength=counts.size)
         counts[gone] = 0
         self._present[gone] = False
-        self._set_arcs(counts, self._indices[~(out | gone[self._indices])])
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        self._set_arcs(indptr, self._indices[~(out | gone[self._indices])])
 
     def copy(self) -> "Graph":
         g = Graph.__new__(Graph)
@@ -205,16 +203,15 @@ class Graph:
         return g
 
     def __getstate__(self):
-        return self._present, np.diff(self._indptr), self._indices
+        return self._present, self._indptr, self._indices
 
     def __setstate__(self, state) -> None:
         """Unpickled and deep-copied arrays are writeable: make them read-only."""
-        self._present, counts, indices = state
-        self._set_arcs(counts, indices)
+        self._present, indptr, indices = state
+        self._set_arcs(indptr, indices)
 
-    def _set_arcs(self, counts: np.ndarray, indices: np.ndarray) -> None:
-        """Rebind the read-only CSR from per-row arc counts and row-sorted heads."""
-        indptr = np.concatenate(([0], np.cumsum(counts)))
+    def _set_arcs(self, indptr: np.ndarray, indices: np.ndarray) -> None:
+        """Rebind the CSR, rows sorted by head, and make its arrays read-only."""
         indptr.flags.writeable = indices.flags.writeable = False
         self._indptr, self._indices = indptr, indices
 
@@ -245,13 +242,9 @@ class Graph:
         if not (self.has_node(u) and self.has_node(v)):
             return False
         u, v = int(u), int(v)
-        i = self._slot(u, v)
-        return bool(i < self._indptr[u + 1] and self._indices[i] == v)
-
-    def _slot(self, u: int, v: int) -> int:
-        """Position of v in row u, or where it would be inserted."""
-        lo, hi = self._indptr[u], self._indptr[u + 1]
-        return int(lo + np.searchsorted(self._indices[lo:hi], v))
+        row = self._indices[self._indptr[u] : self._indptr[u + 1]]
+        i = np.searchsorted(row, v)
+        return bool(i < row.size and row[i] == v)
 
     def neighbors(self, v: int) -> list[int]:
         v = self._check_node(v)
@@ -387,7 +380,8 @@ class MetricsReport:
     """The structural metric suite of one graph.
 
     diameter and asp are measured in hops on the largest connected
-    component; they are NaN when that component is a single node.
+    component; they are NaN when that component is a single node.  A run's
+    tables give a topology without metrics a report that is NaN throughout.
     """
 
     nodes: int
@@ -399,8 +393,8 @@ class MetricsReport:
     degree_histogram: dict[int, int]
 
     def csv_row(self, name: str) -> str:
-        floats = (self.density, self.diameter, self.asp, self.heterogeneity)
-        return ",".join([name, str(self.nodes), str(self.links), *map(fmt, floats)])
+        cells = (name, self.nodes, self.links, self.density, self.diameter, self.asp, self.heterogeneity)
+        return ",".join(map(fmt, cells))
 
 
 def _require_pairs(g: Graph) -> int:

@@ -202,11 +202,13 @@ def elasticity(
     """Degradation curve and elasticity of `g` under one attack strategy.
 
     Throughput is evaluated on the intact graph (alpha) and after every
-    batch of removals until ceil(stop_fraction * N) nodes are gone; batches
-    wider than one node are linearly interpolated by the trapezoid rule.
-    The states of a random or degree attack are evaluated in parallel
-    worker processes when the curve is large enough to pay for them (see
-    _Plan and _pool_size).
+    batch of removals until the fraction of nodes gone, k / N in floats,
+    reaches stop_fraction: ceil(stop_fraction * N) nodes for a decimal or
+    a k / N that the float holds (0.07 of 100 nodes is 7, 5 / 6 of 6 is 5).
+    Batches wider than one node are linearly interpolated by the trapezoid
+    rule.  The states of a random or degree attack are evaluated in
+    parallel worker processes when the curve is large enough to pay for
+    them (see _Plan and _pool_size).
     """
     (curve,) = _curves(g, [strategy], model or ThroughputModel(), stop_fraction)
     if isinstance(curve, NetelastError):
@@ -266,7 +268,11 @@ class _Plan:
         except NetelastError as exc:
             self.refused = exc
             return
-        self.limit = math.ceil(stop_fraction * n)
+        # the fewest removals whose curve fraction k / n reaches the stop:
+        # ceil(stop_fraction * n) can overshoot it, as 0.07 * 100 is
+        # 7.000000000000001 in floats while 7 / 100 is 0.07
+        guess = math.ceil(stop_fraction * n)
+        self.limit = next(k for k in range(max(guess - 1, 1), n + 1) if k / n >= stop_fraction)
         # the nodes that each batch of each curve removes
         self.steps = [[min(s.batch, self.limit - r) for r in range(0, self.limit, s.batch)] for s in strategies]
 

@@ -7,7 +7,7 @@ import pytest
 import netelast as ne
 from netelast import cli
 from netelast.cli import main
-from netelast.graph import save_edge_list
+from netelast.graph import fmt, save_edge_list
 
 from conftest import star_graph
 
@@ -153,6 +153,24 @@ class TestBound:
         assert float(capsys.readouterr().out) == pytest.approx(
             ne.mesh_elasticity_discrete(20, 5), rel=1e-6
         )
+
+    @pytest.mark.parametrize("n, mode, zeta, value", [
+        ("1000", "continuous", "250.5", ne.mesh_elasticity_continuous(1000, 250.5)),
+        ("1e3", "continuous", "1e3", ne.mesh_elasticity_continuous(1000, 1000)),
+        ("20", "discrete", "5e0", ne.mesh_elasticity_discrete(20, 5)),
+    ])
+    def test_zeta_reads_what_the_library_takes(self, n, mode, zeta, value, capsys):
+        assert main(["bound", "--n", n, "--mode", mode, "--zeta", zeta]) == 0
+        assert capsys.readouterr().out == fmt(value) + "\n"
+
+    @pytest.mark.parametrize("zeta, message", [
+        ("2.5", "--zeta must be an integer, got '2.5'"),
+        ("five", "--zeta must be a number, got 'five'"),
+        ("inf", "--zeta must be a number, got 'inf'"),
+    ])
+    def test_discrete_zeta_must_be_an_integer(self, zeta, message, capsys):
+        assert main(["bound", "--n", "10", "--mode", "discrete", "--zeta", zeta]) == 3
+        assert capsys.readouterr().err == f"netelast: parameter error: {message}\n"
 
 
 class TestTradeoff:

@@ -106,6 +106,11 @@ class TestFmt:
 
     def test_nan_literal(self):
         assert fmt(math.nan) == "NaN"
+        assert fmt(np.float64(math.nan)) == "NaN"
+
+    def test_names_and_counts_as_str(self):
+        assert [fmt(x) for x in ("mesh10", 12, 10**8, np.int64(7))] == ["mesh10", "12", "100000000", "7"]
+        assert fmt(np.float32(1 / 3)) == "0.3333333"
 
 
 class TestLoadConfig:
@@ -427,6 +432,19 @@ class TestRunExperiment:
         assert ("ok", "random") in report.curves
         assert "ERROR" in (report.output_dir / "run.log").read_text()
 
+    def test_unreadable_topology_is_nan_in_every_table(self, tmp_path):
+        # its links cell used to read 0, which ranked it as a 0-link graph
+        (tmp_path / "grid.ini").write_text(
+            "[experiment]\noutput_dir = out\nattacks = random\n"
+            "[topology:ghost]\npath = nowhere.edges\n"
+            "[topology:ok]\nfamily = mesh\nn = 4\n"
+        )
+        out = run_experiment(load_config(tmp_path / "grid.ini")).output_dir
+        links = [line.split(",")[:2] for line in (out / "ranking.csv").read_text().splitlines()]
+        assert links == [["links_name", "links"], ["ok", "6"], ["ghost", "NaN"]]
+        assert "ghost,NaN,NaN,NaN,NaN,NaN,NaN" in (out / "metrics.csv").read_text().splitlines()
+        assert "ghost,NaN,NaN,NaN,NaN,NaN,NaN" in (out / "tradeoff.csv").read_text().splitlines()
+
     def test_negative_seed_yields_nan_row_and_run_continues(self, tmp_path):
         (tmp_path / "grid.ini").write_text(
             "[experiment]\noutput_dir = out\nattacks = highest_degree\n"
@@ -509,7 +527,7 @@ class TestRunExperiment:
         for name in ("metrics.csv", "ranking.csv", "tradeoff.csv", "correlations.csv"):
             assert (report.output_dir / name).exists()
         tradeoff = (report.output_dir / "tradeoff.csv").read_text().splitlines()
-        assert "one,0,0,NaN,NaN,NaN,NaN" in tradeoff
+        assert "one,NaN,NaN,NaN,NaN,NaN,NaN" in tradeoff
         for name in ("metrics.csv", "tradeoff.csv"):
             k4_rows = [r for r in (alone.output_dir / name).read_text().splitlines() if r.startswith("k4,")]
             assert len(k4_rows) == 1

@@ -242,6 +242,25 @@ class TestGraph:
                 g.remove_nodes(vs)
             assert state() == before
 
+    def test_add_edge_after_removals_matches_from_edges(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(3, 25))
+            pairs = [p for p in combinations(range(n), 2) if rng.random() < 0.3]
+            rng.shuffle(pairs)
+            cut = int(rng.integers(len(pairs) + 1))
+            gone = [int(v) for v in rng.choice(n, size=int(rng.integers(n - 1)), replace=False)]
+            g = ne.Graph.from_edges(n, pairs[:cut])
+            g.remove_nodes(gone)
+            added = [(u, v) for u, v in pairs[cut:] if g.has_node(u) and g.has_node(v)]
+            for u, v in added:
+                g.add_edge(v, u)
+            want = ne.Graph.from_edges(n, pairs[:cut] + added)
+            want.remove_nodes(gone)
+            assert g._present.tobytes() == want._present.tobytes()
+            for a, b in zip(g.csr(), want.csr()):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+
     @pytest.mark.parametrize(
         "v",
         [1.5, 1.0, True, np.float64(1.0), np.bool_(True), "1"],

@@ -178,6 +178,21 @@ class TestElasticity:
         assert c.fractions[-1] == pytest.approx(zeta / n)
         assert c.elasticity == pytest.approx(ne.mesh_elasticity_discrete(n, zeta), abs=1e-9)
 
+    def test_curve_stops_at_its_stop_fraction(self):
+        c = ne.elasticity(ne.gen_mesh(100), AttackStrategy("random", seed=1, batch=7), None, 0.07)
+        assert c.fractions.tolist() == [0.0, 0.07]
+        # the decimals s in {0.01, ..., 1.00} whose float product s * n rounds
+        # past the integer ceil(s * n) for some n <= 1000
+        over = [(i, n) for i in range(1, 101) for n in range(1, 1001)
+                if math.ceil(i / 100 * n) != math.ceil(Fraction(i, 100) * n)]
+        assert len(over) == 141 and (14, 50) in over and (68, 75) in over
+        # rationals k / n, which no finite decimal holds: 5 / 6 of 6 is 5
+        exact = [(k / n, n, k) for n in range(1, 61) for k in range(1, n + 1)]
+        cases = [(i / 100, n, math.ceil(Fraction(i, 100) * n)) for i, n in over] + exact
+        model, strategy = ThroughputModel(), AttackStrategy("random", seed=1, batch=1000)
+        for s, n, want in cases:
+            assert robustness._Plan(ne.Graph(n), [strategy], model, s).limit == want
+
     def test_adaptive_attack_ranks_and_removes_only_up_to_the_stop(self, monkeypatch):
         g = ne.gen_watts_strogatz(40, 4, 0.2, seed=5)
         strategy = AttackStrategy("highest_betweenness", batch=2)
