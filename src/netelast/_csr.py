@@ -10,9 +10,12 @@ through sweep, the one loop over blocks of sources; routing (route, with
 the residual engines' reachability), betweenness (brandes) and the
 hop-distance sums of `metrics` (hop_profile) all read its bfs results,
 Traversal records that carry their sources and id space, so these kernels
-take nothing else.
+take nothing else.  The id space is always indptr.size - 1.
 Connected components come from hook-and-shortcut rounds over the same
-arrays (component_labels), so the module needs numpy only.
+arrays (component_labels).  Every bfs takes them: the labels of a
+symmetric CSR that holds every arc it traverses (the graph's own CSR, for
+the residual CSRs kept from it), which bound what each source can reach.
+The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ def arc_tails(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
 
 
-def component_labels(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
+def component_labels(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """For every node id of a symmetric CSR, the smallest id in its
     connected component (a node without arcs is its own label).
 
@@ -67,7 +70,7 @@ def component_labels(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndar
     node, every tree is a star, every arc lies within one star, and each
     star's root is its component's smallest id.
     """
-    parent = np.arange(n, dtype=np.int64)
+    parent = np.arange(indptr.size - 1, dtype=np.int64)
     # rows without arcs would break reduceat's segments; they keep their id
     rows = np.flatnonzero(indptr[1:] > indptr[:-1])
     if not rows.size:
@@ -90,13 +93,6 @@ def component_labels(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndar
         grand = jumped
 
 
-def component_reach(indptr: np.ndarray, indices: np.ndarray, n: int, sources: np.ndarray) -> np.ndarray:
-    """Size of each source's connected component on a symmetric CSR: the
-    number of nodes a BFS from it reaches, itself included."""
-    labels = component_labels(indptr, indices, n)
-    return np.bincount(labels)[labels[sources]]
-
-
 def source_blocks(count: int, n: int, arcs: int) -> list[slice]:
     """Consecutive slices of `count` sources, each small enough for one
     batched bfs: at most _BLOCK_NODES flat ids, and at most _BLOCK_ARCS arcs
@@ -106,13 +102,13 @@ def source_blocks(count: int, n: int, arcs: int) -> list[slice]:
     return [slice(start, start + size) for start in range(0, count, size)]
 
 
-def sweep(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, n: int, reach=None):
+def sweep(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, labels: np.ndarray):
     """Batched bfs over `sources` in consecutive blocks (source_blocks),
     yielding (part, traversal) per block: the slice of `sources` it covers
-    and its bfs result.  `reach`, when given, holds each source's reach (see
-    bfs).  This is the only loop over source blocks."""
-    for part in source_blocks(len(sources), n, indices.size):
-        yield part, bfs(indptr, indices, sources[part], n, None if reach is None else reach[part])
+    and its bfs result (`labels` as in bfs).  This is the only loop over
+    source blocks."""
+    for part in source_blocks(len(sources), indptr.size - 1, indices.size):
+        yield part, bfs(indptr, indices, sources[part], labels)
 
 
 def gather_rows(
@@ -167,22 +163,28 @@ class Traversal(NamedTuple):
         return flat // self.n
 
 
-def bfs(indptr: np.ndarray, indices: np.ndarray, sources, n: int, reach=None) -> Traversal:
-    """Level-synchronous BFS from every node of `sources` at once, over an
-    id space of `n` nodes (see Traversal).
+def bfs(indptr: np.ndarray, indices: np.ndarray, sources, labels: np.ndarray) -> Traversal:
+    """Level-synchronous BFS from every node of `sources` at once, over the
+    id space of `indptr` (see Traversal).
 
-    `reach`, when given, is the number of nodes each source reaches, itself
-    included; a traversal that has found them all stops expanding, which
-    skips the last level's gather (every arc of a dense graph).
+    `labels` are the component labels (component_labels) of a symmetric CSR
+    that holds every arc of this one: the CSR itself, or the graph whose
+    arcs a residual CSR keeps.  A source reaches at most the rest of its
+    component there, so a traversal that has found all of it stops
+    expanding, which skips the last level's gather (every arc of a dense
+    graph); the arcs left to it lead to nodes already seen, so the result
+    is the same.  Labels that put every id in one component (np.zeros)
+    bound each source by the whole id space.
     """
+    n = indptr.size - 1
     frontier = np.arange(np.size(sources), dtype=np.int64) * n + sources
     dist = np.full(frontier.size * n, -1, dtype=np.int64)
     dist[frontier] = 0
     t = Traversal(np.atleast_1d(sources), n, dist, [frontier], [])
-    left = None if reach is None else np.asarray(reach, dtype=np.int64) - 1
+    # how many nodes each source has yet to find
+    left = np.bincount(labels)[labels[t.sources]] - 1
     while frontier.size:
-        if left is not None:
-            frontier = frontier[left[t.source_of(frontier)] > 0]
+        frontier = frontier[left[t.source_of(frontier)] > 0]
         tails, heads, arcs = gather_rows(indptr, indices, frontier, n)
         # an arc to a node unseen before this level crosses into the next
         # level, at distance d = len(frontiers); three gathers by position
@@ -194,8 +196,7 @@ def bfs(indptr: np.ndarray, indices: np.ndarray, sources, n: int, reach=None) ->
         t.level_edges.append((tails[cross], heads[cross], arcs[cross]))
         dist[t.level_edges[-1][1]] = d
         frontier = np.flatnonzero(dist == d)
-        if left is not None:
-            left -= np.bincount(t.source_of(frontier), minlength=left.size)
+        left -= np.bincount(t.source_of(frontier), minlength=left.size)
         t.frontiers.append(frontier)
     return t
 

@@ -349,7 +349,7 @@ def save_edge_list(g: Graph, target) -> None:
 def connected_components(g: Graph) -> list[list[int]]:
     """Partition of the present nodes, ordered by smallest member id, each
     component's members ascending."""
-    labels = _csr.component_labels(*g.csr(), g.id_space)
+    labels = _csr.component_labels(*g.csr())
     present = np.flatnonzero(g._present)
     # a label is its component's smallest member, so label order is the
     # order of the components
@@ -366,11 +366,9 @@ def betweenness(g: Graph) -> np.ndarray:
     slots get 0.
     """
     indptr, indices = g.csr()
-    n = g.id_space
-    accum = np.zeros(n)
-    sources = np.flatnonzero(g._present)
-    reach = _csr.component_reach(indptr, indices, n, sources)
-    for _, traversal in _csr.sweep(indptr, indices, sources, n, reach):
+    accum = np.zeros(g.id_space)
+    labels = _csr.component_labels(indptr, indices)
+    for _, traversal in _csr.sweep(indptr, indices, np.flatnonzero(g._present), labels):
         _csr.brandes(traversal, accum)
     return accum / 2.0
 
@@ -427,9 +425,9 @@ def metrics(g: Graph, profile: np.ndarray | None = None) -> MetricsReport:
     mean_deg = degs.mean()
     het = float(degs.std() / mean_deg) if mean_deg > 0 else 0.0
 
-    labels = _csr.component_labels(*g.csr(), g.id_space)[g._present]
+    labels = _csr.component_labels(*g.csr())
     # a label is its component's smallest id: argmax breaks ties by it
-    comp = np.flatnonzero(g._present)[labels == np.argmax(np.bincount(labels))]
+    comp = np.flatnonzero(g._present & (labels == np.argmax(np.bincount(labels[g._present]))))
     k = comp.size
     if k < 2:
         diameter = math.nan
@@ -437,7 +435,7 @@ def metrics(g: Graph, profile: np.ndarray | None = None) -> MetricsReport:
     else:
         if profile is None or (profile[1, comp] < 0).any():
             profile = np.full((2, g.id_space), -1)
-            for _, traversal in _csr.sweep(*g.csr(), comp, g.id_space, np.full(k, k)):
+            for _, traversal in _csr.sweep(*g.csr(), comp, labels):
                 _csr.hop_profile(traversal, profile)
         sums, ecc = profile[:, comp]
         diameter = float(ecc.max())

@@ -128,15 +128,15 @@ def shortest_path_tree(
     """
     source = g._check_node(source)
     rng = _tie_rng(ThroughputModel(tie_break=tie_break, seed=seed))
-    t = _csr.bfs(*g.csr(), source, g.id_space)
+    t = _csr.bfs(*g.csr(), source, _csr.component_labels(*g.csr()))
     # one source's rows, indexed by node id
     (pred,), (dist,) = t.rows(_csr.pick_predecessors(t, rng)[0]), t.rows(t.dist)
     return np.where(dist < 0, np.inf, dist.astype(float)), pred
 
 
-def _route_all(indptr, indices, sources, n, rng, reach=None, visit=None):
+def _route_all(indptr, indices, sources, labels, rng, visit=None):
     """Single-path routing from every source over the CSR arcs: one batched
-    bfs per block of sources (_csr.sweep, `reach` passed on), routed by _csr.route.
+    bfs per block of sources (_csr.sweep, `labels` passed on), routed by _csr.route.
 
     Returns (loads, reached): per arc (aligned with `indices`) the number of
     source->dest paths crossing it; and a bool matrix whose row i marks the
@@ -146,8 +146,8 @@ def _route_all(indptr, indices, sources, n, rng, reach=None, visit=None):
     reads betweenness and hop distances from this traversal.
     """
     loads = np.zeros(indices.size)
-    reached = np.zeros((len(sources), n), dtype=bool)
-    for part, traversal in _csr.sweep(indptr, indices, sources, n, reach):
+    reached = np.zeros((len(sources), indptr.size - 1), dtype=bool)
+    for part, traversal in _csr.sweep(indptr, indices, sources, labels):
         if visit is not None:
             visit(traversal)
         reached[part] = _csr.route(traversal, rng, loads)
@@ -164,8 +164,7 @@ def throughput_dijkstra_homogeneous(g: Graph, model: ThroughputModel | None = No
     """
     indptr, indices = g.csr()
     sources = np.flatnonzero(g._present)
-    reach = _csr.component_reach(indptr, indices, g.id_space, sources)
-    util, reached = _route_all(indptr, indices, sources, g.id_space, _tie_rng(model), reach, visit)
+    util, reached = _route_all(indptr, indices, sources, _csr.component_labels(indptr, indices), _tie_rng(model), visit)
     delta = 1.0 / util.max() if util.any() else 1.0
     return _Delivery(delta * np.count_nonzero(reached), sources, reached, delta)
 
@@ -182,7 +181,8 @@ def _fill_residual(g: Graph, fill, rng, visit, rounds_per_arc: int, failure: str
 
     Each arc of g.csr() starts with unit capacity.  Each round routes the
     present nodes (_route_all with `rng`) on the CSR of the arcs that still
-    have capacity (`residual`); only the first round, on g.csr() itself,
+    have capacity (`residual`), bounded by the components of g.csr(), which
+    holds every residual arc; only the first round, on g.csr() itself,
     passes on `visit`.  `fill(indptr, indices, residual, present, loads,
     reached)` returns (rate, utilization over those arcs): every pair
     (present[i], t) with reached[i, t] receives `rate`.  The loop subtracts
@@ -196,6 +196,7 @@ def _fill_residual(g: Graph, fill, rng, visit, rounds_per_arc: int, failure: str
     per-pair map, so it does not depend on the interpreter's sum().
     """
     indptr, indices = g.csr()
+    labels = _csr.component_labels(indptr, indices)
     capacity = np.ones(indices.size)
     present = np.flatnonzero(g._present)
     demand = np.zeros((present.size, g.id_space))
@@ -204,7 +205,7 @@ def _fill_residual(g: Graph, fill, rng, visit, rounds_per_arc: int, failure: str
         if not alive.any():
             break
         arcs = _csr.keep_arcs(indptr, indices, alive)
-        loads, reached = _route_all(*arcs, present, g.id_space, rng, visit=visit)
+        loads, reached = _route_all(*arcs, present, labels, rng, visit)
         visit = None
         rate, util = fill(*arcs, capacity[alive], present, loads, reached)
         if rate <= 0 or not reached.any():

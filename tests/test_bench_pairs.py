@@ -1,4 +1,5 @@
-"""The pair summary of tools/bench_pairs.py: bound check, gain rule and run health."""
+"""The pair summary of tools/bench_pairs.py: bound check, gain rule, spread
+and run health."""
 
 import importlib.util
 from pathlib import Path
@@ -16,15 +17,16 @@ SPECS = [
 ]
 
 
-def _runs(parent, change, broken=None):
-    """Ten pairs with the given (run_s, evals_per_s) per side; `broken`
-    marks one change run incorrect with one failed operation."""
+def _runs(parent, change, broken=None, step=0.01):
+    """Ten pairs with the given (run_s, evals_per_s) per side, each pair
+    `step` above the one before; `broken` marks one change run incorrect
+    with one failed operation."""
     runs = []
     for i in range(10):
         for side, (run_s, evals) in (("parent", parent), ("change", change)):
             runs.append({
                 "pair": i, "side": side, "correct": True, "failed": 0,
-                "metrics": {"run_s": {"value": run_s + 0.01 * i}, "evals_per_s": {"value": evals + 0.01 * i}},
+                "metrics": {"run_s": {"value": run_s + step * i}, "evals_per_s": {"value": evals + step * i}},
             })
     if broken is not None:
         runs[2 * broken + 1].update(correct=False, failed=1)
@@ -42,6 +44,18 @@ def test_regressed_past_the_bound(change, regressed):
     summary = bench_pairs._summary(_runs((4.0, 5.0), change), SPECS)
     assert summary["run_s"]["regressed"] is regressed
     assert summary["evals_per_s"]["regressed"] is regressed
+
+
+@pytest.mark.parametrize("parent, change, step, unresolved", [
+    # interquartile range 2.25 on medians near 6: wider than the 25 % bound
+    ((4.0, 5.0), (4.1, 4.9), 0.5, True),
+    ((4.0, 5.0), (4.1, 4.9), 0.01, False),
+    # as wide, but every change run beats every parent run
+    ((10.0, 5.0), (2.0, 20.0), 0.5, False),
+])
+def test_a_wide_spread_is_unresolved_unless_the_change_dominates(parent, change, step, unresolved):
+    summary = bench_pairs._summary(_runs(parent, change, step=step), SPECS)
+    assert [summary[m]["unresolved"] for m in ("run_s", "evals_per_s")] == [unresolved, unresolved]
 
 
 def test_an_incorrect_run_hides_the_gain():

@@ -566,9 +566,9 @@ class TestSharedIntactEvaluation:
         blocks, measured = [], []
         real_bfs, real_metrics = _csr.bfs, experiment.metrics
 
-        def bfs(indptr, indices, sources, n, reach=None):
+        def bfs(indptr, indices, sources, labels):
             blocks.append((indptr, np.atleast_1d(sources).tolist()))
-            return real_bfs(indptr, indices, sources, n, reach)
+            return real_bfs(indptr, indices, sources, labels)
 
         def metrics(g, profile=None):
             measured.append(g)

@@ -476,7 +476,7 @@ class TestComponents:
         )
         smallest = np.full(n, n)
         np.minimum.at(smallest, scipy_labels, np.arange(n))
-        assert np.array_equal(_csr.component_labels(indptr, indices, n), smallest[scipy_labels])
+        assert np.array_equal(_csr.component_labels(indptr, indices), smallest[scipy_labels])
         present = np.flatnonzero(g._present)
         comps = [present[scipy_labels[present] == c].tolist() for c in np.unique(scipy_labels[present])]
         assert ne.connected_components(g) == sorted(comps)

@@ -13,6 +13,7 @@ from netelast import _csr, robustness, throughput
 from netelast.throughput import ThroughputModel, _route_all, _solve_concurrent_lp
 
 from conftest import (
+    bfs_distances,
     cycle_graph,
     graph_from_edges,
     heterogeneous_oracle,
@@ -36,7 +37,7 @@ def lp_round(g):
     """
     indptr, indices = g.csr()
     sources = np.array(g.nodes)
-    _, reached = _route_all(indptr, indices, sources, g.id_space, None)
+    _, reached = _route_all(indptr, indices, sources, _csr.component_labels(indptr, indices), None)
     rate, util, flows = _solve_concurrent_lp(
         indptr, indices, np.ones(indices.size), sources, reached
     )
@@ -75,6 +76,24 @@ class TestShortestPathTree:
     def test_random_requires_seed(self):
         with pytest.raises(ne.ParameterError):
             ne.shortest_path_tree(cycle_graph(4), 0, tie_break="random")
+
+    def test_matches_bfs_oracle_with_removed_ids(self, rng):
+        for case in range(30):
+            n = int(rng.integers(2, 14))
+            g = ne.gen_gilbert(n, float(rng.uniform(0.1, 0.6)), seed=case)
+            g.remove_nodes(rng.choice(n, size=int(rng.integers(0, n // 2 + 1)), replace=False).tolist())
+            adj = {v: g.neighbors(v) for v in g.nodes}
+            for source in g.nodes:
+                want = bfs_distances(adj, source)
+                for tie_break, seed in (("sequential", None), ("random", case)):
+                    dist, pred = ne.shortest_path_tree(g, source, tie_break, seed)
+                    assert dist.tolist() == [want.get(v, np.inf) for v in range(n)]
+                    for v in range(n):
+                        if v == source or v not in want:
+                            assert pred[v] == -1
+                            continue
+                        parents = [u for u in adj[v] if want.get(u) == want[v] - 1]
+                        assert pred[v] == min(parents) if seed is None else pred[v] in parents
 
 
 class TestHomogeneous:
@@ -124,16 +143,18 @@ class TestHomogeneous:
         indptr, indices = g.csr()
         sources = np.flatnonzero(g._present)
         assert sources.size > _csr._BLOCK_NODES // g.id_space
-        reach = _csr.component_reach(indptr, indices, g.id_space, sources)
+        exact = _csr.component_labels(indptr, indices)
+        whole = np.zeros(g.id_space, dtype=np.int64)
 
         def runs():
             # sequential and seeded random tie-break, with and without the
-            # early stop at each source's component size
+            # early stop at each source's component size (exact labels, and
+            # one component that no source fills)
             out = []
             for seed in (None, 5):
-                for r in (reach, None):
+                for labels in (exact, whole):
                     rng = None if seed is None else np.random.default_rng(seed)
-                    loads, reached = _route_all(indptr, indices, sources, g.id_space, rng, r)
+                    loads, reached = _route_all(indptr, indices, sources, labels, rng)
                     out.append((loads.tobytes(), reached.tobytes()))
             return out
 
@@ -177,6 +198,55 @@ class TestHomogeneous:
         r = ne.throughput_dijkstra_homogeneous(pa25_without_0_5_11(), model)
         got = repr((r.raw_throughput, list(r.per_pair_delivered.items())))
         assert hashlib.sha256(got.encode()).hexdigest() == digest
+
+
+def _bfs_bytes(indptr, indices, sources, labels):
+    """Every block's bfs result (_csr.sweep) as bytes: dist, frontiers and
+    level edges."""
+    return [
+        (t.dist.tobytes(), [f.tobytes() for f in t.frontiers], [[a.tobytes() for a in e] for e in t.level_edges])
+        for _, t in _csr.sweep(indptr, indices, sources, labels)
+    ]
+
+
+class TestComponentBound:
+    """bfs stops a source once it has found its component: given the labels
+    of a symmetric CSR that holds every traversed arc, it returns what a bfs
+    bounded by nothing returns."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: ne.gen_gilbert(80, 0.03, seed=2),
+        lambda: ne.gen_watts_strogatz(40, 4, 0.2, seed=3),
+        lambda: ne.gen_mesh(10),
+    ])
+    def test_labels_bound_the_residual_bfs_without_changing_it(self, make, rng, monkeypatch):
+        g = make()
+        g.remove_nodes(range(0, g.id_space, 6))
+        indptr, indices = g.csr()
+        sources = np.flatnonzero(g._present)
+        exact = _csr.component_labels(indptr, indices)
+        whole = np.zeros(g.id_space, dtype=np.int64)
+        for p in (1.0, 0.8, 0.5, 0.2):
+            arcs = _csr.keep_arcs(indptr, indices, rng.random(indices.size) < p)
+            for block_nodes in (_csr._BLOCK_NODES, 1):
+                monkeypatch.setattr(_csr, "_BLOCK_NODES", block_nodes)
+                assert _bfs_bytes(*arcs, sources, exact) == _bfs_bytes(*arcs, sources, whole)
+
+    def test_first_heterogeneous_round_on_k8_gathers_each_arc_once(self, monkeypatch):
+        # every source has found its 7 neighbours after one level, so the
+        # round gathers the 8 x 7 arcs of the sources alone, not the 8 x 7 x 7
+        # more of the level of their neighbours
+        gathered, first_round = [], []
+        real = _csr.gather_rows
+
+        def gather_rows(indptr, indices, rows, n):
+            out = real(indptr, indices, rows, n)
+            gathered.append(out[2].size)
+            return out
+
+        monkeypatch.setattr(_csr, "gather_rows", gather_rows)
+        ne.throughput_dijkstra_heterogeneous(ne.gen_mesh(8), visit=lambda t: first_round.append(sum(gathered)))
+        assert first_round == [56]
 
 
 class TestHeterogeneous:

@@ -14,12 +14,16 @@ median and quartiles); per workload and side, whether every run passed
 its output checks (`all_correct`) and the total of failed operations; and
 per end-to-end metric of BENCHMARK.json each side's median and quartiles,
 the change's wins over its pairs, whether it regressed (its median is worse
-than the parent's by more than the metric's bound), and whether a gain is
+than the parent's by more than the metric's bound), whether a gain is
 shown: every run of both sides is correct with no failed operation, the
 change wins at least nine pairs in ten, and the medians differ by more than
-the parent's interquartile range.  A run that fails its checks is reported
-on stderr as it finishes.  The file also records the host's core count, the
-python/numpy/scipy versions, both commits and each side's `src_lines`, the
+the parent's interquartile range; and whether it is unresolved: the wider
+side's interquartile range, relative to the parent's median, exceeds the
+bound, and not every change run is better than every parent run, so the
+runs spread too widely to call the metric unchanged.  A run that fails its
+checks is reported on stderr as it finishes.  The file also records the
+host's core count, the python/numpy/scipy versions, both commits and each
+side's `src_lines`, the
 line count of `src/netelast/*.py` in its tree, and `src_code_lines`, the
 same count without blank lines, comments and docstrings.
 """
@@ -132,7 +136,7 @@ def _health(runs: list[dict]) -> dict:
 
 def _summary(runs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric: both sides' spread, the change's pair wins, the
-    bound check and the gain rule."""
+    bound check, the gain rule and whether the spread leaves it unresolved."""
     pairs = sorted({r["pair"] for r in runs})
     value = {(r["pair"], r["side"]): r["metrics"] for r in runs}
     sound = all(_sound(r) for r in runs)
@@ -144,6 +148,8 @@ def _summary(runs: list[dict], metrics: list[dict]) -> dict:
         diffs = [sign * (p - c) for p, c in zip(side["parent"], side["change"])]
         wins, ties = sum(d > 0 for d in diffs), sum(d == 0 for d in diffs)
         iqr = parent["q3"] - parent["q1"]
+        widest = max(iqr, change["q3"] - change["q1"])
+        dominates = max(sign * c for c in side["change"]) < min(sign * p for p in side["parent"])
         worse_pct = sign * 100.0 * (change["median"] - parent["median"]) / parent["median"]
         out[name] = {
             "unit": spec["unit"],
@@ -158,6 +164,7 @@ def _summary(runs: list[dict], metrics: list[dict]) -> dict:
             "parent_iqr": iqr,
             "regressed": worse_pct > 100.0 * spec["bound"],
             "gain_shown": sound and wins >= 0.9 * len(pairs) and sign * (parent["median"] - change["median"]) > iqr,
+            "unresolved": widest / abs(parent["median"]) > spec["bound"] and not dominates,
         }
     return out
 
