@@ -10,7 +10,9 @@ through sweep, the one loop over blocks of sources; routing (route, with
 the residual engines' reachability), betweenness (brandes) and the
 hop-distance sums of `metrics` (hop_profile) all read its bfs results,
 Traversal records that carry their sources and id space, so these kernels
-take nothing else.  The id space is always indptr.size - 1.
+take nothing else.  A record names each level's arcs by their positions in
+the two frontiers they join, so pick_predecessors, route and brandes work
+in arrays of one level's size.  The id space is always indptr.size - 1.
 Connected components come from hook-and-shortcut rounds over the same
 arrays (component_labels).  Every bfs takes them: the labels of a
 symmetric CSR that holds every arc it traverses (the graph's own CSR, for
@@ -112,40 +114,44 @@ def sweep(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, labels: 
 
 
 def gather_rows(
-    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray, n: int
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray, n: int, live: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate the CSR entries of the flat ids `rows` (i * n + v).
+    """Concatenate the CSR entries of the flat ids `rows` (i * n + v) where
+    the bool mask `live` is set; any other row contributes no entries.
 
-    Returns (tails, heads, arcs): the row repeated per entry and the entries
-    themselves, as flat ids of the row's copy, and each entry's position in
-    `indices`.  Fully vectorized ragged gather.
+    Returns (tails, heads, arcs): each entry's row as its position in
+    `rows`, the entry itself as a flat id of the row's copy, and its
+    position in `indices`.  Fully vectorized ragged gather.
     """
     local = rows % n
     starts = indptr[local]
-    counts = indptr[local + 1] - starts
-    tails = np.repeat(rows, counts)
+    counts = np.where(live, indptr[local + 1] - starts, 0)
+    tails = np.repeat(np.arange(rows.size), counts)
     # within-row offsets: arange minus each row's cumulative start
     offsets = np.cumsum(counts) - counts
-    arcs = np.arange(tails.size, dtype=np.int64) + np.repeat(starts - offsets, counts)
-    return tails, indices[arcs] + np.repeat(rows - local, counts), arcs
+    arcs = np.arange(tails.size) + (starts - offsets)[tails]
+    return tails, indices[arcs] + (rows - local)[tails], arcs
 
 
 class Traversal(NamedTuple):
     """The result of one batched bfs from `sources` over an id space of `n`
     nodes.  Node v as seen from sources[i] has the flat id i * n + v: the
-    traversals are one BFS over disjoint copies of the graph, and `dist`,
-    `frontiers` and `level_edges` are indexed by flat id.  bfs and
-    gather_rows build that layout; every other reader goes through rows and
-    source_of, so the layout is stated in this module alone.
+    traversals are one BFS over disjoint copies of the graph, and `dist`
+    and `frontiers` are indexed by flat id.  bfs and gather_rows build that
+    layout; every other reader goes through rows and source_of, so the
+    layout is stated in this module alone.
 
       dist        int array, -1 for unreached flat ids;
       frontiers   list of ascending flat id arrays, one per BFS level
                   (level 0 = sources);
       level_edges list of (tails, heads, arcs) arrays holding every arc that
                   crosses from level d to level d+1, ordered by tail then
-                  head, with its position in `indices`.  Multi-parent arcs
-                  are all retained, which is what the shortest-path
-                  counting needs.
+                  head: its tail's position in frontiers[d], its head's
+                  position in frontiers[d+1], and its position in
+                  `indices`.  Multi-parent arcs are all retained, which is
+                  what the shortest-path counting needs.  Being positions,
+                  they let pick_predecessors, route and brandes work in
+                  arrays of one level's size.
     """
 
     sources: np.ndarray
@@ -180,25 +186,27 @@ def bfs(indptr: np.ndarray, indices: np.ndarray, sources, labels: np.ndarray) ->
     frontier = np.arange(np.size(sources), dtype=np.int64) * n + sources
     dist = np.full(frontier.size * n, -1, dtype=np.int64)
     dist[frontier] = 0
+    # each flat id's position in its frontier, set as the frontier is found
+    slot = np.empty(dist.size, dtype=np.int64)
     t = Traversal(np.atleast_1d(sources), n, dist, [frontier], [])
     # how many nodes each source has yet to find
     left = np.bincount(labels)[labels[t.sources]] - 1
-    while frontier.size:
-        frontier = frontier[left[t.source_of(frontier)] > 0]
-        tails, heads, arcs = gather_rows(indptr, indices, frontier, n)
+    while True:
+        tails, heads, arcs = gather_rows(indptr, indices, frontier, n, left[t.source_of(frontier)] > 0)
         # an arc to a node unseen before this level crosses into the next
         # level, at distance d = len(frontiers); three gathers by position
         # are several times faster than by this (typically mixed) bool mask
         cross = np.flatnonzero(dist[heads] == -1)
         if not cross.size:
-            break
+            return t
         d = len(t.frontiers)
-        t.level_edges.append((tails[cross], heads[cross], arcs[cross]))
-        dist[t.level_edges[-1][1]] = d
+        heads = heads[cross]
+        dist[heads] = d
         frontier = np.flatnonzero(dist == d)
+        slot[frontier] = np.arange(frontier.size)
+        t.level_edges.append((tails[cross], slot[heads], arcs[cross]))
         left -= np.bincount(t.source_of(frontier), minlength=left.size)
         t.frontiers.append(frontier)
-    return t
 
 
 def brandes(t: Traversal, accum: np.ndarray) -> None:
@@ -206,17 +214,20 @@ def brandes(t: Traversal, accum: np.ndarray) -> None:
     in source order, into `accum`.
 
     Standard shortest-path counting with even splitting over equal-length
-    paths, done level-by-level with bincount scatter-adds over flat ids.
+    paths, done level-by-level with bincount scatter-adds over each level's
+    positions; only the per-source row adds need a block-sized array.
     """
-    sigma = np.zeros(t.dist.size)
-    sigma[t.frontiers[0]] = 1.0
-    for tails, heads, _ in t.level_edges:
-        sigma += np.bincount(heads, weights=sigma[tails], minlength=sigma.size)
-    delta = np.zeros(sigma.size)
-    for tails, heads, _ in reversed(t.level_edges):
-        ratio = (1.0 + delta[heads]) / sigma[heads]
-        delta += sigma * np.bincount(tails, weights=ratio, minlength=sigma.size)
-    delta[t.frontiers[0]] = 0.0
+    sigma = [np.ones(t.frontiers[0].size)]
+    for fr, (tails, heads, _) in zip(t.frontiers[1:], t.level_edges):
+        sigma.append(np.bincount(heads, weights=sigma[-1][tails], minlength=fr.size))
+    delta = np.zeros(t.dist.size)
+    below = np.zeros(t.frontiers[-1].size)
+    levels = zip(reversed(t.frontiers[1:]), reversed(t.level_edges), reversed(sigma[:-1]), reversed(sigma[1:]))
+    for fr, (tails, heads, _), up, down in levels:
+        # `below` is the dependency of the level fr; the sources keep 0
+        delta[fr] = below
+        ratio = (1.0 + below[heads]) / down[heads]
+        below = up * np.bincount(tails, weights=ratio, minlength=up.size)
     for row in t.rows(delta):
         accum += row
 
@@ -237,50 +248,42 @@ def route(t: Traversal, rng: np.random.Generator | None, loads: np.ndarray) -> n
     add to `loads` the paths over each arc of `indices`, the size of the
     subtree below it, and return each source's row of reached nodes.
     Subtree sizes are summed level by level into arrays of one level's size."""
-    pred, via, pos = pick_predecessors(t, rng)
     below = np.ones(t.frontiers[-1].size)
-    for fr, up in zip(reversed(t.frontiers[1:]), reversed(t.frontiers[:-1])):
-        np.add.at(loads, via[fr], below)
-        below = 1.0 + np.bincount(pos[pred[fr]], weights=below, minlength=up.size)
-    return t.rows(pred >= 0)
+    for win, up, (tails, _, arcs) in zip(
+        reversed(pick_predecessors(t, rng)), reversed(t.frontiers[:-1]), reversed(t.level_edges)
+    ):
+        np.add.at(loads, arcs[win], below)
+        below = 1.0 + np.bincount(tails[win], weights=below, minlength=up.size)
+    return t.rows(t.dist > 0)
 
 
-def pick_predecessors(
-    t: Traversal, rng: np.random.Generator | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Predecessor of every flat id reached by the bfs result `t` and the
-    position of the arc from it, both -1 elsewhere: the smallest-id parent,
-    or with `rng` a uniformly random one (a random priority per candidate
-    arc, the first arc of least priority per head).  Also returns each
-    reached flat id's position within its level (its index in its frontier;
-    unset elsewhere), through which each level is decided in arrays of its
-    own size.
+def pick_predecessors(t: Traversal, rng: np.random.Generator | None) -> list[np.ndarray]:
+    """For every level d >= 1 of the bfs result `t`, the index into
+    level_edges[d - 1] of the arc that each node of frontiers[d] takes from
+    its predecessor: the smallest-id parent's, or with `rng` a uniformly
+    random one's (a random priority per candidate arc, the first arc of
+    least priority per head).
 
     The priorities are drawn source by source and, within a source, level
     by level in arc order, so a batch draws what one bfs per source would.
     """
-    pred, via = np.full((2, t.dist.size), -1, dtype=np.int64)
-    pos = np.empty(t.dist.size, dtype=np.int64)
-    for fr in t.frontiers:
-        pos[fr] = np.arange(fr.size)
     keys = [None] * len(t.level_edges)
     if rng is not None and t.level_edges:
-        heads = np.concatenate([h for _, h, _ in t.level_edges])
+        owner = np.concatenate([t.source_of(fr[tails]) for fr, (tails, _, _) in zip(t.frontiers, t.level_edges)])
         # levels list their arcs by ascending source: sorting stably by source is the draw order
-        draws = np.empty(heads.size)
-        draws[np.argsort(t.source_of(heads), kind="stable")] = rng.random(heads.size)
+        draws = np.empty(owner.size)
+        draws[np.argsort(owner, kind="stable")] = rng.random(owner.size)
         keys = np.split(draws, np.cumsum([h.size for _, h, _ in t.level_edges])[:-1])
-    for key, fr, (tails, heads, arcs) in zip(keys, t.frontiers[1:], t.level_edges):
+    wins = []
+    for key, fr, (_, heads, _) in zip(keys, t.frontiers[1:], t.level_edges):
         # arcs are in tail order, so without priorities the first one wins;
         # every node of the level fr is the head of at least one arc
-        at = pos[heads]
         win = np.arange(heads.size)
         if key is not None:
             least = np.full(fr.size, np.inf)
-            np.minimum.at(least, at, key)
-            win = win[key == least[at]]
+            np.minimum.at(least, heads, key)
+            win = win[key == least[heads]]
         pick = np.full(fr.size, heads.size)
-        np.minimum.at(pick, at[win], win)
-        pred[fr] = tails[pick]
-        via[fr] = arcs[pick]
-    return pred, via, pos
+        np.minimum.at(pick, heads[win], win)
+        wins.append(pick)
+    return wins

@@ -129,8 +129,11 @@ def shortest_path_tree(
     source = g._check_node(source)
     rng = _tie_rng(ThroughputModel(tie_break=tie_break, seed=seed))
     t = _csr.bfs(*g.csr(), source, _csr.component_labels(*g.csr()))
+    pred = np.full(t.dist.size, -1, dtype=np.int64)
+    for win, up, fr, (tails, _, _) in zip(_csr.pick_predecessors(t, rng), t.frontiers, t.frontiers[1:], t.level_edges):
+        pred[fr] = up[tails[win]]
     # one source's rows, indexed by node id
-    (pred,), (dist,) = t.rows(_csr.pick_predecessors(t, rng)[0]), t.rows(t.dist)
+    (pred,), (dist,) = t.rows(pred), t.rows(t.dist)
     return np.where(dist < 0, np.inf, dist.astype(float)), pred
 
 

@@ -25,9 +25,9 @@ def test_homogeneous_records_identical_at_pool_sizes_1_and_2(monkeypatch):
         calls.append(len(parent))
     one, two = runs
     # per tie-break, 2 graphs x 5 attack forms x 2 batches, 2 evaluations and
-    # 13 CSVs of a bundle; then per graph of 3, its betweenness, its metrics
+    # 13 CSVs of a bundle; then per graph of 4, its betweenness, its metrics
     # and a shortest-path tree record per tie-break
-    assert len(one) == 2 * (20 + 2 + 13) + 3 * (2 + 2)
+    assert len(one) == 2 * (20 + 2 + 13) + 4 * (2 + 2)
     assert one == two
     # evaluated here at size 1 and in the workers at size 2
     assert calls[0] > 0 and calls[1] == 0

@@ -239,14 +239,55 @@ class TestComponentBound:
         gathered, first_round = [], []
         real = _csr.gather_rows
 
-        def gather_rows(indptr, indices, rows, n):
-            out = real(indptr, indices, rows, n)
+        def gather_rows(*args):
+            out = real(*args)
             gathered.append(out[2].size)
             return out
 
         monkeypatch.setattr(_csr, "gather_rows", gather_rows)
         ne.throughput_dijkstra_heterogeneous(ne.gen_mesh(8), visit=lambda t: first_round.append(sum(gathered)))
         assert first_round == [56]
+
+
+class TestLevelPositions:
+    """Traversal.level_edges name each arc from level d to d+1 by its tail's
+    position in frontiers[d], its head's in frontiers[d+1] and its position
+    in `indices`, as brute force finds those arcs."""
+
+    @pytest.mark.parametrize("block_nodes", [_csr._BLOCK_NODES, 1])
+    def test_level_arcs_match_brute_force(self, block_nodes, rng, monkeypatch):
+        monkeypatch.setattr(_csr, "_BLOCK_NODES", block_nodes)
+        for case in range(15):
+            n = int(rng.integers(2, 16))
+            g = ne.gen_gilbert(n, float(rng.uniform(0.1, 0.5)), seed=case)
+            g.remove_nodes(rng.choice(n, size=int(rng.integers(0, n // 2 + 1)), replace=False).tolist())
+            labels = _csr.component_labels(*g.csr())
+            for p in (1.0, 0.6):
+                indptr, indices = _csr.keep_arcs(*g.csr(), rng.random(g.csr()[1].size) < p)
+                out = {v: indices[indptr[v]:indptr[v + 1]].tolist() for v in g.nodes}
+                for _, t in _csr.sweep(indptr, indices, np.flatnonzero(g._present), labels):
+                    node = np.empty(t.dist.size, dtype=np.int64)
+                    t.rows(node)[:] = np.arange(n)
+                    want = [bfs_distances(out, int(s)) for s in t.sources]
+                    assert t.rows(t.dist).tolist() == [[w.get(v, -1) for v in range(n)] for w in want]
+                    wins = _csr.pick_predecessors(t, None)
+                    for d, (tails, heads, arcs) in enumerate(t.level_edges):
+                        tail, head = t.frontiers[d][tails], t.frontiers[d + 1][heads]
+                        assert np.array_equal(indices[arcs], node[head])
+                        assert ((indptr[node[tail]] <= arcs) & (arcs < indptr[node[tail] + 1])).all()
+                        assert (t.dist[tail] == d).all() and (t.dist[head] == d + 1).all()
+                        brute = [
+                            (i, u, v) for i, w in enumerate(want) for u in sorted(w) if w[u] == d
+                            for v in out[u] if w.get(v) == d + 1
+                        ]
+                        assert list(zip(t.source_of(tail).tolist(), node[tail].tolist(), node[head].tolist())) == brute
+                        # the sequential winner of each next-level node is its smallest-id parent
+                        assert np.array_equal(heads[wins[d]], np.arange(t.frontiers[d + 1].size))
+                        parents = [
+                            min(u for u in out if want[i].get(u) == d and v in out[u])
+                            for i, v in zip(t.source_of(t.frontiers[d + 1]), node[t.frontiers[d + 1]])
+                        ]
+                        assert node[tail[wins[d]]].tolist() == parents
 
 
 class TestHeterogeneous:

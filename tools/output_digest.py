@@ -4,7 +4,7 @@ change keeps its outputs byte-identical.
 
     PYTHONPATH=<tree>/src python3 tools/output_digest.py [--pool-size N] > digest.json
 
-Prints one JSON object of 222 records, each a sha256 hex digest:
+Prints one JSON object of 226 records, each a sha256 hex digest:
 
 - 120 curves, `curve/<engine>-<tie break>/<graph>/<attack>/batch<b>`: the
   five attack forms (random, static and adaptive degree, static and
@@ -20,9 +20,14 @@ Prints one JSON object of 222 records, each a sha256 hex digest:
 - 78 tables, `run/<engine>-<tie break>/<file>`: every CSV of one
   `run_experiment` bundle per engine and tie-break, 3 topologies under 3
   attacks (9 curves and 4 tables each).
-- 12 kernel records on the two graphs above and the fragmented
+- 16 kernel records on the two graphs above, the fragmented
   `gen_gilbert(30, 0.07, seed=4)` (components of 14, 9, 2, 2, 1, 1 and 1
-  nodes): `betweenness/<graph>`, the bytes of `betweenness`;
+  nodes) and the 31x32 grid `gen_near_regular(31, 32)`, whose
+  corner-to-corner path counts, C(61, 30) ~ 2.3e17, exceed 2^53: its
+  path counts are rounded, so a reordering of brandes' sums and products
+  that leaves every smaller graph's bits alone can move the grid's
+  (multiplying each dependency before its bin's sum does):
+  `betweenness/<graph>`, the bytes of `betweenness`;
   `spt/<tie break>/<graph>`, the bytes of the distances and predecessors of
   `shortest_path_tree` from the first, middle and last id; and
   `metrics/<graph>`, the repr of a standalone `metrics` report.
@@ -114,7 +119,7 @@ def _kernel_records() -> dict[str, str]:
     """The betweenness, shortest-path tree and metrics records, which no
     engine or pool size enters."""
     graphs = {"ws": ne.gen_watts_strogatz(13, 4, 0.3, seed=5), "pa": ne.gen_preferential_attachment(14, 2, 3),
-              "gilbert": ne.gen_gilbert(30, 0.07, seed=4)}
+              "gilbert": ne.gen_gilbert(30, 0.07, seed=4), "grid": ne.gen_near_regular(31, 32)}
     out = {}
     for name, g in graphs.items():
         out[f"betweenness/{name}"] = _sha(ne.betweenness(g).tobytes())
