@@ -36,6 +36,14 @@ Prints one JSON object of 226 records, each a sha256 hex digest:
 splits each curve over N lanes and runs them in N worker processes (1: in
 this process).  The library is imported from PYTHONPATH, so the script
 digests any checkout; compare two trees' maps with `diff`.
+
+Tier-1 pins this output: `tests/test_output_digest.py` requires the md5 of
+`render(digests(N))`, the exact text printed here, to be its
+`PINNED_MD5` at N = 1 and N = 2, and the kernel records to be the same
+with one source per bfs block.  When an output change is intended, diff
+the parent's map against the change's, list every moved record in
+CHANGES.md, and re-pin with the md5 of the change's output
+(`... tools/output_digest.py | md5sum`).
 """
 
 from __future__ import annotations
@@ -131,16 +139,20 @@ def _kernel_records() -> dict[str, str]:
     return out
 
 
-def digests(pool_size: int, engines=ENGINES) -> dict[str, str]:
-    """Every record of `engines` and the kernel records, with `pool_size`
-    lanes and workers per call."""
+def digests(pool_size: int) -> dict[str, str]:
+    """Every record, with `pool_size` lanes and workers per call."""
     real = robustness._pool_size
     robustness._pool_size = lambda work: pool_size
     try:
-        out = {key: value for e in engines for t in TIE_BREAKS for key, value in _records(e, t).items()}
+        out = {key: value for e in ENGINES for t in TIE_BREAKS for key, value in _records(e, t).items()}
         return {**out, **_kernel_records()}
     finally:
         robustness._pool_size = real
+
+
+def render(records: dict[str, str]) -> str:
+    """The map as the script prints it: the text whose md5 tier-1 pins."""
+    return json.dumps(records, indent=1, sort_keys=True) + "\n"
 
 
 def main() -> None:
@@ -149,7 +161,7 @@ def main() -> None:
     args = parser.parse_args()
     if args.pool_size < 1:
         parser.error("--pool-size must be >= 1")
-    print(json.dumps(digests(args.pool_size), indent=1, sort_keys=True))
+    print(render(digests(args.pool_size)), end="")
 
 
 if __name__ == "__main__":
